@@ -27,10 +27,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_beta(text: str) -> Fraction:
-    if "/" in text:
-        p, q = text.split("/", 1)
-        return Fraction(int(p), int(q))
-    return Fraction(text)
+    try:
+        if "/" in text:
+            p, q = text.split("/", 1)
+            beta = Fraction(int(p), int(q))
+        else:
+            beta = Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            f"beta {text!r} has a zero denominator") from None
+    if not (0 < beta <= 1):
+        raise argparse.ArgumentTypeError(f"beta must be in (0, 1], got {text}")
+    return beta
+
+
+def _parse_depth(text: str) -> int:
+    c = int(text)
+    if c < 1:
+        raise argparse.ArgumentTypeError(f"c must be >= 1, got {c}")
+    return c
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose an edge-list file")
     p.add_argument("--input", required=True)
-    p.add_argument("--c", type=int, default=1)
+    p.add_argument("--c", type=_parse_depth, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beta", type=_parse_beta, default=Fraction(1, 12))
     p.add_argument("--output")

@@ -1,14 +1,20 @@
 """Decomposition engine: the layered cycle-finding algorithms.
 
-Layers, innermost first:
-  one_round_short_cycle  -- one contraction round on a low-diameter piece
-  improved_short_cycle   -- LDD + one_round loop, O(m sqrt(n)) flavor
-  short_cycle_decomp     -- recursive contraction + sparsification
+Every level runs the same round loop (`_round_loop`): a low-diameter
+decomposition of what is left, extraction of vertex-disjoint short cycles
+from its clusters, then deletion of the covered vertices, until the level
+covers m/(10*max_degree) vertices. Only the per-round extractor differs:
+
+  one_round_short_cycle  -- one contraction round on one cluster
+  improved_short_cycle   -- deepest level: one_round on every cluster
+  short_cycle_decomp     -- levels above: contract the big clusters'
+                            tree-split parts, sparsify, recurse one level
+                            down and pull the cycles back up
   decompose              -- driver turning any multigraph into edge-disjoint
                             short cycles plus at most 20n leftover edges
 
-The inner algorithms require m = 10n on entry and consume (mutate) the
-graph they are given; `decompose` works on a private copy of its input.
+The levels require m = 10n on entry and consume (mutate) the graph they
+are given; `decompose` works on a private copy of its input.
 """
 from __future__ import annotations
 
@@ -21,11 +27,15 @@ import numpy as np
 
 from .graph import (GraphError, MultiGraph, SpanningTree, bfs_tree_np,
                     contract, tree_path)
-from .ldd import LddError, low_diam_decomp
+from .ldd import LddError, low_diam_decomp, single_cluster
 from .primitives import (Cycle, LabeledTree, VertexDisjointCycleSet,
                          graph_reduce, naive_short_cycle, pull_up,
                          sparsify, split_circuit, tree_split)
 from .rng import mix64
+
+# A level with at most this many active vertices left ends with one naive
+# sweep instead of another round.
+_SMALL_N = 100
 
 
 @dataclass(frozen=True)
@@ -33,11 +43,6 @@ class EngineConfig:
     c: int = 1
     seed: int = 0
     beta: Fraction = Fraction(1, 12)
-    vertex_target_divisor: int = 10
-    small_n_cutoff: int = 100
-    ldd_diam_constant: int = 4
-    ldd_max_retries: int = 20
-    max_round_budget: int | None = None   # None: 100*sqrt(n) / 100*k default
     greedy_rounds: bool = True            # keep extracting past the target
 
     def __post_init__(self):
@@ -119,31 +124,6 @@ def _introot(x: int, p: int) -> int:
     return r
 
 
-def _local_degrees(g: MultiGraph, vertices, _mark: bytearray | None = None):
-    """Degrees inside the induced subgraph on `vertices` (loops count 2).
-    Returns (degrees, edge_count). `_mark` is an optional shared scratch
-    byte array; touched entries are reset before returning."""
-    mark = bytearray(g.n_total) if _mark is None else _mark
-    for v in vertices:
-        mark[v] = 1
-    degs: dict[int, int] = {}
-    twice = 0
-    eu, ev = g.eu, g.ev
-    for v in vertices:
-        d = 0
-        for e in g.incident(v):
-            u, w = eu[e], ev[e]
-            if u == w:
-                d += 2
-            elif mark[w if u == v else u]:
-                d += 1
-        degs[v] = d
-        twice += d
-    for v in vertices:
-        mark[v] = 0
-    return degs, twice // 2
-
-
 # Cluster size at which one_round switches to the vectorized scan.
 _VEC_CUTOFF = 4096
 
@@ -164,6 +144,26 @@ def _cluster_tree(adj_np, root: int, n_total: int, cnp):
     return tree, int(tdeg.max())
 
 
+def _bfs_tree(adj: dict[int, list[tuple[int, int]]],
+              root: int) -> SpanningTree:
+    """BFS tree from `root` over the adjacency {v: [(w, e), ...]}, each row
+    scanned in order; it spans root's component of `adj`."""
+    parent: dict[int, tuple[int, int]] = {}
+    depth = {root: 0}
+    order = [root]
+    head = 0
+    while head < len(order):
+        v = order[head]
+        head += 1
+        dv = depth[v] + 1
+        for w, e in adj[v]:
+            if w not in depth:
+                depth[w] = dv
+                parent[w] = (v, e)
+                order.append(w)
+    return SpanningTree(root=root, parent=parent, depth=depth, order=order)
+
+
 def _subtree(tree: SpanningTree, part: list[int]) -> SpanningTree:
     """Spanning tree of `part` using only tree edges internal to the part.
     `part` must be connected within the tree (tree_split guarantees it)."""
@@ -174,159 +174,97 @@ def _subtree(tree: SpanningTree, part: list[int]) -> SpanningTree:
         if pe is not None and pe[0] in pset:
             adj[v].append(pe)
             adj[pe[0]].append((v, pe[1]))
-    root = part[0]
-    parent: dict[int, tuple[int, int]] = {}
-    depth = {root: 0}
-    order = [root]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for w, e in adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                parent[w] = (v, e)
-                order.append(w)
-    if len(order) != len(part):
+    sub = _bfs_tree(adj, part[0])
+    if len(sub.order) != len(part):
         raise GraphError("part not connected within its tree")
-    return SpanningTree(root=root, parent=parent, depth=depth, order=order)
+    return sub
 
 
 def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
                           component=None,
-                          _mark: bytearray | None = None,
-                          _adj=None,
-                          _center=None,
-                          _adj_np=None,
-                          _cnp=None) -> VertexDisjointCycleSet:
+                          clustering=None) -> VertexDisjointCycleSet:
     """One contraction round on a connected low-diameter piece.
 
     Spanning tree -> degree-labeled tree split at threshold 4*ceil(sqrt(m))
     -> contraction without the part-tree edges -> maximal vertex-disjoint
     collection of parallel-pair 2-cycles then self-loops -> pull-up.
+
+    `component` defaults to every active vertex. `clustering` is an
+    LddResult of g, taken since g last changed, that has `component` as one
+    of its clusters; without it, the clustering with `component` as its
+    only cluster is built.
     """
     if component is None:
         component = g.active_vertices()
     if not component:
         return VertexDisjointCycleSet()
-    eu, ev, ea, inc = g.eu, g.ev, g.eactive, g.inc
+    eu, ev = g.eu, g.ev
     out = VertexDisjointCycleSet()
     if len(component) == 1:
         v = component[0]
-        for e in inc[v]:
+        ea = g.eactive
+        for e in g.inc[v]:
             if ea[e] and eu[e] == ev[e]:
                 out.add(Cycle(edges=[e], vertices=[v]))
                 break
         return out
-    tree = None
-    tree_maxdeg = None
-    # One pass: local degrees, internal adjacency, and candidate edge list.
-    degs: dict[int, int] = {}
-    adj: dict[int, list[tuple[int, int]]] = {}
-    edges: list[int] = []
-    twice = 0
-    if (_adj_np is not None and _cnp is not None
-            and len(component) >= _VEC_CUTOFF):
+    if clustering is None:
+        clustering = single_cluster(g, component)
+    # The component is one label class, so membership is a label compare.
+    # Local degrees count loops twice; `edges` lists each internal edge once.
+    if len(component) >= _VEC_CUTOFF:
         # Big cluster: masked selection and a vectorized layer BFS replace
         # the per-vertex scan. Edge ids are reordered by (head, id) to match
         # the scan order exactly.
-        cid = int(_cnp[component[0]])
-        eunp = np.frombuffer(g.eu, dtype=np.int32)
-        evnp = np.frombuffer(g.ev, dtype=np.int32)
+        cnp = clustering.labels
+        cid = int(cnp[component[0]])
+        eunp = np.frombuffer(eu, dtype=np.int32)
+        evnp = np.frombuffer(ev, dtype=np.int32)
         eanp = np.frombuffer(g.eactive, dtype=np.uint8)
-        ids = np.nonzero((eanp != 0) & (_cnp[eunp] == cid)
-                         & (_cnp[evnp] == cid))[0]
+        ids = np.nonzero((eanp != 0) & (cnp[eunp] == cid)
+                         & (cnp[evnp] == cid))[0]
         ids = ids[np.argsort(eunp[ids], kind="stable")]
         degl = (np.bincount(eunp[ids], minlength=g.n_total)
                 + np.bincount(evnp[ids], minlength=g.n_total))
         degs = {v: int(degl[v]) for v in component}
         edges = ids.tolist()
-        twice = 2 * len(edges)
-        tree, tree_maxdeg = _cluster_tree(_adj_np, component[0],
-                                          g.n_total, _cnp)
-        if len(tree.order) != len(component):
-            raise GraphError("one_round_short_cycle needs a connected input")
-    elif _adj is not None:
-        # The component is a cluster of a decomposition whose flat adjacency
-        # and center labels the caller still holds; membership is a label
-        # compare instead of a mark array.
-        starts, tails, eids = _adj
-        cid = _center[component[0]]
+        tree, tree_maxdeg = _cluster_tree(clustering.adj, component[0],
+                                          g.n_total, cnp)
+    else:
+        starts, tails, eids, labels = clustering.rows
+        cid = labels[component[0]]
+        degs: dict[int, int] = {}
+        adj: dict[int, list[tuple[int, int]]] = {}
+        edges: list[int] = []
         for v in component:
             d = 0
             av = []
             for i in range(starts[v], starts[v + 1]):
                 w = tails[i]
-                if _center[w] != cid:
+                if labels[w] != cid:
                     continue
                 e = eids[i]
                 if w == v:
                     d += 2
-                    av.append((e, v))
+                    av.append((v, e))
                     edges.append(e)
                 else:
                     d += 1
-                    av.append((e, w))
+                    av.append((w, e))
                     if eu[e] == v:
                         edges.append(e)
             degs[v] = d
             adj[v] = av
-            twice += d
-    else:
-        # Scratch mark array, shared across calls by the round loops;
-        # touched entries are reset before returning.
-        mark = bytearray(g.n_total) if _mark is None else _mark
-        for v in component:
-            mark[v] = 1
-        for v in component:
-            d = 0
-            av = []
-            for e in inc[v]:
-                if not ea[e]:
-                    continue
-                u, w = eu[e], ev[e]
-                if u == w:
-                    if v == u:
-                        d += 2
-                        av.append((e, v))
-                        edges.append(e)
-                else:
-                    o = w if u == v else u
-                    if mark[o]:
-                        d += 1
-                        av.append((e, o))
-                        if v == u:
-                            edges.append(e)
-            degs[v] = d
-            adj[v] = av
-            twice += d
-        for v in component:
-            mark[v] = 0
-    m_i = twice // 2
-    if tree is None:
-        root = component[0]
-        parent: dict[int, tuple[int, int]] = {}
-        depth = {root: 0}
-        order = [root]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            dv = depth[v] + 1
-            for e, w in adj[v]:
-                if w not in depth:
-                    depth[w] = dv
-                    parent[w] = (v, e)
-                    order.append(w)
-        if len(order) != len(component):
-            raise GraphError("one_round_short_cycle needs a connected input")
-        tree = SpanningTree(root=root, parent=parent, depth=depth, order=order)
-    else:
-        parent = tree.parent
+        tree = _bfs_tree(adj, component[0])
+        tree_maxdeg = None
+    if len(tree.order) != len(component):
+        raise GraphError("one_round_short_cycle needs a connected input")
+    m_i = len(edges)
     if m_i == 0:
-        return VertexDisjointCycleSet()
+        return out
+    parent = tree.parent
     threshold = 4 * _isqrt_ceil(m_i)
-    if 2 * m_i < threshold or len(component) == 1:
+    if 2 * m_i < threshold:
         # Single part: contraction would collapse the piece to one vertex
         # with every non-tree edge a loop, and the greedy would keep the
         # smallest-id loop. Lift it along the tree path directly.
@@ -337,17 +275,15 @@ def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
             pe_.append(best)
             out.add(Cycle(edges=pe_, vertices=pv_))
         return out
-    else:
-        if tree_maxdeg is None:
-            tree_deg: dict[int, int] = {v: 0 for v in component}
-            for v, (p, _) in tree.parent.items():
-                tree_deg[v] += 1
-                tree_deg[p] += 1
-            tree_maxdeg = max(tree_deg.values())
-        lt = LabeledTree(tree=tree, labels=degs,
-                         label_cap=max(degs.values()),
-                         max_deg=tree_maxdeg)
-        parts = tree_split(lt, threshold)
+    if tree_maxdeg is None:
+        tree_deg: dict[int, int] = {v: 0 for v in component}
+        for v, (p, _) in parent.items():
+            tree_deg[v] += 1
+            tree_deg[p] += 1
+        tree_maxdeg = max(tree_deg.values())
+    lt = LabeledTree(tree=tree, labels=degs, label_cap=max(degs.values()),
+                     max_deg=tree_maxdeg)
+    parts = tree_split(lt, threshold)
     part_trees = [_subtree(tree, part) for part in parts]
     exclude = set()
     for st in part_trees:
@@ -393,12 +329,67 @@ def _delete_used(g: MultiGraph, cs: VertexDisjointCycleSet, since: int) -> int:
     return covered
 
 
-def _naive_sweep(g: MultiGraph, acc: VertexDisjointCycleSet,
-                 vertices=None) -> int:
-    found = naive_short_cycle(g, vertices)
-    before = len(acc.cycles)
-    acc.extend(found)
-    return _delete_used(g, acc, before)
+def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
+                name: str, budget: int, extract) -> VertexDisjointCycleSet:
+    """The round loop of every level; `name` labels its errors.
+
+    Requires m = 10n on entry; consumes the graph. Each round takes a fresh
+    low-diameter decomposition, lets `extract(g, cfg, ldd, acc)` add
+    vertex-disjoint cycles of g to `acc`, and deletes their vertices. It
+    stops once m/(10*max_degree) vertices are covered (with greedy_rounds,
+    once a round also yields under a quarter of that), and fails after
+    `budget` rounds. At most _SMALL_N vertices left end in a naive sweep.
+    """
+    n0, m0 = g.n_active, g.m_active
+    if m0 != 10 * n0:
+        raise GraphError(f"{name} requires m = 10n, got n={n0} m={m0}")
+    st = ctx.stats(level)
+    st.edges_processed += m0
+    acc = VertexDisjointCycleSet()
+    if m0 == 0:
+        return acc
+    delta0 = g.max_degree()
+    target_num, target_den = m0, 10 * delta0   # covered >= m0/(10*delta0)
+    covered = 0
+    rounds = 0
+    while True:
+        done = covered * target_den >= target_num
+        if done and not cfg.greedy_rounds:
+            break
+        if g.n_active == 0:
+            break
+        before = len(acc.cycles)
+        if g.n_active <= _SMALL_N:
+            acc.extend(naive_short_cycle(g))
+            covered += _delete_used(g, acc, before)
+            break
+        rounds += 1
+        if rounds > budget:
+            raise EngineFailure(
+                f"{name} exhausted its round budget ({budget})", partial=acc)
+        ldd = low_diam_decomp(g, cfg.beta, ctx.next_seed())
+        st.ldd_retries += ldd.retries
+        st.rounds += 1
+        extract(g, cfg, ldd, acc)
+        round_yield = _delete_used(g, acc, before)
+        covered += round_yield
+        done = covered * target_den >= target_num
+        if done and (not cfg.greedy_rounds
+                     or round_yield * 4 * target_den < target_num):
+            break
+    if covered * target_den < target_num:
+        raise EngineFailure(
+            f"{name} covered {covered} vertices, "
+            f"target {m0}/(10*{delta0})", partial=acc)
+    st.cycles_found += len(acc.cycles)
+    return acc
+
+
+def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
+                acc: VertexDisjointCycleSet) -> None:
+    """Extractor of the deepest level: one_round on every cluster."""
+    for cluster in ldd.clusters:
+        acc.extend(one_round_short_cycle(g, cfg, cluster, ldd))
 
 
 def improved_short_cycle(g: MultiGraph, cfg: EngineConfig,
@@ -407,82 +398,25 @@ def improved_short_cycle(g: MultiGraph, cfg: EngineConfig,
     """LDD + one_round loop covering at least m/(10*max_degree) vertices.
 
     Requires m = 10n on entry. Consumes the graph (covered vertices are
-    deleted between rounds).
+    deleted between rounds); at most 100*ceil(sqrt(n)) rounds.
     """
-    ctx = _ctx or _Ctx(cfg)
-    n0, m0 = g.n_active, g.m_active
-    if m0 != 10 * n0:
-        raise GraphError(f"improved_short_cycle requires m = 10n, "
-                         f"got n={n0} m={m0}")
-    st = ctx.stats(_level)
-    st.edges_processed += m0
-    acc = VertexDisjointCycleSet()
-    if m0 == 0:
-        return acc
-    delta0 = g.max_degree()
-    if n0 <= cfg.small_n_cutoff:
-        _naive_sweep(g, acc)
-        st.cycles_found += len(acc.cycles)
-        return acc
-    target_num, target_den = m0, 10 * delta0   # covered >= m0/(10*delta0)
-    covered = 0
-    budget = cfg.max_round_budget or 100 * _isqrt_ceil(n0)
-    rounds = 0
-    mark = bytearray(g.n_total)
-    while True:
-        if covered * target_den >= target_num:
-            if not cfg.greedy_rounds:
-                break
-        if g.n_active == 0:
-            break
-        if g.n_active <= cfg.small_n_cutoff:
-            covered += _naive_sweep(g, acc)
-            break
-        rounds += 1
-        if rounds > budget:
-            raise EngineFailure(
-                f"improved_short_cycle exhausted its round budget ({budget})",
-                partial=acc)
-        ldd = low_diam_decomp(g, cfg.beta, ctx.next_seed(),
-                              cfg.ldd_diam_constant, cfg.ldd_max_retries)
-        st.ldd_retries += ldd.retries
-        round_yield = 0
-        before = len(acc.cycles)
-        for cluster in ldd.clusters:
-            found = one_round_short_cycle(g, cfg, cluster, _mark=mark,
-                                          _adj=ldd._adj, _center=ldd._center,
-                                          _adj_np=ldd._adj_np, _cnp=ldd._center_np)
-            acc.extend(found)
-        round_yield = _delete_used(g, acc, before)
-        covered += round_yield
-        st.rounds += 1
-        done = covered * target_den >= target_num
-        if done and (not cfg.greedy_rounds
-                     or round_yield * 4 * target_den < target_num):
-            break
-        if round_yield == 0 and done:
-            break
-        if round_yield == 0 and not done:
-            # No 1/2-cycles found this round; retry with fresh shifts until
-            # the budget runs out rather than failing immediately.
-            continue
-    if covered * target_den < target_num:
-        raise EngineFailure(
-            f"improved_short_cycle covered {covered} vertices, "
-            f"target {m0}/(10*{delta0})", partial=acc)
-    st.cycles_found += len(acc.cycles)
-    return acc
+    return _round_loop(g, cfg, _ctx or _Ctx(cfg), _level,
+                       "improved_short_cycle",
+                       100 * _isqrt_ceil(g.n_active), _one_rounds)
 
 
 def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
                        _ctx: _Ctx | None = None) -> VertexDisjointCycleSet:
     """Recursive engine: contract tree-split parts, sparsify, recurse,
-    pull up. Requires m = 10n; covers at least m/(10*max_degree) vertices.
+    pull up. Requires m = 10n; covers at least m/(10*max_degree) vertices
+    in at most 100*k rounds.
 
-    At depth d = c-1 this is improved_short_cycle. When the sparsification
-    target would not shrink the contracted graph (small k), the round falls
-    back to per-cluster one_round calls, which preserves every guarantee
-    except the asymptotic runtime.
+    At depth d = c-1 this is improved_short_cycle. Above it, a round whose
+    small clusters (at most k vertices) hold a quarter of the edges peels
+    them with naive_short_cycle. Otherwise, when there are no big clusters
+    or the sparsification target would not shrink the contracted graph
+    (small k), the round runs one_round on every cluster, which preserves
+    every guarantee except the asymptotic runtime.
     """
     ctx = _ctx or _Ctx(cfg)
     if not (0 <= d <= cfg.c - 1):
@@ -490,116 +424,62 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
     if d == cfg.c - 1:
         return improved_short_cycle(g, cfg, _ctx=ctx, _level=d)
     n0, m0 = g.n_active, g.m_active
-    if m0 != 10 * n0:
-        raise GraphError(f"short_cycle_decomp requires m = 10n, "
-                         f"got n={n0} m={m0}")
-    st = ctx.stats(d)
-    st.edges_processed += m0
-    acc = VertexDisjointCycleSet()
-    if m0 == 0:
-        return acc
-    delta0 = g.max_degree()
-    target_num, target_den = m0, 10 * delta0
-    covered = 0
-    budget = cfg.max_round_budget or 100 * k
-    rounds = 0
-    mark = bytearray(g.n_total)
-    while True:
-        done = covered * target_den >= target_num
-        if done and not cfg.greedy_rounds:
-            break
-        if g.n_active == 0:
-            break
-        if g.n_active <= cfg.small_n_cutoff:
-            covered += _naive_sweep(g, acc)
-            break
-        rounds += 1
-        if rounds > budget:
-            raise EngineFailure(
-                f"short_cycle_decomp exhausted its round budget ({budget})",
-                partial=acc)
-        ldd = low_diam_decomp(g, cfg.beta, ctx.next_seed(),
-                              cfg.ldd_diam_constant, cfg.ldd_max_retries)
-        st.ldd_retries += ldd.retries
-        st.rounds += 1
+    n_min = -(-20 * n0 // k)   # vertex count of the recursion's input
+
+    def extract(g, cfg, ldd, acc):
         small = [c for c in ldd.clusters if len(c) <= k]
         big = [c for c in ldd.clusters if len(c) > k]
-        small_edges = sum(_local_degrees(g, c, _mark=mark)[1] for c in small)
-        before = len(acc.cycles)
+        # A cluster's internal edges are exactly the active edges whose
+        # endpoints carry its label.
+        labels = ldd.labels
+        eunp = np.frombuffer(g.eu, dtype=np.int32)
+        evnp = np.frombuffer(g.ev, dtype=np.int32)
+        eanp = np.frombuffer(g.eactive, dtype=np.uint8)
+        internal = (eanp != 0) & (labels[eunp] == labels[evnp])
+        per_cluster = np.bincount(labels[eunp[internal]], minlength=g.n_total)
+        center = ldd.rows[3]
+        small_edges = int(per_cluster[[center[c[0]] for c in small]].sum())
         if 4 * small_edges >= m0:
             for cluster in small:
-                found = naive_short_cycle(g, cluster)
-                acc.extend(found)
-        elif not big:
-            # Few small-cluster edges and no big clusters: everything left
-            # sits on cut edges; extract per-cluster directly.
-            for cluster in ldd.clusters:
-                found = one_round_short_cycle(
-                    g, cfg, cluster, _mark=mark,
-                    _adj=ldd._adj, _center=ldd._center,
-                    _adj_np=ldd._adj_np, _cnp=ldd._center_np)
-                acc.extend(found)
-        else:
-            parts: list[list[int]] = []
-            trees: list[SpanningTree] = []
-            exclude: set[int] = set()
-            # Reuse the decomposition's adjacency snapshot and center labels:
-            # a cluster's internal edges are exactly those whose tails carry
-            # the cluster's center, and internal degrees come from one
-            # bincount over the non-crossing edges.
-            cnp = ldd._center_np
-            eunp = np.frombuffer(g.eu, dtype=np.int32)
-            evnp = np.frombuffer(g.ev, dtype=np.int32)
-            eanp = np.frombuffer(g.eactive, dtype=np.uint8)
-            internal = (eanp != 0) & (cnp[eunp] == cnp[evnp])
-            degl = (np.bincount(eunp[internal], minlength=g.n_total)
-                    + np.bincount(evnp[internal], minlength=g.n_total)).tolist()
-            for cluster in big:
-                degs = {v: degl[v] for v in cluster}
-                tree, tree_maxdeg = _cluster_tree(ldd._adj_np, cluster[0],
-                                                  g.n_total, cnp)
-                lt = LabeledTree(tree=tree, labels=degs,
-                                 label_cap=max(degs.values()),
-                                 max_deg=tree_maxdeg)
-                for part in tree_split(lt, k):
-                    parts.append(part)
-                    sub = _subtree(tree, part)
-                    trees.append(sub)
-                    for (_, e) in sub.parent.values():
-                        exclude.add(e)
-            cm = contract(g, parts, exclude)
-            n_target = max(-(-20 * n0 // k), len(parts))
-            m_target = 10 * n_target
-            if m_target > cm.h.m_active:
-                # Recursion cannot shrink the instance at this k; extract
-                # directly from the low-diameter clusters instead.
-                for cluster in ldd.clusters:
-                    found = one_round_short_cycle(
-                        g, cfg, cluster, _mark=mark,
-                        _adj=ldd._adj, _center=ldd._center,
-                        _adj_np=ldd._adj_np, _cnp=ldd._center_np)
-                    acc.extend(found)
-            else:
-                cm.h.add_vertices(n_target - cm.h.n_total)
-                h_sub = sparsify(cm.h, m_target)
-                assert h_sub.m_active == 10 * h_sub.n_active
-                inner = short_cycle_decomp(h_sub, d + 1, cfg, k, _ctx=ctx)
-                pulled = pull_up(cm, trees, inner)
-                acc.extend(pulled)
-        round_yield = _delete_used(g, acc, before)
-        covered += round_yield
-        done = covered * target_den >= target_num
-        if done and (not cfg.greedy_rounds
-                     or round_yield * 4 * target_den < target_num):
-            break
-        if round_yield == 0 and done:
-            break
-    if covered * target_den < target_num:
-        raise EngineFailure(
-            f"short_cycle_decomp covered {covered} vertices, "
-            f"target {m0}/(10*{delta0})", partial=acc)
-    st.cycles_found += len(acc.cycles)
-    return acc
+                acc.extend(naive_short_cycle(g, cluster))
+            return
+        # H's edges are a subset of g's, so when g has fewer than
+        # 10*n_min edges recursion cannot shrink the instance at this k.
+        if not big or 10 * n_min > g.m_active:
+            _one_rounds(g, cfg, ldd, acc)
+            return
+        degl = (np.bincount(eunp[internal], minlength=g.n_total)
+                + np.bincount(evnp[internal], minlength=g.n_total)).tolist()
+        parts: list[list[int]] = []
+        trees: list[SpanningTree] = []
+        exclude: set[int] = set()
+        for cluster in big:
+            degs = {v: degl[v] for v in cluster}
+            tree, tree_maxdeg = _cluster_tree(ldd.adj, cluster[0],
+                                              g.n_total, labels)
+            lt = LabeledTree(tree=tree, labels=degs,
+                             label_cap=max(degs.values()),
+                             max_deg=tree_maxdeg)
+            for part in tree_split(lt, k):
+                parts.append(part)
+                sub = _subtree(tree, part)
+                trees.append(sub)
+                for (_, e) in sub.parent.values():
+                    exclude.add(e)
+        cm = contract(g, parts, exclude)
+        n_target = max(n_min, len(parts))
+        m_target = 10 * n_target
+        if m_target > cm.h.m_active:   # too many parts to shrink
+            _one_rounds(g, cfg, ldd, acc)
+            return
+        cm.h.add_vertices(n_target - cm.h.n_total)
+        h_sub = sparsify(cm.h, m_target)
+        assert h_sub.m_active == 10 * h_sub.n_active
+        inner = short_cycle_decomp(h_sub, d + 1, cfg, k, _ctx=ctx)
+        acc.extend(pull_up(cm, trees, inner))
+
+    return _round_loop(g, cfg, ctx, d, "short_cycle_decomp", 100 * k,
+                       extract)
 
 
 def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:

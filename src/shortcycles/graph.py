@@ -101,11 +101,7 @@ class MultiGraph:
 
     def delete_edges(self, edge_ids) -> None:
         """Delete many distinct active edges; equivalent to delete_edge on
-        each id, with vectorized bookkeeping for large batches."""
-        if len(edge_ids) < 256:
-            for e in edge_ids:
-                self.delete_edge(e)
-            return
+        each id, with vectorized bookkeeping."""
         ids = np.asarray(edge_ids, dtype=np.int64)
         ea = np.frombuffer(self.eactive, dtype=np.uint8)
         if not ea[ids].all():

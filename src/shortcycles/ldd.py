@@ -34,20 +34,16 @@ class LddResult:
     max_diameter: int           # measured (exact when cheap, else 2*radius)
     retries: int                # attempts before acceptance, 0 = first try
     truncated_shifts: int
-
-    @property
-    def diameter_exact(self) -> bool:
-        return self._exact
-
-    _exact: bool = True
-    # Byproducts callers may reuse while the graph is unchanged: the flat
-    # adjacency snapshot (lists and numpy forms) and the per-vertex center
-    # labels (cluster id of v is center[v]; clusters are exactly the center
-    # classes).
-    _adj: tuple | None = None
-    _adj_np: tuple | None = None
-    _center: list | None = None
-    _center_np = None
+    diameter_exact: bool = True
+    # The clustering, valid while the graph is unchanged: `adj` is a CSR
+    # snapshot (starts, tails, eids) of the active edges as numpy arrays,
+    # `labels` the per-vertex cluster id (the cluster's center, -1 off the
+    # active vertices), so each cluster is exactly one label class. `rows`
+    # holds the same four arrays as plain lists (starts, tails, eids,
+    # labels) for scalar loops.
+    adj: tuple = ()
+    labels: np.ndarray | None = None
+    rows: tuple = ()
 
 
 def diameter_cap(beta: Fraction, n: int, constant: int = 4) -> int:
@@ -75,18 +71,14 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
     cap = diameter_cap(beta, n, diam_constant)
     shift_cap = 2.0 / float(beta) * math.log(n + 1)
     best = None
-    adj_np = flat_adjacency_np(g)   # static across attempts
-    adj = tuple(a.tolist() for a in adj_np)
+    snap = _snapshot(g)   # static across attempts
     for attempt in range(max_retries):
         rng = random.Random(mix64(seed, attempt))
-        result, center = _attempt(g, beta, rng, shift_cap, adj)
+        center, truncated = _attempt(g, beta, rng, shift_cap, snap[1])
+        result = _clustering(g, center, snap, truncated)
         result.retries = attempt
-        result._adj = adj
-        result._adj_np = adj_np
-        result._center = center
         if len(result.removed) * beta.denominator <= beta.numerator * m:
-            if _check_diameters(g, result, center, cap, adj_np):
-                result._center_np = np.asarray(center, dtype=np.int64)
+            if _check_diameters(result, cap):
                 return result
         best = result
     raise LddError(
@@ -94,15 +86,50 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
         f"(cap {cap}, beta {beta})", best=best)
 
 
+def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
+    """The clustering of g whose one cluster is `component`, every other
+    vertex unlabeled, over a fresh snapshot. Unlike low_diam_decomp's
+    clusters, `component` carries no diameter or connectivity guarantee."""
+    center = [-1] * g.n_total
+    for v in component:
+        center[v] = component[0]
+    return _clustering(g, center, _snapshot(g))
+
+
+def _snapshot(g: MultiGraph):
+    """CSR snapshot of g's active edges, as numpy arrays and as lists."""
+    adj = flat_adjacency_np(g)
+    return adj, tuple(a.tolist() for a in adj)
+
+
+def _clustering(g: MultiGraph, center: list[int], snap,
+                truncated: int = 0) -> LddResult:
+    """The clustering given by per-vertex labels `center` (-1: none) over
+    the snapshot `snap`: its label classes and the edges crossing them."""
+    by_center: dict[int, list[int]] = {}
+    for v, c in enumerate(center):
+        if c >= 0:
+            by_center.setdefault(c, []).append(v)
+    labels = np.asarray(center, dtype=np.int64)
+    eu = np.frombuffer(g.eu, dtype=np.int32)
+    ev = np.frombuffer(g.ev, dtype=np.int32)
+    ea = np.frombuffer(g.eactive, dtype=np.uint8)
+    crossing = (ea != 0) & (labels[eu] != labels[ev])
+    adj, rows = snap
+    return LddResult(removed=set(np.nonzero(crossing)[0].tolist()),
+                     clusters=list(by_center.values()), max_diameter=0,
+                     retries=0, truncated_shifts=truncated, adj=adj,
+                     labels=labels, rows=(*rows, center))
+
+
 def _attempt(g: MultiGraph, beta: Fraction, rng: random.Random,
-             shift_cap: float, adj=None):
+             shift_cap: float, rows) -> tuple[list[int], int]:
+    """One draw of shifts; returns each vertex's center (-1 when inactive)
+    and the number of truncated shifts."""
     rate = float(beta)
-    va, ea = g.vactive, g.eactive
-    eu, ev = g.eu, g.ev
+    va = g.vactive
     n_total = g.n_total
-    if adj is None:
-        adj = tuple(a.tolist() for a in flat_adjacency_np(g))
-    starts, tails, _ = adj
+    starts, tails, _ = rows
     truncated = 0
     max_shift = 0.0
     shifts = array("d", bytes(8 * n_total))
@@ -152,25 +179,7 @@ def _attempt(g: MultiGraph, beta: Fraction, rng: random.Random,
                     center[w] = cv
                     bucket_next.append(w)
         b += 1
-    by_center: dict[int, list[int]] = {}
-    for v in range(n_total):
-        if va[v]:
-            by_center.setdefault(center[v], []).append(v)
-    if len(ea) >= 4096:
-        cnp = np.asarray(center, dtype=np.int32)
-        eunp = np.frombuffer(eu, dtype=np.int32)
-        evnp = np.frombuffer(ev, dtype=np.int32)
-        eanp = np.frombuffer(ea, dtype=np.uint8)
-        crossing = (eanp != 0) & (cnp[eunp] != cnp[evnp])
-        removed = set(np.nonzero(crossing)[0].tolist())
-    else:
-        removed = set()
-        for e in range(len(ea)):
-            if ea[e] and center[eu[e]] != center[ev[e]]:
-                removed.add(e)
-    result = LddResult(removed=removed, clusters=list(by_center.values()),
-                       max_diameter=0, retries=0, truncated_shifts=truncated)
-    return result, center
+    return center, truncated
 
 
 def _cluster_ecc(starts, tails, center, cid: int, size: int,
@@ -199,8 +208,7 @@ def _cluster_ecc(starts, tails, center, cid: int, size: int,
     return ecc
 
 
-def _check_diameters(g: MultiGraph, result: LddResult, center: list[int],
-                     cap: int, adj_np=None) -> bool:
+def _check_diameters(result: LddResult, cap: int) -> bool:
     """Verify every cluster's strong diameter is <= cap, and record the max.
 
     A cluster passes cheaply when twice its radius from the cluster root is
@@ -210,9 +218,11 @@ def _check_diameters(g: MultiGraph, result: LddResult, center: list[int],
     """
     worst = 0
     exact = True
-    n_total = g.n_total
-    starts, tails, eids = adj_np if adj_np is not None else flat_adjacency_np(g)
-    cnp = np.asarray(center, dtype=np.int64)
+    starts, tails, eids = result.adj
+    cnp = result.labels
+    rows = result.rows
+    center = rows[3]
+    n_total = len(center)
     # One multi-source BFS, a layer at a time: cluster regions are disjoint,
     # so every root expands simultaneously, confined to its own center label.
     roots = [c[0] for c in result.clusters if len(c) > 2]
@@ -253,7 +263,7 @@ def _check_diameters(g: MultiGraph, result: LddResult, center: list[int],
                 worst = bound
                 exact = False
             continue
-        diam = max(_cluster_ecc(starts, tails, center, cid, size, v)
+        diam = max(_cluster_ecc(rows[0], rows[1], center, cid, size, v)
                    for v in cluster)
         if diam > cap:
             return False
@@ -261,5 +271,5 @@ def _check_diameters(g: MultiGraph, result: LddResult, center: list[int],
             worst = diam
             exact = True
     result.max_diameter = worst
-    result._exact = exact
+    result.diameter_exact = exact
     return True

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (ContractionMap, GraphError, MultiGraph, SpanningTree,
-                    bfs_spanning_tree, bfs_tree_np, connected_components,
-                    flat_adjacency, flat_adjacency_np, tree_path)
+                    bfs_tree_np, flat_adjacency, flat_adjacency_np, tree_path)
 
 
 @dataclass

@@ -73,6 +73,13 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [["--beta", "2"], ["--c", "0"],
+                                   ["--beta", "1/0"]])
+def test_decompose_rejects_bad_engine_args(graph_file, capsys, flags):
+    assert cli_main(["decompose", "--input", str(graph_file), *flags]) == 64
+    assert "error" in capsys.readouterr().err
+
+
 def test_missing_input_file(tmp_path, capsys):
     assert cli_main(["decompose", "--input", str(tmp_path / "nope")]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,12 +1,13 @@
 """Engine layers: one round, the round loop, recursion, and the driver."""
 import math
+from fractions import Fraction
 
 import pytest
 
 from shortcycles import (EngineConfig, GraphError, MultiGraph, decompose,
-                         improved_short_cycle, naive_short_cycle,
-                         one_round_short_cycle, short_cycle_decomp,
-                         verify_decomposition)
+                         improved_short_cycle, low_diam_decomp,
+                         naive_short_cycle, one_round_short_cycle,
+                         short_cycle_decomp, verify_decomposition)
 from shortcycles.engine import _introot, _isqrt_ceil
 from shortcycles.io import d_regular, gnm, parallel_gadgets, torus
 
@@ -92,6 +93,25 @@ def test_one_round_loop_only_vertex():
     g.add_edge(0, 0)
     out = one_round_short_cycle(g, CFG, component=[0])
     assert len(out.cycles) == 1 and len(out.cycles[0]) == 1
+
+
+def test_one_round_without_clustering_matches_ldd_clustering():
+    """Called without a clustering, one_round builds one for the component
+    alone; every cluster of an LDD must give the cycles it gives with the
+    LDD's own clustering."""
+    yielding = split = 0
+    for seed in range(3):
+        for g in (gnm(300, 3000, seed=seed), d_regular(300, 20, seed=seed)):
+            for beta in (Fraction(1, 12), Fraction(1, 2)):
+                ldd = low_diam_decomp(g, beta, seed=seed)
+                for cluster in ldd.clusters:
+                    want = one_round_short_cycle(g, CFG, cluster, ldd)
+                    got = one_round_short_cycle(g, CFG, cluster)
+                    assert [(c.edges, c.vertices) for c in got.cycles] == \
+                        [(c.edges, c.vertices) for c in want.cycles]
+                    yielding += bool(want.cycles)
+                    split += len(want.cycles) > 1
+    assert yielding and split
 
 
 # -- improved_short_cycle ---------------------------------------------------

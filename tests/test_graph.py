@@ -71,17 +71,18 @@ def test_delete_vertex_removes_incident_edges():
 
 
 def test_delete_edges_matches_one_by_one(rng):
-    """The batched path (>= 256 ids) agrees with sequential deletion."""
+    """Batched deletion agrees with sequential deletion, large or small."""
     g = random_multigraph(rng, 40, 900)
-    ids = rng.sample(range(900), 400)
-    a = g.copy()
-    b = g.copy()
-    a.delete_edges(ids)
-    for e in ids:
-        b.delete_edge(e)
-    assert bytes(a.eactive) == bytes(b.eactive)
-    assert list(a.deg) == list(b.deg)
-    assert a.m_active == b.m_active
+    for size in (400, 3, 0):
+        ids = rng.sample(range(900), size)
+        a = g.copy()
+        b = g.copy()
+        a.delete_edges(ids)
+        for e in ids:
+            b.delete_edge(e)
+        assert bytes(a.eactive) == bytes(b.eactive)
+        assert list(a.deg) == list(b.deg)
+        assert a.m_active == b.m_active
 
 
 def test_delete_edges_rejects_inactive(rng):
