@@ -48,6 +48,10 @@ def _parse_depth(text: str) -> int:
     return c
 
 
+def _parse_depths(text: str) -> list[int]:
+    return [_parse_depth(c) for c in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="shortcycles",
                   description="Short cycle decomposition toolkit")
@@ -78,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark runner, CSV output")
     p.add_argument("--models", required=True, help="comma-separated")
     p.add_argument("--sizes", required=True, help="comma-separated n values")
-    p.add_argument("--c", default="1", help="comma-separated c values")
+    p.add_argument("--c", type=_parse_depths, default="1",
+                   help="comma-separated c values")
     p.add_argument("--density", type=int, default=30,
                    help="edges per vertex for gnm/d_regular/parallel_gadgets")
     p.add_argument("--seeds", type=int, default=1, help="seeds per cell")
@@ -141,11 +146,10 @@ def _cmd_verify(args) -> int:
         with open(args.graph, "rb") as fh:
             g = parse_edge_list(fh.read())
         with open(args.decomposition) as fh:
-            doc = json.load(fh)
+            dec = decomposition_from_dict(json.load(fh), g)
     except (OSError, ParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    dec = decomposition_from_dict(doc)
     try:
         report = verify_decomposition(g, dec, args.k_hat, args.l_max)
     except GraphError as exc:
@@ -200,12 +204,11 @@ def _bench_cell(cell):
 def _cmd_bench(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     sizes = [int(s) for s in args.sizes.split(",")]
-    cs = [int(c) for c in str(args.c).split(",")]
     cells = []
     ix = 0
     for model in models:
         for n in sizes:
-            for c in cs:
+            for c in args.c:
                 for _ in range(args.seeds):
                     cells.append((model, n, c, ix, args.base_seed,
                                   args.density))

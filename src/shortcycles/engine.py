@@ -19,14 +19,12 @@ are given; `decompose` works on a private copy of its input.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .graph import (GraphError, MultiGraph, SpanningTree, bfs_tree_np,
-                    contract, tree_path)
+from .graph import GraphError, MultiGraph, SpanningTree, contract, tree_path
 from .ldd import LddError, low_diam_decomp, single_cluster
 from .primitives import (Cycle, LabeledTree, VertexDisjointCycleSet,
                          graph_reduce, naive_short_cycle, pull_up,
@@ -124,60 +122,18 @@ def _introot(x: int, p: int) -> int:
     return r
 
 
-# Cluster size at which one_round switches to the vectorized scan.
-_VEC_CUTOFF = 4096
-
-
-def _cluster_tree(adj_np, root: int, n_total: int, cnp):
-    """BFS spanning tree of root's center class, confined by center labels,
-    plus the maximum tree degree. `adj_np` is a flat adjacency snapshot and
-    `cnp` the per-vertex center array."""
-    o, pv, pe, ls = bfs_tree_np(adj_np, root, n_total, cnp)
-    order = o.tolist()
-    parent = dict(zip(order[1:], zip(pv.tolist(), pe.tolist())))
-    depth = dict(zip(order, np.repeat(
-        np.arange(len(ls) - 1), np.diff(ls)).tolist()))
-    tree = SpanningTree(root=root, parent=parent, depth=depth, order=order)
-    # Tree degree of v: its child count, plus 1 unless root.
-    tdeg = np.bincount(pv, minlength=n_total)[o] + 1
-    tdeg[0] -= 1
-    return tree, int(tdeg.max())
-
-
-def _bfs_tree(adj: dict[int, list[tuple[int, int]]],
-              root: int) -> SpanningTree:
-    """BFS tree from `root` over the adjacency {v: [(w, e), ...]}, each row
-    scanned in order; it spans root's component of `adj`."""
-    parent: dict[int, tuple[int, int]] = {}
-    depth = {root: 0}
-    order = [root]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        dv = depth[v] + 1
-        for w, e in adj[v]:
-            if w not in depth:
-                depth[w] = dv
-                parent[w] = (v, e)
-                order.append(w)
-    return SpanningTree(root=root, parent=parent, depth=depth, order=order)
-
-
 def _subtree(tree: SpanningTree, part: list[int]) -> SpanningTree:
-    """Spanning tree of `part` using only tree edges internal to the part.
-    `part` must be connected within the tree (tree_split guarantees it)."""
-    pset = set(part)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in part}
-    for v in part:
-        pe = tree.parent.get(v)
-        if pe is not None and pe[0] in pset:
-            adj[v].append(pe)
-            adj[pe[0]].append((v, pe[1]))
-    sub = _bfs_tree(adj, part[0])
-    if len(sub.order) != len(part):
+    """Spanning tree of `part` using only tree edges internal to the part,
+    rooted at its shallowest vertex; depths keep the tree's offset, which
+    tree_path allows. `part` must be connected within the tree (tree_split
+    guarantees it)."""
+    depth = {v: tree.depth[v] for v in part}
+    order = sorted(part, key=depth.__getitem__)
+    parent = {v: tree.parent[v] for v in order[1:]}
+    if any(p not in depth for p, _ in parent.values()):
         raise GraphError("part not connected within its tree")
-    return sub
+    return SpanningTree(root=order[0], parent=parent, depth=depth,
+                        order=order)
 
 
 def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
@@ -198,11 +154,10 @@ def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
         component = g.active_vertices()
     if not component:
         return VertexDisjointCycleSet()
-    eu, ev = g.eu, g.ev
     out = VertexDisjointCycleSet()
     if len(component) == 1:
         v = component[0]
-        ea = g.eactive
+        ea, eu, ev = g.eactive, g.eu, g.ev
         for e in g.inc[v]:
             if ea[e] and eu[e] == ev[e]:
                 out.add(Cycle(edges=[e], vertices=[v]))
@@ -210,112 +165,77 @@ def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
         return out
     if clustering is None:
         clustering = single_cluster(g, component)
-    # The component is one label class, so membership is a label compare.
-    # Local degrees count loops twice; `edges` lists each internal edge once.
-    if len(component) >= _VEC_CUTOFF:
-        # Big cluster: masked selection and a vectorized layer BFS replace
-        # the per-vertex scan. Edge ids are reordered by (head, id) to match
-        # the scan order exactly.
-        cnp = clustering.labels
-        cid = int(cnp[component[0]])
-        eunp = np.frombuffer(eu, dtype=np.int32)
-        evnp = np.frombuffer(ev, dtype=np.int32)
-        eanp = np.frombuffer(g.eactive, dtype=np.uint8)
-        ids = np.nonzero((eanp != 0) & (cnp[eunp] == cid)
-                         & (cnp[evnp] == cid))[0]
-        ids = ids[np.argsort(eunp[ids], kind="stable")]
-        degl = (np.bincount(eunp[ids], minlength=g.n_total)
-                + np.bincount(evnp[ids], minlength=g.n_total))
-        degs = {v: int(degl[v]) for v in component}
-        edges = ids.tolist()
-        tree, tree_maxdeg = _cluster_tree(clustering.adj, component[0],
-                                          g.n_total, cnp)
-    else:
-        starts, tails, eids, labels = clustering.rows
-        cid = labels[component[0]]
-        degs: dict[int, int] = {}
-        adj: dict[int, list[tuple[int, int]]] = {}
-        edges: list[int] = []
-        for v in component:
-            d = 0
-            av = []
-            for i in range(starts[v], starts[v + 1]):
-                w = tails[i]
-                if labels[w] != cid:
-                    continue
-                e = eids[i]
-                if w == v:
-                    d += 2
-                    av.append((v, e))
-                    edges.append(e)
-                else:
-                    d += 1
-                    av.append((w, e))
-                    if eu[e] == v:
-                        edges.append(e)
-            degs[v] = d
-            adj[v] = av
-        tree = _bfs_tree(adj, component[0])
-        tree_maxdeg = None
+    i = int(clustering.labels[component[0]])
+    tree = clustering.tree(i)
     if len(tree.order) != len(component):
         raise GraphError("one_round_short_cycle needs a connected input")
+    edges = clustering.edges[clustering.edge_starts[i]:
+                             clustering.edge_starts[i + 1]].tolist()
     m_i = len(edges)
     if m_i == 0:
         return out
-    parent = tree.parent
     threshold = 4 * _isqrt_ceil(m_i)
     if 2 * m_i < threshold:
         # Single part: contraction would collapse the piece to one vertex
         # with every non-tree edge a loop, and the greedy would keep the
         # smallest-id loop. Lift it along the tree path directly.
-        tree_edges = {e for (_, e) in parent.values()}
+        tree_edges = {e for (_, e) in tree.parent.values()}
         best = min((e for e in edges if e not in tree_edges), default=-1)
         if best >= 0:
-            pv_, pe_ = tree_path(tree, ev[best], eu[best])
+            pv_, pe_ = tree_path(tree, g.ev[best], g.eu[best])
             pe_.append(best)
             out.add(Cycle(edges=pe_, vertices=pv_))
         return out
-    if tree_maxdeg is None:
-        tree_deg: dict[int, int] = {v: 0 for v in component}
-        for v, (p, _) in parent.items():
-            tree_deg[v] += 1
-            tree_deg[p] += 1
-        tree_maxdeg = max(tree_deg.values())
-    lt = LabeledTree(tree=tree, labels=degs, label_cap=max(degs.values()),
-                     max_deg=tree_maxdeg)
-    parts = tree_split(lt, threshold)
+    parts = tree_split(_labeled_tree(clustering, i, tree), threshold)
     part_trees = [_subtree(tree, part) for part in parts]
-    exclude = set()
-    for st in part_trees:
-        for (_, e) in st.parent.values():
-            exclude.add(e)
+    exclude = {e for st in part_trees for (_, e) in st.parent.values()}
     cm = contract(g, parts, exclude, edges=edges)
-    h = cm.h
-    pair_first: dict[tuple[int, int], int] = {}
-    loops: dict[int, int] = {}
-    cycles_h = VertexDisjointCycleSet()
-    used = set()
-    for he in range(h.m_total):
-        a, b = h.endpoints(he)
-        if a == b:
-            if a not in loops:
-                loops[a] = he
-            continue
-        key = (a, b) if a < b else (b, a)
-        if key in pair_first:
-            first = pair_first[key]
-            if first >= 0 and a not in used and b not in used:
-                cycles_h.add(Cycle(edges=[first, he], vertices=[key[0], key[1]]))
-                used.add(a)
-                used.add(b)
-                pair_first[key] = -1
-        else:
-            pair_first[key] = he
-    for a in sorted(loops):
+    return pull_up(cm, part_trees, _pair_loop_greedy(cm.h))
+
+
+def _labeled_tree(ldd, i: int, tree: SpanningTree) -> LabeledTree:
+    """Cluster i's tree labeled by internal degree."""
+    a, b = ldd.tree_starts[i], ldd.tree_starts[i + 1]
+    labels = dict(zip(tree.order, ldd.degrees[ldd.tree_order[a:b]].tolist()))
+    return LabeledTree(tree=tree, labels=labels,
+                       label_cap=max(labels.values()),
+                       max_deg=int(ldd.tree_max_degree[i]))
+
+
+def _pair_loop_greedy(h: MultiGraph) -> VertexDisjointCycleSet:
+    """Maximal vertex-disjoint 2-cycles of parallel pairs, then self-loops.
+
+    The pairs are taken greedily in edge-id order, each made of the first
+    two edges joining its endpoints and taken at the second when both
+    endpoints are still free; a later parallel edge can never match, since
+    used vertices stay used. Then every free vertex, in id order, takes
+    its lowest-id loop.
+    """
+    hu = np.frombuffer(h.eu, dtype=np.int32).astype(np.int64)
+    hv = np.frombuffer(h.ev, dtype=np.int32).astype(np.int64)
+    lo = np.minimum(hu, hv)
+    hi = np.maximum(hu, hv)
+    out = VertexDisjointCycleSet()
+    used = out.used_vertices
+    pairs = np.nonzero(lo != hi)[0]
+    key = lo[pairs] * h.n_total + hi[pairs]
+    order = np.argsort(key, kind="stable")
+    by_key, key = pairs[order], key[order]
+    second = np.zeros(len(key), dtype=bool)
+    second[1:] = key[1:] == key[:-1]
+    second[2:] &= key[2:] != key[:-2]
+    at = np.nonzero(second)[0]
+    at = at[np.argsort(by_key[at])]
+    for e1, e2, a, b in zip(by_key[at - 1].tolist(), by_key[at].tolist(),
+                            lo[by_key[at]].tolist(), hi[by_key[at]].tolist()):
+        if a not in used and b not in used:
+            out.add(Cycle(edges=[e1, e2], vertices=[a, b]))
+    loops = np.nonzero(lo == hi)[0]
+    vs, first = np.unique(lo[loops], return_index=True)
+    for a, e in zip(vs.tolist(), loops[first].tolist()):
         if a not in used:
-            cycles_h.add(Cycle(edges=[loops[a]], vertices=[a]))
-            used.add(a)
-    return pull_up(cm, part_trees, cycles_h)
+            out.add(Cycle(edges=[e], vertices=[a]))
+    return out
 
 
 def _delete_used(g: MultiGraph, cs: VertexDisjointCycleSet, since: int) -> int:
@@ -387,9 +307,16 @@ def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
 
 def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
                 acc: VertexDisjointCycleSet) -> None:
-    """Extractor of the deepest level: one_round on every cluster."""
-    for cluster in ldd.clusters:
-        acc.extend(one_round_short_cycle(g, cfg, cluster, ldd))
+    """Extractor of the deepest level: one_round on every cluster. A
+    singleton cluster's internal edges are its loops, so it yields its
+    lowest-id loop, as one_round would, without the call."""
+    edges = ldd.edges.tolist()
+    starts = ldd.edge_starts.tolist()
+    for i, cluster in enumerate(ldd.clusters):
+        if len(cluster) > 1:
+            acc.extend(one_round_short_cycle(g, cfg, cluster, ldd))
+        elif starts[i] < starts[i + 1]:
+            acc.add(Cycle(edges=[edges[starts[i]]], vertices=cluster[:]))
 
 
 def improved_short_cycle(g: MultiGraph, cfg: EngineConfig,
@@ -427,45 +354,26 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
     n_min = -(-20 * n0 // k)   # vertex count of the recursion's input
 
     def extract(g, cfg, ldd, acc):
-        small = [c for c in ldd.clusters if len(c) <= k]
-        big = [c for c in ldd.clusters if len(c) > k]
-        # A cluster's internal edges are exactly the active edges whose
-        # endpoints carry its label.
-        labels = ldd.labels
-        eunp = np.frombuffer(g.eu, dtype=np.int32)
-        evnp = np.frombuffer(g.ev, dtype=np.int32)
-        eanp = np.frombuffer(g.eactive, dtype=np.uint8)
-        internal = (eanp != 0) & (labels[eunp] == labels[evnp])
-        per_cluster = np.bincount(labels[eunp[internal]], minlength=g.n_total)
-        center = ldd.rows[3]
-        small_edges = int(per_cluster[[center[c[0]] for c in small]].sum())
+        small = [i for i, c in enumerate(ldd.clusters) if len(c) <= k]
+        big = [i for i, c in enumerate(ldd.clusters) if len(c) > k]
+        small_edges = int(np.diff(ldd.edge_starts)[small].sum())
         if 4 * small_edges >= m0:
-            for cluster in small:
-                acc.extend(naive_short_cycle(g, cluster))
+            for i in small:
+                acc.extend(naive_short_cycle(g, ldd.clusters[i]))
             return
         # H's edges are a subset of g's, so when g has fewer than
         # 10*n_min edges recursion cannot shrink the instance at this k.
         if not big or 10 * n_min > g.m_active:
             _one_rounds(g, cfg, ldd, acc)
             return
-        degl = (np.bincount(eunp[internal], minlength=g.n_total)
-                + np.bincount(evnp[internal], minlength=g.n_total)).tolist()
         parts: list[list[int]] = []
         trees: list[SpanningTree] = []
-        exclude: set[int] = set()
-        for cluster in big:
-            degs = {v: degl[v] for v in cluster}
-            tree, tree_maxdeg = _cluster_tree(ldd.adj, cluster[0],
-                                              g.n_total, labels)
-            lt = LabeledTree(tree=tree, labels=degs,
-                             label_cap=max(degs.values()),
-                             max_deg=tree_maxdeg)
-            for part in tree_split(lt, k):
+        for i in big:
+            tree = ldd.tree(i)
+            for part in tree_split(_labeled_tree(ldd, i, tree), k):
                 parts.append(part)
-                sub = _subtree(tree, part)
-                trees.append(sub)
-                for (_, e) in sub.parent.values():
-                    exclude.add(e)
+                trees.append(_subtree(tree, part))
+        exclude = {e for st in trees for (_, e) in st.parent.values()}
         cm = contract(g, parts, exclude)
         n_target = max(n_min, len(parts))
         m_target = 10 * n_target
@@ -501,41 +409,30 @@ def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:
                                   level_stats=[])
     k = max(2, _introot(2 * n, cfg.c + 1))
     try:
+        eu = np.frombuffer(work.eu, dtype=np.int32)
+        ev = np.frombuffer(work.ev, dtype=np.int32)
         while work.m_active > 20 * n:
-            chosen = []
-            ea = work.eactive
-            for e in range(len(ea)):
-                if ea[e]:
-                    chosen.append(e)
-                    if len(chosen) == 20 * n:
-                        break
-            gp = MultiGraph.__new__(MultiGraph)
-            gp.eu, gp.ev = array("i"), array("i")
-            gp.eactive = bytearray()
-            gp.vactive = bytearray(work.vactive)
-            gp.inc = [array("i") for _ in range(work.n_total)]
-            gp.deg = array("i", bytes(4 * work.n_total))
-            gp.n_active = work.n_active
-            gp.m_active = 0
-            for e in chosen:
-                gp.add_edge(work.eu[e], work.ev[e])
+            chosen = np.nonzero(
+                np.frombuffer(work.eactive, dtype=np.uint8))[0][:20 * n]
+            gp = MultiGraph.from_edges(work.n_total, eu[chosen], ev[chosen],
+                                       work.vactive)
             rmap = graph_reduce(gp, n_override=n)
             h = rmap.h
             if h.n_total > 2 * n:
                 raise GraphError("reduction produced more than 2n vertices")
             h.add_vertices(2 * n - h.n_total)
             found = short_cycle_decomp(h, 0, cfg, k, _ctx=ctx)
-            removed = 0
+            chosen = chosen.tolist()
+            removed: list[int] = []
             for hc in found.cycles:
                 walk_vs = [rmap.origin_vertex[v] for v in hc.vertices]
                 walk_es = [chosen[rmap.origin_edge[e]] for e in hc.edges]
                 for simple in split_circuit(walk_vs, walk_es):
                     cycles.append(simple)
-                    for e in simple.edges:
-                        work.delete_edge(e)
-                        removed += 1
-            if removed == 0:
+                    removed.extend(simple.edges)
+            if not removed:
                 raise EngineFailure("driver made no progress", partial=None)
+            work.delete_edges(removed)
     except (EngineFailure, LddError) as exc:
         partial = CycleDecomposition(
             cycles=cycles, leftover=set(work.active_edges()),

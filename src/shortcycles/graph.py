@@ -75,6 +75,37 @@ class MultiGraph:
         self.m_active += 1
         return e
 
+    @classmethod
+    def from_edges(cls, n: int, eu, ev, vactive=None) -> "MultiGraph":
+        """Graph on n vertex slots whose edge i joins eu[i] and ev[i] (int
+        arrays), the same as add_edge in id order. `vactive` (one byte per
+        slot, default all active) must mark every endpoint active."""
+        eu = np.asarray(eu, dtype=np.int32)
+        ev = np.asarray(ev, dtype=np.int32)
+        m = len(eu)
+        g = cls.__new__(cls)
+        g.eu = array("i", eu.tobytes())
+        g.ev = array("i", ev.tobytes())
+        g.eactive = bytearray(b"\x01") * m
+        g.vactive = (bytearray(b"\x01") * n if vactive is None
+                     else bytearray(vactive))
+        g.n_active = g.vactive.count(1)
+        g.m_active = m
+        deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+        g.deg = array("i", deg.astype(np.int32).tobytes())
+        # Incidence lists: every edge under both endpoints (loops once),
+        # ascending edge id within each vertex.
+        ids = np.arange(m, dtype=np.int32)
+        nonloop = eu != ev
+        keys = np.concatenate([eu, ev[nonloop]])
+        vals = np.concatenate([ids, ids[nonloop]])
+        vals = vals[np.argsort(keys.astype(np.int64) * m + vals)]
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(keys, minlength=n)))).tolist()
+        g.inc = [array("i", vals[bounds[v]:bounds[v + 1]].tobytes())
+                 for v in range(n)]
+        return g
+
     def copy(self) -> "MultiGraph":
         g = MultiGraph.__new__(MultiGraph)
         g.eu = array("i", self.eu)
@@ -209,27 +240,19 @@ def flat_adjacency_np(g: MultiGraph):
     if g.m_total == 0:
         return (np.zeros(n + 1, dtype=np.int64),
                 np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
-    ea = np.frombuffer(g.eactive, dtype=np.uint8)
-    ids = np.nonzero(ea)[0].astype(np.int32)
+    # The incidence lists, concatenated, are already in (vertex, id) order;
+    # only the deleted edges they still hold are dropped.
+    eids = np.frombuffer(b"".join(map(bytes, g.inc)), dtype=np.int32)
+    heads = np.repeat(np.arange(n, dtype=np.int32),
+                      np.fromiter(map(len, g.inc), dtype=np.int64, count=n))
+    keep = np.frombuffer(g.eactive, dtype=np.uint8)[eids] != 0
+    eids, heads = eids[keep], heads[keep]
     eu = np.frombuffer(g.eu, dtype=np.int32)
     ev = np.frombuffer(g.ev, dtype=np.int32)
-    iu = eu[ids]
-    iv = ev[ids]
-    nonloop = iu != iv
-    heads = np.concatenate([iu, iv[nonloop]])
-    ids2 = np.concatenate([ids, ids[nonloop]])
-    order = np.lexsort((ids2, heads))
-    tails = np.concatenate([iv, iu[nonloop]])[order]
-    eids = ids2[order]
+    tails = eu[eids] ^ ev[eids] ^ heads   # the other end; a loop's own
     starts = np.concatenate(
         ([0], np.cumsum(np.bincount(heads, minlength=n))))
     return starts, tails, eids
-
-
-def flat_adjacency(g: MultiGraph):
-    """flat_adjacency_np converted to plain lists, for scalar traversal."""
-    starts, tails, eids = flat_adjacency_np(g)
-    return starts.tolist(), tails.tolist(), eids.tolist()
 
 
 def _gather_rows(starts, tails, eids, frontier):
@@ -245,15 +268,14 @@ def _gather_rows(starts, tails, eids, frontier):
     return np.repeat(frontier, cnt), tails[pos], eids[pos]
 
 
-def bfs_tree_np(adj_np, root: int, n_total: int, cnp=None, visited=None):
+def bfs_tree_np(adj_np, root: int, n_total: int, visited=None):
     """Layer-at-a-time BFS over a flat adjacency snapshot.
 
     Returns (order, par_v, par_e, layer_starts): discovery order with the
     root first, each non-root vertex's parent and parent edge aligned with
     order[1:], and the order offsets where each depth layer begins. The
     discovery order and parents match a scalar BFS that scans incidence
-    rows in ascending edge-id order. With `cnp` (per-vertex int labels) the
-    walk is confined to root's label class. A caller traversing many
+    rows in ascending edge-id order. A caller traversing many
     components of one graph may pass a shared boolean `visited` array; it
     is not reset.
     """
@@ -262,16 +284,12 @@ def bfs_tree_np(adj_np, root: int, n_total: int, cnp=None, visited=None):
     visited[root] = True
     frontier = np.array([root], dtype=np.int64)
     starts, tails, eids = adj_np
-    cid = int(cnp[root]) if cnp is not None else 0
     order = [frontier]
     par_v = []
     par_e = []
     layer_starts = [0, 1]
     while True:
         src, w, pe = _gather_rows(starts, tails, eids, frontier)
-        if cnp is not None and len(w):
-            ok = cnp[w] == cid
-            src, w, pe = src[ok], w[ok], pe[ok]
         if len(w):
             ok = ~visited[w]
             src, w, pe = src[ok], w[ok], pe[ok]
@@ -511,38 +529,7 @@ def _contract_bulk(g: MultiGraph, parts, part_of, exmark, strict, cand):
         raise GraphError(f"edge {bad} ({g.eu[bad]}-{g.ev[bad]}) "
                          f"has an endpoint outside all parts")
     ids = ids[inside]
-    pu = pu[inside].astype(np.int32)
-    pv = pv[inside].astype(np.int32)
-    mh = len(ids)
-    h = MultiGraph.__new__(MultiGraph)
-    h.eu = array("i")
-    h.eu.frombytes(pu.tobytes())
-    h.ev = array("i")
-    h.ev.frombytes(pv.tobytes())
-    h.eactive = bytearray(b"\x01") * mh
-    h.vactive = bytearray(b"\x01") * len(parts)
-    h.n_active = len(parts)
-    h.m_active = mh
-    deg = np.bincount(pu, minlength=len(parts)) + \
-        np.bincount(pv, minlength=len(parts))
-    h.deg = array("i")
-    h.deg.frombytes(deg.astype(np.int32).tobytes())
-    # incidence lists: every edge under both endpoints (loops once),
-    # ascending edge id within each vertex
-    he = np.arange(mh, dtype=np.int32)
-    nonloop = pu != pv
-    keys = np.concatenate([pu, pv[nonloop]])
-    vals = np.concatenate([he, he[nonloop]])
-    order = np.lexsort((vals, keys))
-    keys = keys[order]
-    vals = vals[order]
-    bounds = np.searchsorted(keys, np.arange(len(parts) + 1, dtype=np.int32))
-    inc = []
-    for i in range(len(parts)):
-        a = array("i")
-        a.frombytes(vals[bounds[i]:bounds[i + 1]].tobytes())
-        inc.append(a)
-    h.inc = inc
+    h = MultiGraph.from_edges(len(parts), pu[inside], pv[inside])
     f = ids.tolist()
     return ContractionMap(parts=parts, part_of=part_of, h=h, f=f,
                           source=g, excluded=excluded, outside_edges=outside)

@@ -110,17 +110,55 @@ def decomposition_to_json(dec, c, seed, wall_ms=None) -> str:
                       indent=None, separators=(",", ":")) + "\n"
 
 
-def decomposition_from_dict(d: dict) -> CycleDecomposition:
-    cycles = [Cycle(edges=list(es), vertices=list(vs))
-              for es, vs in zip(d["cycles"], d["cycle_vertices"])]
-    stats = [LevelStats(level=ls["level"],
-                        edges_processed=ls["edges_processed"],
-                        rounds=ls["rounds"], ldd_retries=ls["ldd_retries"],
-                        cycles_found=ls["cycles_found"])
-             for ls in d.get("stats", {}).get("levels", [])]
-    return CycleDecomposition(cycles=cycles, leftover=set(d["leftover"]),
-                              source_m=d["m"], source_n=d["n"],
-                              level_stats=stats)
+def _ids(value, what: str) -> list[int]:
+    """`value` if it is a list of integer ids; ParseError otherwise."""
+    if isinstance(value, list) and all(type(x) is int for x in value):
+        return value
+    raise ParseError(f"{what} must be a list of integer ids")
+
+
+def _walk_vertices(g: MultiGraph, edges: list[int]) -> list[int]:
+    """Vertices of the closed walk along `edges` on g, starting where the
+    last edge meets the first; ids outside g give -1s, which verification
+    reports as dangling."""
+    if not edges or not all(0 <= e < g.m_total for e in edges):
+        return [-1] * len(edges)
+    a, b = g.endpoints(edges[0])
+    v = a if a in g.endpoints(edges[-1]) else b
+    verts = [v]
+    for e in edges[:-1]:
+        v = g.other_end(e, v)
+        verts.append(v)
+    return verts
+
+
+def decomposition_from_dict(d: dict, g: MultiGraph | None = None
+                            ) -> CycleDecomposition:
+    """The decomposition a JSON document describes. Edge ids are the
+    authoritative encoding: without `cycle_vertices`, each cycle's vertices
+    are derived by walking its edges on `g`. Non-integer ids raise
+    ParseError."""
+    try:
+        edge_lists = [_ids(es, "each cycle") for es in d["cycles"]]
+        if "cycle_vertices" in d:
+            vertex_lists = [_ids(vs, "each cycle's vertices")
+                            for vs in d["cycle_vertices"]]
+        elif g is not None:
+            vertex_lists = [_walk_vertices(g, es) for es in edge_lists]
+        else:
+            raise ParseError("decomposition JSON lacks cycle_vertices")
+        stats = [LevelStats(level=ls["level"],
+                            edges_processed=ls["edges_processed"],
+                            rounds=ls["rounds"], ldd_retries=ls["ldd_retries"],
+                            cycles_found=ls["cycles_found"])
+                 for ls in d.get("stats", {}).get("levels", [])]
+        return CycleDecomposition(
+            cycles=[Cycle(edges=es, vertices=vs)
+                    for es, vs in zip(edge_lists, vertex_lists)],
+            leftover=set(_ids(d["leftover"], "leftover")),
+            source_m=d["m"], source_n=d["n"], level_stats=stats)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed decomposition JSON: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, MultiGraph, _gather_rows, flat_adjacency_np
+from .graph import (GraphError, MultiGraph, SpanningTree, _gather_rows,
+                    flat_adjacency_np)
 from .rng import exponential, mix64
 
 
@@ -35,15 +36,40 @@ class LddResult:
     retries: int                # attempts before acceptance, 0 = first try
     truncated_shifts: int
     diameter_exact: bool = True
-    # The clustering, valid while the graph is unchanged: `adj` is a CSR
-    # snapshot (starts, tails, eids) of the active edges as numpy arrays,
-    # `labels` the per-vertex cluster id (the cluster's center, -1 off the
-    # active vertices), so each cluster is exactly one label class. `rows`
-    # holds the same four arrays as plain lists (starts, tails, eids,
-    # labels) for scalar loops.
+    # The clustering, valid while the graph is unchanged. `adj` is a CSR
+    # snapshot (starts, tails, eids) of the active edges as numpy arrays and
+    # `labels` the per-vertex index into `clusters` (-1 off the clusters),
+    # so each cluster is exactly one label class.
     adj: tuple = ()
     labels: np.ndarray | None = None
-    rows: tuple = ()
+    # The cluster forest: a BFS tree of every non-singleton cluster from its
+    # first vertex, confined to its label class, rows scanned in order.
+    # Cluster i's tree is tree_order[tree_starts[i]:tree_starts[i + 1]] in
+    # discovery order, with the aligned tree_parent and tree_edge (-1 at the
+    # root) and tree_depth; tree_max_degree[i] is its maximum degree.
+    tree_order: np.ndarray | None = None
+    tree_parent: np.ndarray | None = None
+    tree_edge: np.ndarray | None = None
+    tree_depth: np.ndarray | None = None
+    tree_starts: np.ndarray | None = None
+    tree_max_degree: np.ndarray | None = None
+    # Cluster i's internal active edges are edges[edge_starts[i]:
+    # edge_starts[i + 1]] in (eu, id) order; `degrees` is the per-vertex
+    # internal degree, loops counted twice.
+    edges: np.ndarray | None = None
+    edge_starts: np.ndarray | None = None
+    degrees: np.ndarray | None = None
+
+    def tree(self, i: int) -> SpanningTree:
+        """Cluster i's BFS tree; it covers the whole cluster when the
+        cluster is connected."""
+        a, b = int(self.tree_starts[i]), int(self.tree_starts[i + 1])
+        order = self.tree_order[a:b].tolist()
+        parent = dict(zip(order[1:], zip(self.tree_parent[a + 1:b].tolist(),
+                                         self.tree_edge[a + 1:b].tolist())))
+        depth = dict(zip(order, self.tree_depth[a:b].tolist()))
+        return SpanningTree(root=order[0], parent=parent, depth=depth,
+                            order=order)
 
 
 def diameter_cap(beta: Fraction, n: int, constant: int = 4) -> int:
@@ -75,10 +101,11 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
     for attempt in range(max_retries):
         rng = random.Random(mix64(seed, attempt))
         center, truncated = _attempt(g, beta, rng, shift_cap, snap[1])
-        result = _clustering(g, center, snap, truncated)
+        result = _clustering(g, center, snap[0], truncated)
         result.retries = attempt
         if len(result.removed) * beta.denominator <= beta.numerator * m:
-            if _check_diameters(result, cap):
+            _forest(g, result)
+            if _check_diameters(result, cap, snap[1], center):
                 return result
         best = result
     raise LddError(
@@ -88,48 +115,119 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
 
 def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     """The clustering of g whose one cluster is `component`, every other
-    vertex unlabeled, over a fresh snapshot. Unlike low_diam_decomp's
-    clusters, `component` carries no diameter or connectivity guarantee."""
+    vertex unlabeled, over a fresh snapshot, with its forest. Unlike
+    low_diam_decomp's clusters, `component` carries no diameter or
+    connectivity guarantee."""
     center = [-1] * g.n_total
     for v in component:
         center[v] = component[0]
-    return _clustering(g, center, _snapshot(g))
+    result = _clustering(g, center, flat_adjacency_np(g))
+    _forest(g, result)
+    return result
 
 
 def _snapshot(g: MultiGraph):
-    """CSR snapshot of g's active edges, as numpy arrays and as lists."""
+    """CSR snapshot of g's active edges: the numpy arrays, and for scalar
+    traversal its starts as a list and its tails as a flat int array."""
     adj = flat_adjacency_np(g)
-    return adj, tuple(a.tolist() for a in adj)
+    return adj, (adj[0].tolist(), array("i", adj[1].tobytes()))
 
 
-def _clustering(g: MultiGraph, center: list[int], snap,
+def _clustering(g: MultiGraph, center: array | list[int], adj,
                 truncated: int = 0) -> LddResult:
-    """The clustering given by per-vertex labels `center` (-1: none) over
-    the snapshot `snap`: its label classes and the edges crossing them."""
-    by_center: dict[int, list[int]] = {}
+    """The clustering given by per-vertex centers `center` (-1: none) over
+    the snapshot `adj`: its label classes and the edges crossing them."""
+    index: dict[int, int] = {}
+    clusters: list[list[int]] = []
+    labels = [-1] * len(center)
     for v, c in enumerate(center):
         if c >= 0:
-            by_center.setdefault(c, []).append(v)
-    labels = np.asarray(center, dtype=np.int64)
+            if c not in index:
+                index[c] = len(clusters)
+                clusters.append([])
+            labels[v] = index[c]
+            clusters[labels[v]].append(v)
+    labels = np.asarray(labels, dtype=np.int64)
     eu = np.frombuffer(g.eu, dtype=np.int32)
     ev = np.frombuffer(g.ev, dtype=np.int32)
     ea = np.frombuffer(g.eactive, dtype=np.uint8)
     crossing = (ea != 0) & (labels[eu] != labels[ev])
-    adj, rows = snap
     return LddResult(removed=set(np.nonzero(crossing)[0].tolist()),
-                     clusters=list(by_center.values()), max_diameter=0,
-                     retries=0, truncated_shifts=truncated, adj=adj,
-                     labels=labels, rows=(*rows, center))
+                     clusters=clusters, max_diameter=0, retries=0,
+                     truncated_shifts=truncated, adj=adj, labels=labels)
+
+
+def _forest(g: MultiGraph, result: LddResult) -> None:
+    """Fill in the cluster forest, internal edges and degrees of `result`.
+
+    One multi-source BFS, a layer at a time: cluster regions are disjoint,
+    so every root expands simultaneously, confined to its own label. Each
+    vertex keeps its first discovery in (frontier order, row order), so
+    every cluster's tree is the one a scalar BFS from its root would build.
+    """
+    starts, tails, eids = result.adj
+    lab = result.labels
+    n_total = len(lab)
+    k = len(result.clusters)
+    roots = np.asarray([c[0] for c in result.clusters if len(c) > 1],
+                       dtype=np.int64)
+    visited = np.zeros(n_total, dtype=bool)
+    visited[roots] = True
+    none = np.full(len(roots), -1, dtype=np.int64)
+    order, par, pe, dep = [roots], [none], [none], [np.zeros_like(roots)]
+    frontier = roots
+    while frontier.size:
+        src, w, e = _gather_rows(starts, tails, eids, frontier)
+        ok = (lab[w] == lab[src]) & ~visited[w]
+        if not ok.any():
+            break
+        src, w, e = src[ok], w[ok], e[ok]
+        _, first = np.unique(w, return_index=True)
+        first.sort()
+        frontier = w[first]
+        visited[frontier] = True
+        order.append(frontier)
+        par.append(src[first])
+        pe.append(e[first])
+        dep.append(np.full(len(frontier), len(dep), dtype=np.int64))
+    order = np.concatenate(order)
+    by_cluster = np.argsort(lab[order], kind="stable")
+    result.tree_order = order[by_cluster]
+    result.tree_parent = np.concatenate(par)[by_cluster]
+    result.tree_edge = np.concatenate(pe)[by_cluster]
+    result.tree_depth = np.concatenate(dep)[by_cluster]
+    result.tree_starts = np.concatenate(
+        ([0], np.cumsum(np.bincount(lab[order], minlength=k))))
+    # Tree degree: child count, plus 1 below the root.
+    has_parent = result.tree_parent >= 0
+    tdeg = (np.bincount(result.tree_parent[has_parent], minlength=n_total)
+            [result.tree_order] + has_parent)
+    result.tree_max_degree = np.zeros(k, dtype=np.int64)
+    nonempty = np.nonzero(np.diff(result.tree_starts))[0]
+    if len(nonempty):
+        result.tree_max_degree[nonempty] = np.maximum.reduceat(
+            tdeg, result.tree_starts[nonempty])
+    eu = np.frombuffer(g.eu, dtype=np.int32)
+    ev = np.frombuffer(g.ev, dtype=np.int32)
+    ea = np.frombuffer(g.eactive, dtype=np.uint8)
+    lu = lab[eu]
+    ids = np.nonzero((ea != 0) & (lu == lab[ev]) & (lu >= 0))[0]
+    iu = eu[ids]
+    result.edges = ids[np.argsort(lu[ids] * n_total + iu, kind="stable")]
+    result.edge_starts = np.concatenate(
+        ([0], np.cumsum(np.bincount(lu[ids], minlength=k))))
+    result.degrees = (np.bincount(iu, minlength=n_total)
+                      + np.bincount(ev[ids], minlength=n_total))
 
 
 def _attempt(g: MultiGraph, beta: Fraction, rng: random.Random,
-             shift_cap: float, rows) -> tuple[list[int], int]:
+             shift_cap: float, rows) -> tuple[array, int]:
     """One draw of shifts; returns each vertex's center (-1 when inactive)
     and the number of truncated shifts."""
     rate = float(beta)
     va = g.vactive
     n_total = g.n_total
-    starts, tails, _ = rows
+    starts, tails = rows
     truncated = 0
     max_shift = 0.0
     shifts = array("d", bytes(8 * n_total))
@@ -145,10 +243,9 @@ def _attempt(g: MultiGraph, beta: Fraction, rng: random.Random,
             max_shift = s
     # Dijkstra with unit edge weights and fractional start offsets; keys in
     # bucket b never relax into bucket b, so a Dial bucket queue processed
-    # in ascending order is exact.
-    INF = float("inf")
-    dist = [INF] * n_total
-    center = [-1] * n_total
+    # in ascending order is exact. Flat arrays keep the state cache-compact.
+    dist = array("d", [float("inf")]) * n_total
+    center = array("i", [-1]) * n_total
     buckets: list[list[int]] = [[] for _ in range(int(max_shift) + 2)]
     for v in range(n_total):
         if va[v]:
@@ -208,61 +305,34 @@ def _cluster_ecc(starts, tails, center, cid: int, size: int,
     return ecc
 
 
-def _check_diameters(result: LddResult, cap: int) -> bool:
+def _check_diameters(result: LddResult, cap: int, rows, center) -> bool:
     """Verify every cluster's strong diameter is <= cap, and record the max.
 
-    A cluster passes cheaply when twice its radius from the cluster root is
-    within the cap; only otherwise is the exact diameter computed. The
-    recorded max_diameter is exact unless every cluster passed the cheap
-    test, in which case it is the 2*radius upper bound.
+    A cluster passes cheaply when twice its forest depth from the cluster
+    root is within the cap; only otherwise is the exact diameter computed
+    over the list snapshot `rows` and the per-vertex `center`. The recorded
+    max_diameter is exact unless every cluster passed the cheap test, in
+    which case it is the 2*radius upper bound.
     """
     worst = 0
     exact = True
-    starts, tails, eids = result.adj
-    cnp = result.labels
-    rows = result.rows
-    center = rows[3]
-    n_total = len(center)
-    # One multi-source BFS, a layer at a time: cluster regions are disjoint,
-    # so every root expands simultaneously, confined to its own center label.
-    roots = [c[0] for c in result.clusters if len(c) > 2]
-    for cluster in result.clusters:
-        if len(cluster) <= 2 and len(cluster) - 1 > worst:
-            worst = len(cluster) - 1   # diameter <= 1 <= cap
-    visited = np.zeros(n_total, dtype=bool)
-    ecc = np.zeros(n_total, dtype=np.int64)
-    seen = np.zeros(n_total, dtype=np.int64)
-    frontier = np.asarray(roots, dtype=np.int64)
-    visited[frontier] = True
-    seen += np.bincount(cnp[frontier], minlength=n_total)
-    d = 0
-    while frontier.size:
-        src, w, _ = _gather_rows(starts, tails, eids, frontier)
-        if len(w):
-            ok = (cnp[w] == cnp[src]) & ~visited[w]
-            w = w[ok]
-        if not len(w):
-            break
-        w = np.unique(w)
-        visited[w] = True
-        d += 1
-        cw = cnp[w]
-        ecc[cw] = d
-        seen += np.bincount(cw, minlength=n_total)
-        frontier = w
-    for cluster in result.clusters:
+    ts = result.tree_starts.tolist()
+    depth = result.tree_depth
+    for i, cluster in enumerate(result.clusters):
         size = len(cluster)
         if size <= 2:
+            if size - 1 > worst:
+                worst = size - 1   # diameter <= 1 <= cap
             continue
-        cid = center[cluster[0]]
-        if seen[cid] != size:
+        if ts[i + 1] - ts[i] != size:
             raise GraphError("cluster disconnected (internal error)")
-        bound = 2 * int(ecc[cid])
+        bound = 2 * int(depth[ts[i + 1] - 1])
         if bound <= cap:
             if bound > worst:
                 worst = bound
                 exact = False
             continue
+        cid = center[cluster[0]]
         diam = max(_cluster_ecc(rows[0], rows[1], center, cid, size, v)
                    for v in cluster)
         if diam > cap:

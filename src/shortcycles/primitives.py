@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (ContractionMap, GraphError, MultiGraph, SpanningTree,
-                    bfs_tree_np, flat_adjacency, flat_adjacency_np, tree_path)
+                    bfs_tree_np, flat_adjacency_np, tree_path)
 
 
 @dataclass
@@ -83,37 +83,33 @@ def graph_reduce(g: MultiGraph, n_override: int | None = None) -> ReductionMap:
     if n < 1 or m < n:
         raise GraphError(f"graph_reduce requires m >= n >= 1, got n={n} m={m}")
     d_cap = -(-2 * m // n)  # ceil(2m/n)
-    # Assign every edge slot to a copy of its endpoint.
-    origin_vertex: list[int] = []
-    # slot_copy[e] = (copy at eu side, copy at ev side)
-    copy_u = [0] * g.m_total
-    copy_v = [0] * g.m_total
-    ea = g.eactive
-    for v in g.active_vertices():
-        filled = 0
-        cur = -1
-        for e in g.incident(v):
-            slots = 2 if g.eu[e] == g.ev[e] else 1
-            for s in range(slots):
-                if filled % d_cap == 0:
-                    cur = len(origin_vertex)
-                    origin_vertex.append(v)
-                filled += 1
-                if g.eu[e] == v and (slots == 1 or s == 0):
-                    copy_u[e] = cur
-                else:
-                    copy_v[e] = cur
-        if filled == 0:  # isolated vertices keep one (isolated) copy
-            origin_vertex.append(v)
-    h = MultiGraph(len(origin_vertex))
-    origin_edge: list[int] = []
-    for e in range(g.m_total):
-        if not ea[e]:
-            continue
-        h.add_edge(copy_u[e], copy_v[e])
-        origin_edge.append(e)
-    return ReductionMap(h=h, origin_vertex=origin_vertex,
-                        origin_edge=origin_edge)
+    # Each vertex's row lists its active edges by id, a loop once but over
+    # two slots; slot s of vertex v goes to copy base[v] + s // d_cap.
+    starts, tails, eids = flat_adjacency_np(g)
+    heads = np.repeat(np.arange(g.n_total), np.diff(starts))
+    loop = tails == heads
+    slot_end = np.concatenate(([0], np.cumsum(1 + loop)))
+    slot = slot_end[:-1] - slot_end[starts[heads]]
+    slots = slot_end[starts[1:]] - slot_end[starts[:-1]]
+    va = np.frombuffer(g.vactive, dtype=np.uint8) != 0
+    copies = np.where(va, np.maximum(1, -(-slots // d_cap)), 0)
+    base = np.cumsum(copies) - copies
+    copy = base[heads] + slot // d_cap
+    # A non-loop's row entry at eu gives its eu-side copy; a loop's two
+    # slots give its eu and ev copies.
+    copy_u = np.zeros(g.m_total, dtype=np.int64)
+    copy_v = np.zeros(g.m_total, dtype=np.int64)
+    eu = np.frombuffer(g.eu, dtype=np.int32)
+    at_u = eu[eids] == heads
+    copy_u[eids[at_u]] = copy[at_u]
+    copy_v[eids[~at_u]] = copy[~at_u]
+    copy_v[eids[loop]] = (base[heads] + (slot + 1) // d_cap)[loop]
+    ids = np.nonzero(np.frombuffer(g.eactive, dtype=np.uint8))[0]
+    h = MultiGraph.from_edges(int(copies.sum()), copy_u[ids], copy_v[ids])
+    return ReductionMap(h=h,
+                        origin_vertex=np.repeat(np.arange(g.n_total),
+                                                copies).tolist(),
+                        origin_edge=ids.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -517,57 +513,59 @@ def _halving_round(out: MultiGraph) -> None:
     over a flat adjacency snapshot in incidence order."""
     n_total = out.n_total
     va, deg = out.vactive, out.deg
-    adj_np = flat_adjacency_np(out)
+    starts, tails, eids = adj_np = flat_adjacency_np(out)
     visited = np.zeros(n_total, dtype=bool)
+    pos = np.empty(n_total, dtype=np.int64)
     drop: list[int] = []
     for s in range(n_total):
         if not va[s] or deg[s] == 0 or visited[s]:
             continue
-        o, pv, pe, _ = bfs_tree_np(adj_np, s, n_total, visited=visited)
+        o, pv, pe, layers = bfs_tree_np(adj_np, s, n_total, visited=visited)
         # Bottom-up removal of the parent edge at every odd vertex drops
-        # exactly the parent edges of odd degree-sum subtrees.
-        ol = o.tolist()
-        pvl = pv.tolist()
-        idx_of = {v: i for i, v in enumerate(ol)}
-        sums = [deg[v] for v in ol]
-        for i in range(len(ol) - 1, 0, -1):
-            sums[idx_of[pvl[i - 1]]] += sums[i]
-        pel = pe.tolist()
-        for i in range(1, len(ol)):
-            if sums[i] & 1:
-                drop.append(pel[i - 1])
+        # exactly the parent edges of odd degree-sum subtrees; the sums
+        # are accumulated a layer at a time, deepest first.
+        pos[o] = np.arange(len(o))
+        up = pos[pv]
+        sums = np.frombuffer(deg, dtype=np.int32)[o].astype(np.int64)
+        for a, b in zip(layers[-2:0:-1], layers[:1:-1]):
+            np.add.at(sums, up[a - 1:b - 1], sums[a:b])
+        drop.extend(pe[(sums[1:] & 1) == 1].tolist())
     out.delete_edges(drop)
-    starts, tails, eids = flat_adjacency(out)
+    # The snapshot minus the dropped entries is out's own snapshot; flat
+    # int arrays keep the tour's random row visits cache-friendly.
+    keep = np.frombuffer(out.eactive, dtype=np.uint8)[eids] != 0
+    rows = np.repeat(np.arange(n_total), np.diff(starts))[keep]
+    starts = np.concatenate(([0], np.cumsum(
+        np.bincount(rows, minlength=n_total)))).tolist()
+    tails, eids = (array("i", a[keep].tobytes()) for a in (tails, eids))
     used = bytearray(out.m_total)
-    cursor = array("i", starts)   # cursor[v] scans v's own row
+    # Each row is scanned once, in order, across every visit of its vertex.
+    scan = [iter(range(starts[v], starts[v + 1])) for v in range(n_total)]
     drop = []
     for s in range(n_total):
         if not va[s] or deg[s] == 0:
             continue
         # Hierholzer from s; a no-op when s's component is already toured.
+        # Walk unused edges from the top vertex until stuck, then pop one.
         stack_v = [s]
         stack_e: list[int] = []
         tour: list[int] = []
         while stack_v:
             v = stack_v[-1]
-            i = cursor[v]
-            end = starts[v + 1]
-            advanced = False
-            while i < end:
-                e = eids[i]
-                if not used[e]:
-                    used[e] = 1
-                    cursor[v] = i + 1
-                    stack_v.append(tails[i])
-                    stack_e.append(e)
-                    advanced = True
+            while True:
+                for i in scan[v]:
+                    e = eids[i]
+                    if not used[e]:
+                        break
+                else:
                     break
-                i += 1
-            if not advanced:
-                cursor[v] = i
-                stack_v.pop()
-                if stack_e:
-                    tour.append(stack_e.pop())
-        tour.reverse()
-        drop.extend(tour[0::2])
+                used[e] = 1
+                v = tails[i]
+                stack_v.append(v)
+                stack_e.append(e)
+            stack_v.pop()
+            if stack_e:
+                tour.append(stack_e.pop())
+        # The tour is the pop order reversed; drop its 1st, 3rd, ... edge.
+        drop.extend(tour[-1::-2])
     out.delete_edges(drop)

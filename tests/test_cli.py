@@ -80,6 +80,60 @@ def test_decompose_rejects_bad_engine_args(graph_file, capsys, flags):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", ["0", "x", "1,0", "1,"])
+def test_bench_rejects_bad_c(tmp_path, capsys, c):
+    assert cli_main(["bench", "--models", "gnm", "--sizes", "16",
+                     "--c", c, "--output", str(tmp_path / "b.csv")]) == 64
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def _decomposition_doc(graph_file, tmp_path):
+    d = tmp_path / "d.json"
+    assert cli_main(["decompose", "--input", str(graph_file),
+                     "--output", str(d)]) == 0
+    return d, json.loads(d.read_text())
+
+
+def _verify(graph_file, d):
+    return cli_main(["verify", "--graph", str(graph_file),
+                     "--decomposition", str(d),
+                     "--k-hat", "1280", "--l-max", "1000000"])
+
+
+def test_verify_derives_vertices_from_edge_ids(graph_file, tmp_path,
+                                               capsys):
+    d, doc = _decomposition_doc(graph_file, tmp_path)
+    assert any(len(c) > 2 for c in doc["cycles"])
+    del doc["cycle_vertices"]
+    d.write_text(json.dumps(doc))
+    assert _verify(graph_file, d) == 0
+    assert json.loads(capsys.readouterr().out)["valid"]
+    doc["cycles"][0] = doc["cycles"][0][::-1]   # still a closed walk
+    d.write_text(json.dumps(doc))
+    assert _verify(graph_file, d) == 0
+    doc["cycles"][0], doc["cycles"][1] = (doc["cycles"][0][:1],
+                                          doc["cycles"][1] +
+                                          doc["cycles"][0][1:])
+    d.write_text(json.dumps(doc))
+    assert _verify(graph_file, d) == 1
+
+
+@pytest.mark.parametrize("where,bad", [("cycles", "7"), ("cycles", 7.0),
+                                       ("leftover", "7"),
+                                       ("leftover", 7.0)])
+def test_verify_rejects_non_integer_ids(graph_file, tmp_path, capsys,
+                                        where, bad):
+    d, doc = _decomposition_doc(graph_file, tmp_path)
+    if where == "cycles":
+        doc["cycles"][0][0] = bad
+    else:
+        doc["leftover"][0] = bad
+    d.write_text(json.dumps(doc))
+    assert _verify(graph_file, d) == 1
+    assert "integer ids" in capsys.readouterr().err
+
+
 def test_missing_input_file(tmp_path, capsys):
     assert cli_main(["decompose", "--input", str(tmp_path / "nope")]) == 1
     assert "error" in capsys.readouterr().err

@@ -8,7 +8,9 @@ from shortcycles import (EngineConfig, GraphError, MultiGraph, decompose,
                          improved_short_cycle, low_diam_decomp,
                          naive_short_cycle, one_round_short_cycle,
                          short_cycle_decomp, verify_decomposition)
-from shortcycles.engine import _introot, _isqrt_ceil
+from shortcycles.engine import (_introot, _isqrt_ceil, _one_rounds,
+                                _pair_loop_greedy)
+from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 from shortcycles.io import d_regular, gnm, parallel_gadgets, torus
 
 from conftest import cycle_graph, path_graph
@@ -112,6 +114,79 @@ def test_one_round_without_clustering_matches_ldd_clustering():
                     yielding += bool(want.cycles)
                     split += len(want.cycles) > 1
     assert yielding and split
+
+
+def _reference_greedy(h):
+    """The dict loop the array greedy replaced: 2-cycles of parallel pairs
+    in edge order, then the lowest loop of every free vertex."""
+    pair_first = {}
+    loops = {}
+    out = VertexDisjointCycleSet()
+    used = set()
+    for he in range(h.m_total):
+        a, b = h.endpoints(he)
+        if a == b:
+            if a not in loops:
+                loops[a] = he
+            continue
+        key = (a, b) if a < b else (b, a)
+        if key in pair_first:
+            first = pair_first[key]
+            if first >= 0 and a not in used and b not in used:
+                out.add(Cycle(edges=[first, he], vertices=[key[0], key[1]]))
+                used.add(a)
+                used.add(b)
+                pair_first[key] = -1
+        else:
+            pair_first[key] = he
+    for a in sorted(loops):
+        if a not in used:
+            out.add(Cycle(edges=[loops[a]], vertices=[a]))
+            used.add(a)
+    return out
+
+
+def test_pair_loop_greedy_matches_dict_loop():
+    import random
+    rng = random.Random(7)
+    pairs = loops = 0
+    for trial in range(200):
+        n = rng.randrange(1, 12)
+        h = MultiGraph(n)
+        for _ in range(rng.randrange(0, 4 * n)):
+            h.add_edge(rng.randrange(n), rng.randrange(n))
+        want = _reference_greedy(h)
+        got = _pair_loop_greedy(h)
+        assert [(c.edges, c.vertices) for c in got.cycles] == \
+            [(c.edges, c.vertices) for c in want.cycles]
+        assert got.used_vertices == want.used_vertices
+        pairs += sum(len(c) == 2 for c in want.cycles)
+        loops += sum(len(c) == 1 for c in want.cycles)
+    assert pairs > 100 and loops > 100
+
+
+def test_one_rounds_matches_one_round_per_cluster():
+    """The deepest level's extractor gives what one_round gives on every
+    cluster in order, singletons included."""
+    singles = 0
+    for seed in range(3):
+        for g in (gnm(600, 700, seed=seed), d_regular(600, 3, seed=seed)):
+            for _ in range(40):   # loop-only singletons
+                v = g.add_vertex()
+                for _ in range(1 + v % 2):
+                    g.add_edge(v, v)
+            ldd = low_diam_decomp(g, Fraction(1), seed=seed)
+            want = VertexDisjointCycleSet()
+            for cluster in ldd.clusters:
+                want.extend(one_round_short_cycle(g, CFG, cluster))
+            got = VertexDisjointCycleSet()
+            _one_rounds(g, CFG, ldd, got)
+            assert [(c.edges, c.vertices) for c in got.cycles] == \
+                [(c.edges, c.vertices) for c in want.cycles]
+            assert got.used_vertices == want.used_vertices
+            singles += sum(len(c.vertices) == 1 and len(c.edges) == 1
+                           for c in got.cycles)
+    assert singles
 
 
 # -- improved_short_cycle ---------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from shortcycles import (GraphError, MultiGraph, bfs_spanning_tree,
                          connected_components, contract, tree_path)
-from shortcycles.graph import bfs_tree_np, flat_adjacency, flat_adjacency_np
+from shortcycles.graph import bfs_tree_np, flat_adjacency_np
 from shortcycles.verify import measure_diameter
 
 from conftest import (cycle_graph, path_graph, random_multigraph,
@@ -90,6 +90,25 @@ def test_delete_edges_rejects_inactive(rng):
     g.delete_edge(5)
     with pytest.raises(GraphError):
         g.delete_edges(list(range(400)))
+
+
+def test_from_edges_matches_add_edge(rng):
+    for trial in range(20):
+        n = rng.randrange(1, 20)
+        ref = random_multigraph(rng, n, rng.randrange(0, 5 * n))
+        vactive = None
+        if trial % 2:
+            ref.add_vertex()
+            ref.vactive[n] = 0
+            ref.n_active -= 1
+            vactive = ref.vactive
+        g = MultiGraph.from_edges(ref.n_total, list(ref.eu), list(ref.ev),
+                                  vactive)
+        for attr in ("eu", "ev", "deg"):
+            assert list(getattr(g, attr)) == list(getattr(ref, attr))
+        assert g.eactive == ref.eactive and g.vactive == ref.vactive
+        assert [list(a) for a in g.inc] == [list(a) for a in ref.inc]
+        assert (g.n_active, g.m_active) == (ref.n_active, ref.m_active)
 
 
 def test_add_vertices_bulk():
@@ -352,7 +371,9 @@ def test_flat_adjacency_matches_incidence(rng):
     g = random_multigraph(rng, 25, 300)
     for e in rng.sample(range(300), 80):
         g.delete_edge(e)
-    starts, tails, eids = flat_adjacency(g)
+    for v in rng.sample(range(25), 3):
+        g.delete_vertex(v)
+    starts, tails, eids = (a.tolist() for a in flat_adjacency_np(g))
     for v in range(g.n_total):
         row = list(zip(eids[starts[v]:starts[v + 1]],
                        tails[starts[v]:starts[v + 1]]))

@@ -1,4 +1,5 @@
 """Low-diameter decomposition: cut bound, diameter cap, partition shape."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
                          measure_diameter)
-from shortcycles.io import gnm
+from shortcycles.io import d_regular, gnm
 from shortcycles.ldd import diameter_cap
 
 from conftest import cycle_graph, path_graph, random_multigraph, star_graph
@@ -125,3 +126,83 @@ def test_truncation_counter_nonnegative():
     g = gnm(50, 200, seed=4)
     res = low_diam_decomp(g, B12, seed=4)
     assert res.truncated_shifts >= 0
+
+
+def _scalar_tree(g, cluster):
+    """BFS from the cluster's first vertex inside the cluster, incidence
+    rows in edge-id order: (order, parent, parent edge, depth) lists."""
+    member = set(cluster)
+    root = cluster[0]
+    order, parent, pedge, depth = [root], [-1], [-1], [0]
+    seen = {root}
+    head = 0
+    while head < len(order):
+        v = order[head]
+        for e in g.incident(v):
+            w = g.other_end(e, v)
+            if w in member and w not in seen:
+                seen.add(w)
+                order.append(w)
+                parent.append(v)
+                pedge.append(e)
+                depth.append(depth[head] + 1)
+        head += 1
+    return order, parent, pedge, depth
+
+
+def _row_scan(g, cluster):
+    """Internal edges by (vertex, id), each once, and internal degrees."""
+    member = set(cluster)
+    edges, degrees = [], {}
+    for v in cluster:
+        degrees[v] = 0
+        for e in g.incident(v):
+            w = g.other_end(e, v)
+            if w not in member:
+                continue
+            if w == v:
+                degrees[v] += 2
+                edges.append(e)
+            else:
+                degrees[v] += 1
+                if g.eu[e] == v:
+                    edges.append(e)
+    return edges, degrees
+
+
+def test_cluster_forest_matches_scalar_bfs():
+    """Every cluster's forest slice is the scalar BFS tree from its first
+    vertex, and its edge slice the row scan of its vertices."""
+    trees = 0
+    betas = (Fraction(1, 2), Fraction(1))
+    for seed, beta in itertools.product(range(3), betas):
+        for g in (gnm(600, 700, seed=seed), d_regular(600, 3, seed=seed),
+                  gnm(300, 3000, seed=seed)):
+            res = low_diam_decomp(g, beta, seed=seed)
+            ts, es = res.tree_starts, res.edge_starts
+            for i, cluster in enumerate(res.clusters):
+                assert (res.labels[cluster] == i).all()
+                edges, degrees = _row_scan(g, cluster)
+                assert res.edges[es[i]:es[i + 1]].tolist() == edges
+                assert res.degrees[cluster].tolist() == \
+                    [degrees[v] for v in cluster]
+                a, b = ts[i], ts[i + 1]
+                if len(cluster) == 1:
+                    assert a == b
+                    continue
+                order, parent, pedge, depth = _scalar_tree(g, cluster)
+                assert res.tree_order[a:b].tolist() == order
+                assert res.tree_parent[a:b].tolist() == parent
+                assert res.tree_edge[a:b].tolist() == pedge
+                assert res.tree_depth[a:b].tolist() == depth
+                tdeg = {v: 0 for v in order}
+                for v, p in zip(order[1:], parent[1:]):
+                    tdeg[v] += 1
+                    tdeg[p] += 1
+                assert res.tree_max_degree[i] == max(tdeg.values())
+                tree = res.tree(i)
+                assert tree.order == order
+                assert tree.parent == dict(zip(order[1:],
+                                               zip(parent[1:], pedge[1:])))
+                trees += 1
+    assert trees > 300

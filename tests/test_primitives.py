@@ -66,6 +66,71 @@ def test_reduce_bounds_random(rng):
             assert {hu, hv} == {g.eu[e], g.ev[e]}
 
 
+def _reference_reduce(g, n_override=None):
+    """The per-slot loop graph_reduce replaced: each active vertex's
+    incident edges in order, a loop over two slots, a new copy every
+    d_cap slots, an isolated vertex keeping one copy."""
+    n = g.n_active if n_override is None else n_override
+    d_cap = -(-2 * g.m_active // n)
+    origin_vertex = []
+    copy_u = [0] * g.m_total
+    copy_v = [0] * g.m_total
+    for v in g.active_vertices():
+        filled = 0
+        cur = -1
+        for e in g.incident(v):
+            slots = 2 if g.eu[e] == g.ev[e] else 1
+            for s in range(slots):
+                if filled % d_cap == 0:
+                    cur = len(origin_vertex)
+                    origin_vertex.append(v)
+                filled += 1
+                if g.eu[e] == v and (slots == 1 or s == 0):
+                    copy_u[e] = cur
+                else:
+                    copy_v[e] = cur
+        if filled == 0:
+            origin_vertex.append(v)
+    h = MultiGraph(len(origin_vertex))
+    origin_edge = []
+    for e in g.active_edges():
+        h.add_edge(copy_u[e], copy_v[e])
+        origin_edge.append(e)
+    return h, origin_vertex, origin_edge
+
+
+def test_reduce_matches_per_slot_loop(rng):
+    """Multigraphs with loops, isolated and inactive vertices, deleted
+    edges, with and without n_override."""
+    checked = 0
+    for trial in range(60):
+        n = rng.randrange(2, 30)
+        g = random_multigraph(rng, n, rng.randrange(n, 6 * n))
+        for _ in range(rng.randrange(3)):
+            g.add_vertex()   # isolated
+        for v in rng.sample(range(n), rng.randrange(n // 3 + 1)):
+            g.delete_vertex(v)
+        for e in g.active_edges():
+            if rng.random() < 0.1:
+                g.delete_edge(e)
+        for n_override in (None, g.n_total, g.n_total + rng.randrange(9)):
+            n_eff = g.n_active if n_override is None else n_override
+            if n_eff < 1 or g.m_active < n_eff:
+                continue
+            rm = graph_reduce(g, n_override=n_override)
+            h, origin_vertex, origin_edge = _reference_reduce(g, n_override)
+            assert list(rm.h.eu) == list(h.eu)
+            assert list(rm.h.ev) == list(h.ev)
+            assert list(rm.h.deg) == list(h.deg)
+            assert [list(a) for a in rm.h.inc] == [list(a) for a in h.inc]
+            assert rm.h.n_active == h.n_active
+            assert rm.h.m_active == h.m_active
+            assert rm.origin_vertex == origin_vertex
+            assert rm.origin_edge == origin_edge
+            checked += 1
+    assert checked > 60
+
+
 # -- split_circuit ----------------------------------------------------------
 
 def test_split_simple_triangle():
