@@ -52,6 +52,26 @@ def _parse_depths(text: str) -> list[int]:
     return [_parse_depth(c) for c in text.split(",")]
 
 
+def _parse_sizes(text: str) -> list[int]:
+    sizes = [int(s) for s in text.split(",")]
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {text}")
+    return sizes
+
+
+def _bench_workers(text: str) -> int:
+    """Worker count from SCD_THREADS: a positive integer, capped at the
+    number of CPUs."""
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"SCD_THREADS must be a positive integer, "
+                         f"got {text!r}")
+    return min(threads, os.cpu_count() or 1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="shortcycles",
                   description="Short cycle decomposition toolkit")
@@ -81,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark runner, CSV output")
     p.add_argument("--models", required=True, help="comma-separated")
-    p.add_argument("--sizes", required=True, help="comma-separated n values")
+    p.add_argument("--sizes", type=_parse_sizes, required=True,
+                   help="comma-separated n values")
     p.add_argument("--c", type=_parse_depths, default="1",
                    help="comma-separated c values")
     p.add_argument("--density", type=int, default=30,
@@ -202,18 +223,21 @@ def _bench_cell(cell):
 
 
 def _cmd_bench(args) -> int:
+    try:
+        threads = _bench_workers(os.environ.get("SCD_THREADS", "1"))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    sizes = [int(s) for s in args.sizes.split(",")]
     cells = []
     ix = 0
     for model in models:
-        for n in sizes:
+        for n in args.sizes:
             for c in args.c:
                 for _ in range(args.seeds):
                     cells.append((model, n, c, ix, args.base_seed,
                                   args.density))
                     ix += 1
-    threads = int(os.environ.get("SCD_THREADS", "1"))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -170,7 +170,7 @@ def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
     if len(tree.order) != len(component):
         raise GraphError("one_round_short_cycle needs a connected input")
     edges = clustering.edges[clustering.edge_starts[i]:
-                             clustering.edge_starts[i + 1]].tolist()
+                             clustering.edge_starts[i + 1]]
     m_i = len(edges)
     if m_i == 0:
         return out
@@ -180,7 +180,8 @@ def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
         # with every non-tree edge a loop, and the greedy would keep the
         # smallest-id loop. Lift it along the tree path directly.
         tree_edges = {e for (_, e) in tree.parent.values()}
-        best = min((e for e in edges if e not in tree_edges), default=-1)
+        best = min((e for e in edges.tolist() if e not in tree_edges),
+                   default=-1)
         if best >= 0:
             pv_, pe_ = tree_path(tree, g.ev[best], g.eu[best])
             pe_.append(best)

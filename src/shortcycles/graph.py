@@ -1,6 +1,7 @@
 """Undirected multigraph with stable ids, BFS trees, and contraction."""
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass
 
@@ -443,93 +444,40 @@ def contract(g: MultiGraph, parts: list[list[int]], exclude,
 
     Every active edge not in `exclude` whose endpoints both lie in parts
     becomes one edge of H (a self-loop when both endpoints share a part),
-    and f maps it back to its source edge. With strict=True an endpoint
-    outside all parts raises instead of being skipped. `edges` restricts
-    the scan to a candidate edge list (each id considered once, ascending).
+    in ascending source id, and f maps it back to its source edge. With
+    strict=True an endpoint outside all parts raises instead of being
+    skipped. `edges` restricts the scan to a candidate edge list (each id
+    considered once).
     """
-    part_of = array("i", [-1]) * g.n_total
-    for i, part in enumerate(parts):
-        for v in part:
-            if part_of[v] != -1:
-                raise GraphError(f"vertex {v} appears in two parts")
-            part_of[v] = i
-    exmark = bytearray(g.m_total)
-    for e in exclude:
-        exmark[e] = 1
-    h = MultiGraph(len(parts))
-    f: list[int] = []
-    ea = g.eactive
-    eu, ev = g.eu, g.ev
+    flat = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64)
+    pmap = np.full(g.n_total, -1, dtype=np.int32)
+    pmap[flat] = np.repeat(np.arange(len(parts), dtype=np.int32),
+                           [len(p) for p in parts])
+    if np.count_nonzero(pmap >= 0) != len(flat):
+        v = int(np.argmax(np.bincount(flat) > 1))
+        raise GraphError(f"vertex {v} appears in two parts")
+    ex = np.zeros(g.m_total, dtype=bool)
+    ex[np.fromiter(exclude, dtype=np.int64)] = True
     if edges is None:
-        if len(ea) >= 4096:
-            return _contract_bulk(g, parts, part_of, exmark, strict, None)
-        candidates = range(len(ea))
+        ids = np.arange(g.m_total)
     else:
-        candidates = sorted(set(edges))
-        if len(candidates) >= 4096:
-            return _contract_bulk(g, parts, part_of, exmark, strict,
-                                  np.asarray(candidates, dtype=np.int64))
-    hu, hv, hact, hinc, hdeg = h.eu, h.ev, h.eactive, h.inc, h.deg
-    excluded = 0
-    outside = 0
-    for e in candidates:
-        if not ea[e]:
-            continue
-        if exmark[e]:
-            excluded += 1
-            continue
-        pu = part_of[eu[e]]
-        pv = part_of[ev[e]]
-        if pu == -1 or pv == -1:
-            if strict:
-                raise GraphError(
-                    f"edge {e} ({eu[e]}-{ev[e]}) has an endpoint outside all parts")
-            outside += 1
-            continue
-        he = len(hu)
-        hu.append(pu)
-        hv.append(pv)
-        hact.append(1)
-        hinc[pu].append(he)
-        if pu != pv:
-            hinc[pv].append(he)
-            hdeg[pu] += 1
-            hdeg[pv] += 1
-        else:
-            hdeg[pu] += 2
-        f.append(e)
-    h.m_active = len(hu)
-    return ContractionMap(parts=parts, part_of=part_of, h=h, f=f,
-                          source=g, excluded=excluded, outside_edges=outside)
-
-
-def _contract_bulk(g: MultiGraph, parts, part_of, exmark, strict, cand):
-    """Vectorized contraction; output is identical to the scalar loop over
-    the candidate edge ids in ascending order (all ids when cand is None)."""
-    ea = np.frombuffer(g.eactive, dtype=np.uint8)
-    ex = np.frombuffer(exmark, dtype=np.uint8)
-    eu = np.frombuffer(g.eu, dtype=np.int32)
-    ev = np.frombuffer(g.ev, dtype=np.int32)
-    pmap = np.frombuffer(part_of, dtype=np.int32)
-    if cand is not None:
-        ea = ea[cand]
-        ex = ex[cand]
-    active = ea != 0
-    valid = active & (ex == 0)
-    excluded = int(np.count_nonzero(active & (ex != 0)))
-    ids = np.nonzero(valid)[0]
-    if cand is not None:
-        ids = cand[ids]
-    pu = pmap[eu[ids]]
-    pv = pmap[ev[ids]]
+        # Sort plus neighbour compare: np.unique may hash instead of sort.
+        ids = np.sort(np.asarray(edges, dtype=np.int64))
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        ids = ids[first]
+    ids = ids[np.frombuffer(g.eactive, dtype=np.uint8)[ids] != 0]
+    excluded = int(np.count_nonzero(ex[ids]))
+    ids = ids[~ex[ids]]
+    pu = pmap[np.frombuffer(g.eu, dtype=np.int32)[ids]]
+    pv = pmap[np.frombuffer(g.ev, dtype=np.int32)[ids]]
     inside = (pu >= 0) & (pv >= 0)
     outside = int(len(ids) - np.count_nonzero(inside))
     if outside and strict:
         bad = int(ids[~inside][0])
         raise GraphError(f"edge {bad} ({g.eu[bad]}-{g.ev[bad]}) "
                          f"has an endpoint outside all parts")
-    ids = ids[inside]
     h = MultiGraph.from_edges(len(parts), pu[inside], pv[inside])
-    f = ids.tolist()
-    return ContractionMap(parts=parts, part_of=part_of, h=h, f=f,
-                          source=g, excluded=excluded, outside_edges=outside)
+    return ContractionMap(parts=parts, part_of=array("i", pmap.tobytes()),
+                          h=h, f=ids[inside].tolist(), source=g,
+                          excluded=excluded, outside_edges=outside)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .graph import (GraphError, MultiGraph, SpanningTree, _gather_rows,
                     flat_adjacency_np)
-from .rng import exponential, mix64
+from .rng import exponentials, mix64
 
 
 class LddError(GraphError):
@@ -82,11 +81,14 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
                     max_retries: int = 20) -> LddResult:
     """Partition active vertices into low-diameter clusters.
 
-    Each vertex draws an exponential shift with rate beta and joins the
-    center minimizing dist(u, v) - shift(v), computed as one multi-source
-    Dijkstra with fractional start offsets. `removed` is the set of
-    inter-cluster edges; |removed| <= beta * m is checked exactly on the
-    rational beta.
+    Each active vertex v draws an exponential shift with rate beta (capped
+    at (2/beta) ln(n+1)) and joins the center c minimizing
+    dist(c, v) - shift(c). Vertices start at max_shift - shift; the search
+    settles them a unit layer at a time, relaxing every edge of a layer at
+    once, in the order a Dijkstra bucket queue would (`_shifted_search`).
+    `removed` is the set of inter-cluster edges; |removed| <= beta * m is
+    checked exactly on the rational beta, and an attempt that fails it or
+    the diameter cap is redrawn, up to max_retries times.
     """
     if g.n_active == 0:
         raise GraphError("low_diam_decomp on empty graph")
@@ -97,15 +99,22 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
     cap = diameter_cap(beta, n, diam_constant)
     shift_cap = 2.0 / float(beta) * math.log(n + 1)
     best = None
-    snap = _snapshot(g)   # static across attempts
+    adj = flat_adjacency_np(g)   # static across attempts
+    starts = adj[0]
+    active = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
+    # Vertices without an active edge stay their own centers.
+    live = active[starts[active + 1] > starts[active]]
     for attempt in range(max_retries):
         rng = random.Random(mix64(seed, attempt))
-        center, truncated = _attempt(g, beta, rng, shift_cap, snap[1])
-        result = _clustering(g, center, snap[0], truncated)
+        shifts = exponentials(rng, float(beta), n)
+        truncated = int(np.count_nonzero(shifts > shift_cap))
+        np.minimum(shifts, shift_cap, out=shifts)
+        center = _shifted_search(adj, active, live, shifts)
+        result, members = _clustering(g, center, adj, truncated)
         result.retries = attempt
         if len(result.removed) * beta.denominator <= beta.numerator * m:
-            _forest(g, result)
-            if _check_diameters(result, cap, snap[1], center):
+            _forest(g, result, members)
+            if _check_diameters(result, cap):
                 return result
         best = result
     raise LddError(
@@ -118,47 +127,105 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     vertex unlabeled, over a fresh snapshot, with its forest. Unlike
     low_diam_decomp's clusters, `component` carries no diameter or
     connectivity guarantee."""
-    center = [-1] * g.n_total
-    for v in component:
-        center[v] = component[0]
-    result = _clustering(g, center, flat_adjacency_np(g))
-    _forest(g, result)
+    center = np.full(g.n_total, -1, dtype=np.int64)
+    center[component] = component[0]
+    result, members = _clustering(g, center, flat_adjacency_np(g))
+    _forest(g, result, members)
     return result
 
 
-def _snapshot(g: MultiGraph):
-    """CSR snapshot of g's active edges: the numpy arrays, and for scalar
-    traversal its starts as a list and its tails as a flat int array."""
-    adj = flat_adjacency_np(g)
-    return adj, (adj[0].tolist(), array("i", adj[1].tobytes()))
+def _shifted_search(adj, active, live, shifts) -> np.ndarray:
+    """Each vertex's center (-1 when inactive) under the shifts of the
+    `active` vertices: the Dijkstra with unit edges and start distances
+    max_shift - shift, run one bucket of the queue at a time.
+
+    A vertex settles in bucket int(dist). Relaxing from bucket b only
+    reaches b + 1 or later, so bucket b's vertices are settled together,
+    in queue order: initial starts by id, then vertices in the order they
+    first entered bucket b. Each relaxed vertex takes its minimum offer,
+    the first in gather order among equal ones, as the queue's strict `<`
+    does. `key` holds each vertex's place in its current bucket.
+    """
+    starts, tails, eids = adj
+    n_total = len(starts) - 1
+    max_shift = max(0.0, float(shifts.max()))
+    dist = np.full(n_total, np.inf)
+    dist[active] = max_shift - shifts
+    center = np.full(n_total, -1, dtype=np.int64)
+    center[active] = active
+    key = np.arange(n_total, dtype=np.int64)
+    stamp = n_total
+    pending = live
+    while pending.size:
+        fl = np.floor(dist[pending])
+        now = fl == fl.min()
+        layer = pending[now]
+        pending = pending[~now]
+        layer = layer[np.argsort(key[layer])]
+        src, w, _ = _gather_rows(starts, tails, eids, layer)
+        nd = dist[src] + 1.0
+        old = dist[w]
+        better = nd < old
+        if not better.any():
+            continue
+        src, w, nd, old = src[better], w[better], nd[better], old[better]
+        np.minimum.at(dist, w, nd)
+        new = dist[w]
+        pos = np.arange(len(w))
+        # The offer that set each vertex's distance: its first minimum.
+        win = _first_of(w, pos, nd == new, n_total)
+        center[w[win]] = center[src[win]]
+        # A vertex that changed bucket is filed at its first offer there.
+        fresh = np.floor(new) != np.floor(old)
+        filed = _first_of(w, pos, fresh & (np.floor(nd) == np.floor(new)),
+                          n_total)
+        key[w[filed]] = stamp + pos[filed]
+        stamp += len(w)
+    return center
 
 
-def _clustering(g: MultiGraph, center: array | list[int], adj,
-                truncated: int = 0) -> LddResult:
+def _first_of(w, pos, mask, n_total) -> np.ndarray:
+    """Mask of the entries that are, for their vertex w, the first entry
+    (lowest pos) with `mask` set."""
+    first = np.full(n_total, len(pos), dtype=np.int64)
+    np.minimum.at(first, w[mask], pos[mask])
+    return mask & (first[w] == pos)
+
+
+def _clustering(g: MultiGraph, center: np.ndarray, adj,
+                truncated: int = 0) -> tuple[LddResult, np.ndarray]:
     """The clustering given by per-vertex centers `center` (-1: none) over
-    the snapshot `adj`: its label classes and the edges crossing them."""
-    index: dict[int, int] = {}
-    clusters: list[list[int]] = []
-    labels = [-1] * len(center)
-    for v, c in enumerate(center):
-        if c >= 0:
-            if c not in index:
-                index[c] = len(clusters)
-                clusters.append([])
-            labels[v] = index[c]
-            clusters[labels[v]].append(v)
-    labels = np.asarray(labels, dtype=np.int64)
+    the snapshot `adj`: its label classes, ordered by first vertex with
+    ascending members, and the edges crossing them. Also returns the
+    members of every cluster concatenated in cluster order."""
+    n_total = len(center)
+    vs = np.nonzero(center >= 0)[0]
+    cv = center[vs]
+    first = np.full(n_total, n_total, dtype=np.int64)
+    np.minimum.at(first, cv, vs)
+    head = first[cv]            # each vertex's cluster by its first vertex
+    rank = np.zeros(n_total, dtype=np.int64)
+    rank[vs] = np.cumsum(head == vs) - 1
+    labels = np.full(n_total, -1, dtype=np.int64)
+    labels[vs] = rank[head]
+    members = vs[np.argsort(labels[vs] * n_total + vs)]
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(labels[vs])))).tolist()
+    flat = members.tolist()
+    clusters = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
     eu = np.frombuffer(g.eu, dtype=np.int32)
     ev = np.frombuffer(g.ev, dtype=np.int32)
     ea = np.frombuffer(g.eactive, dtype=np.uint8)
     crossing = (ea != 0) & (labels[eu] != labels[ev])
-    return LddResult(removed=set(np.nonzero(crossing)[0].tolist()),
-                     clusters=clusters, max_diameter=0, retries=0,
-                     truncated_shifts=truncated, adj=adj, labels=labels)
+    result = LddResult(removed=set(np.nonzero(crossing)[0].tolist()),
+                       clusters=clusters, max_diameter=0, retries=0,
+                       truncated_shifts=truncated, adj=adj, labels=labels)
+    return result, members
 
 
-def _forest(g: MultiGraph, result: LddResult) -> None:
-    """Fill in the cluster forest, internal edges and degrees of `result`.
+def _forest(g: MultiGraph, result: LddResult, members: np.ndarray) -> None:
+    """Fill in the cluster forest, internal edges and degrees of `result`;
+    `members` lists every cluster's vertices in cluster order.
 
     One multi-source BFS, a layer at a time: cluster regions are disjoint,
     so every root expands simultaneously, confined to its own label. Each
@@ -182,8 +249,8 @@ def _forest(g: MultiGraph, result: LddResult) -> None:
         if not ok.any():
             break
         src, w, e = src[ok], w[ok], e[ok]
-        _, first = np.unique(w, return_index=True)
-        first.sort()
+        first = _first_of(w, np.arange(len(w)), np.ones(len(w), dtype=bool),
+                          n_total)
         frontier = w[first]
         visited[frontier] = True
         order.append(frontier)
@@ -191,7 +258,8 @@ def _forest(g: MultiGraph, result: LddResult) -> None:
         pe.append(e[first])
         dep.append(np.full(len(frontier), len(dep), dtype=np.int64))
     order = np.concatenate(order)
-    by_cluster = np.argsort(lab[order], kind="stable")
+    size = len(order)
+    by_cluster = np.argsort(lab[order] * size + np.arange(size))
     result.tree_order = order[by_cluster]
     result.tree_parent = np.concatenate(par)[by_cluster]
     result.tree_edge = np.concatenate(pe)[by_cluster]
@@ -213,77 +281,20 @@ def _forest(g: MultiGraph, result: LddResult) -> None:
     lu = lab[eu]
     ids = np.nonzero((ea != 0) & (lu == lab[ev]) & (lu >= 0))[0]
     iu = eu[ids]
-    result.edges = ids[np.argsort(lu[ids] * n_total + iu, kind="stable")]
+    # (cluster, eu, id) order: members are in (cluster, vertex) order.
+    place = np.empty(n_total, dtype=np.int64)
+    place[members] = np.arange(len(members))
+    result.edges = ids[np.argsort(place[iu] * g.m_total + ids)]
     result.edge_starts = np.concatenate(
         ([0], np.cumsum(np.bincount(lu[ids], minlength=k))))
     result.degrees = (np.bincount(iu, minlength=n_total)
                       + np.bincount(ev[ids], minlength=n_total))
 
 
-def _attempt(g: MultiGraph, beta: Fraction, rng: random.Random,
-             shift_cap: float, rows) -> tuple[array, int]:
-    """One draw of shifts; returns each vertex's center (-1 when inactive)
-    and the number of truncated shifts."""
-    rate = float(beta)
-    va = g.vactive
-    n_total = g.n_total
-    starts, tails = rows
-    truncated = 0
-    max_shift = 0.0
-    shifts = array("d", bytes(8 * n_total))
-    for v in range(n_total):
-        if not va[v]:
-            continue
-        s = exponential(rng, rate)
-        if s > shift_cap:
-            s = shift_cap
-            truncated += 1
-        shifts[v] = s
-        if s > max_shift:
-            max_shift = s
-    # Dijkstra with unit edge weights and fractional start offsets; keys in
-    # bucket b never relax into bucket b, so a Dial bucket queue processed
-    # in ascending order is exact. Flat arrays keep the state cache-compact.
-    dist = array("d", [float("inf")]) * n_total
-    center = array("i", [-1]) * n_total
-    buckets: list[list[int]] = [[] for _ in range(int(max_shift) + 2)]
-    for v in range(n_total):
-        if va[v]:
-            d = max_shift - shifts[v]
-            dist[v] = d
-            center[v] = v
-            buckets[int(d)].append(v)
-    settled = bytearray(n_total)
-    b = 0
-    while b < len(buckets):
-        for v in buckets[b]:
-            if settled[v]:
-                continue
-            d = dist[v]
-            if d >= b + 1:  # superseded entry, lives in a later bucket now
-                continue
-            settled[v] = 1
-            cv = center[v]
-            nd = d + 1.0
-            nb = int(nd)
-            if nb >= len(buckets):
-                buckets.append([])
-            bucket_next = buckets[nb]
-            for i in range(starts[v], starts[v + 1]):
-                w = tails[i]
-                if nd < dist[w]:
-                    dist[w] = nd
-                    center[w] = cv
-                    bucket_next.append(w)
-        b += 1
-    return center, truncated
-
-
-def _cluster_ecc(starts, tails, center, cid: int, size: int,
-                 root: int) -> int:
-    """Eccentricity of `root` inside its cluster; inter-cluster edges are
-    exactly those whose endpoints carry different centers, so the cluster
-    is traversed by comparing center labels."""
+def _cluster_ecc(starts, tails, lab, i: int, size: int, root: int) -> int:
+    """Eccentricity of `root` inside cluster i; inter-cluster edges are
+    exactly those whose endpoints carry different labels, so the cluster
+    is traversed by comparing labels."""
     depth = {root: 0}
     frontier = [root]
     ecc = 0
@@ -291,9 +302,9 @@ def _cluster_ecc(starts, tails, center, cid: int, size: int,
         nxt = []
         for v in frontier:
             dv = depth[v]
-            for i in range(starts[v], starts[v + 1]):
-                w = tails[i]
-                if center[w] != cid or w in depth:
+            for j in range(starts[v], starts[v + 1]):
+                w = tails[j]
+                if lab[w] != i or w in depth:
                     continue
                 depth[w] = dv + 1
                 if dv + 1 > ecc:
@@ -305,12 +316,12 @@ def _cluster_ecc(starts, tails, center, cid: int, size: int,
     return ecc
 
 
-def _check_diameters(result: LddResult, cap: int, rows, center) -> bool:
+def _check_diameters(result: LddResult, cap: int) -> bool:
     """Verify every cluster's strong diameter is <= cap, and record the max.
 
     A cluster passes cheaply when twice its forest depth from the cluster
-    root is within the cap; only otherwise is the exact diameter computed
-    over the list snapshot `rows` and the per-vertex `center`. The recorded
+    root is within the cap; only otherwise is the exact diameter computed,
+    by scalar BFS over the snapshot converted to lists. The recorded
     max_diameter is exact unless every cluster passed the cheap test, in
     which case it is the 2*radius upper bound.
     """
@@ -318,6 +329,7 @@ def _check_diameters(result: LddResult, cap: int, rows, center) -> bool:
     exact = True
     ts = result.tree_starts.tolist()
     depth = result.tree_depth
+    rows = None
     for i, cluster in enumerate(result.clusters):
         size = len(cluster)
         if size <= 2:
@@ -332,9 +344,10 @@ def _check_diameters(result: LddResult, cap: int, rows, center) -> bool:
                 worst = bound
                 exact = False
             continue
-        cid = center[cluster[0]]
-        diam = max(_cluster_ecc(rows[0], rows[1], center, cid, size, v)
-                   for v in cluster)
+        if rows is None:
+            rows = (result.adj[0].tolist(), result.adj[1].tolist(),
+                    result.labels.tolist())
+        diam = max(_cluster_ecc(*rows, i, size, v) for v in cluster)
         if diam > cap:
             return False
         if diam > worst:

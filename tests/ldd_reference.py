@@ -1,0 +1,85 @@
+"""Scalar references for the LDD's array passes, kept for cross-checks.
+
+`dial_centers` is the exponential-shift clustering as one multi-source
+Dijkstra over a Dial bucket queue (`dial_search`), drawing one scalar
+exponential per active vertex; `dict_clusters` groups per-vertex centers into clusters with
+a dict. `low_diam_decomp` must reproduce both exactly.
+"""
+from shortcycles.graph import flat_adjacency_np
+from shortcycles.rng import exponential
+
+
+def dial_centers(g, rate: float, rng, shift_cap: float):
+    """One draw of shifts; returns each vertex's center (-1 when inactive)
+    and the number of truncated shifts."""
+    truncated = 0
+    shifts = {}
+    for v in range(g.n_total):
+        if not g.vactive[v]:
+            continue
+        s = exponential(rng, rate)
+        if s > shift_cap:
+            s = shift_cap
+            truncated += 1
+        shifts[v] = s
+    return dial_search(g, shifts), truncated
+
+
+def dial_search(g, shifts):
+    """Each vertex's center (-1 when inactive) given the shift of every
+    active vertex (a dict): Dijkstra with unit edges from start distances
+    max_shift - shift. Keys in bucket b never relax into bucket b, so a
+    Dial bucket queue processed in ascending order is exact."""
+    n_total = g.n_total
+    starts, tails, _ = (a.tolist() for a in flat_adjacency_np(g))
+    max_shift = 0.0
+    for s in shifts.values():
+        if s > max_shift:
+            max_shift = s
+    dist = [float("inf")] * n_total
+    center = [-1] * n_total
+    buckets = [[] for _ in range(int(max_shift) + 2)]
+    for v in range(n_total):
+        if v in shifts:
+            d = max_shift - shifts[v]
+            dist[v] = d
+            center[v] = v
+            buckets[int(d)].append(v)
+    settled = [False] * n_total
+    b = 0
+    while b < len(buckets):
+        for v in buckets[b]:
+            if settled[v]:
+                continue
+            d = dist[v]
+            if d >= b + 1:  # superseded entry, lives in a later bucket now
+                continue
+            settled[v] = True
+            nd = d + 1.0
+            nb = int(nd)
+            if nb >= len(buckets):
+                buckets.append([])
+            for i in range(starts[v], starts[v + 1]):
+                w = tails[i]
+                if nd < dist[w]:
+                    dist[w] = nd
+                    center[w] = center[v]
+                    buckets[nb].append(w)
+        b += 1
+    return center
+
+
+def dict_clusters(center):
+    """Label classes of `center` (-1: none), ordered by first vertex, and
+    the per-vertex cluster index."""
+    index = {}
+    clusters = []
+    labels = [-1] * len(center)
+    for v, c in enumerate(center):
+        if c >= 0:
+            if c not in index:
+                index[c] = len(clusters)
+                clusters.append([])
+            labels[v] = index[c]
+            clusters[labels[v]].append(v)
+    return clusters, labels

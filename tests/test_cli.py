@@ -161,3 +161,52 @@ def test_bench_csv(tmp_path, monkeypatch):
         assert r["status"] == "ok"
         assert float(r["wall_ms"]) >= 0
         assert int(r["k_hat_observed"]) <= 20 * int(r["n"])
+
+
+@pytest.mark.parametrize("sizes", ["x", "16,", "-4", "0"])
+def test_bench_rejects_bad_sizes(tmp_path, capsys, sizes):
+    assert cli_main(["bench", "--models", "gnm", "--sizes", sizes,
+                     "--output", str(tmp_path / "b.csv")]) == 64
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", ""])
+def test_bench_rejects_bad_threads(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("SCD_THREADS", threads)
+    assert cli_main(["bench", "--models", "gnm", "--sizes", "16",
+                     "--output", str(tmp_path / "b.csv")]) == 64
+    assert "SCD_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_bench_caps_workers_at_cpu_count(tmp_path, monkeypatch):
+    """A worker count above the CPU count starts a pool of cpu_count
+    workers; the pool is replaced by a recorder, so none is started."""
+    import concurrent.futures
+
+    from shortcycles import cli
+
+    seen = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SCD_THREADS", "1000000")
+    assert cli_main(["bench", "--models", "gnm", "--sizes", "16",
+                     "--seeds", "2", "--output", str(tmp_path / "b.csv")]) == 0
+    assert seen == [2]
+    with open(tmp_path / "b.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 2

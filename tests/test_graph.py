@@ -299,51 +299,92 @@ def test_contract_skips_outside_by_default():
 
 
 def _reference_contract(g, parts, exclude, edges=None):
-    """Straight-line re-implementation used as a cross-check."""
+    """Straight-line re-implementation used as a cross-check: returns
+    (hu, hv, f, excluded, outside)."""
     part_of = {}
     for i, part in enumerate(parts):
         for v in part:
+            if v in part_of:
+                raise GraphError(f"vertex {v} appears in two parts")
             part_of[v] = i
     hu, hv, f = [], [], []
+    excluded = outside = 0
     cand = range(g.m_total) if edges is None else sorted(set(edges))
     for e in cand:
-        if not g.eactive[e] or e in exclude:
+        if not g.eactive[e]:
+            continue
+        if e in exclude:
+            excluded += 1
             continue
         pu = part_of.get(g.eu[e], -1)
         pv = part_of.get(g.ev[e], -1)
         if pu < 0 or pv < 0:
+            outside += 1
             continue
         hu.append(pu)
         hv.append(pv)
         f.append(e)
-    return hu, hv, f
+    return hu, hv, f, excluded, outside
+
+
+def _assert_contract_matches(g, parts, exclude, edges=None):
+    cm = contract(g, parts, exclude, edges=edges)
+    hu, hv, f, excluded, outside = _reference_contract(g, parts, exclude,
+                                                       edges)
+    assert list(cm.h.eu) == hu
+    assert list(cm.h.ev) == hv
+    assert cm.f == f
+    assert (cm.excluded, cm.outside_edges) == (excluded, outside)
+    assert cm.h.n_total == len(parts) and cm.h.m_active == len(f)
+    assert list(cm.h.deg) == recomputed_degrees(cm.h)
+    for v in range(cm.h.n_total):
+        row = cm.h.incident(v)
+        assert row == sorted(row)
+        assert row == [e for e in range(len(hu)) if v in (hu[e], hv[e])]
+    for i, part in enumerate(parts):
+        assert all(cm.part_of[v] == i for v in part)
+    assert sum(cm.part_of[v] >= 0 for v in range(g.n_total)) == \
+        sum(map(len, parts))
 
 
 def test_contract_bulk_matches_reference(rng):
-    """Graph large enough to take the vectorized path."""
+    """A graph of more than 4096 edges."""
     g = random_multigraph(rng, 60, 5000)
     verts = list(range(60))
     rng.shuffle(verts)
     parts = [verts[i::7] for i in range(7)]
     exclude = set(rng.sample(range(5000), 300))
-    cm = contract(g, parts, exclude)
-    hu, hv, f = _reference_contract(g, parts, exclude)
-    assert list(cm.h.eu) == hu
-    assert list(cm.h.ev) == hv
-    assert cm.f == f
-    assert list(cm.h.deg) == recomputed_degrees(cm.h)
-    for v in range(cm.h.n_total):
-        row = cm.h.incident(v)
-        assert row == sorted(row)
+    _assert_contract_matches(g, parts, exclude)
+
+
+def test_contract_matches_reference_on_small_inputs(rng):
+    """Graphs and candidate lists far below 4096 edges, with deleted
+    edges and vertices, vertices outside every part, excluded edges and
+    candidate lists holding duplicates and deleted ids."""
+    for trial in range(60):
+        n = rng.randrange(1, 25)
+        m = rng.randrange(0, 80)
+        g = random_multigraph(rng, n, m)
+        for e in rng.sample(range(m), m // 6):
+            g.delete_edge(e)
+        for v in rng.sample(range(n), n // 8):
+            g.delete_vertex(v)
+        verts = g.active_vertices()
+        rng.shuffle(verts)
+        k = rng.randrange(1, 5)
+        parts = [p for p in (verts[i::k + 1] for i in range(k)) if p]
+        exclude = set(rng.sample(range(m), rng.randrange(0, m // 3 + 1)))
+        _assert_contract_matches(g, parts, exclude)
+        if m:
+            cand = [rng.randrange(m) for _ in range(rng.randrange(0, 40))]
+            _assert_contract_matches(g, parts, exclude, edges=cand)
 
 
 def test_contract_candidate_list(rng):
     g = random_multigraph(rng, 30, 400)
     parts = [list(range(0, 15)), list(range(15, 30))]
     cand = rng.sample(range(400), 120)
-    cm = contract(g, parts, set(), edges=cand)
-    hu, hv, f = _reference_contract(g, parts, set(), edges=cand)
-    assert list(cm.h.eu) == hu and list(cm.h.ev) == hv and cm.f == f
+    _assert_contract_matches(g, parts, set(), edges=cand)
 
 
 def test_contract_edge_conservation(rng):
@@ -361,8 +402,12 @@ def test_contract_edge_conservation(rng):
 
 def test_contract_duplicate_part_raises():
     g = path_graph(3)
-    with pytest.raises(GraphError):
-        contract(g, [[0, 1], [1, 2]], set())
+    for parts in ([[0, 1], [1, 2]], [[2], [0, 1, 2]], [[0, 0]],
+                  [[1], [2, 0, 1]]):
+        with pytest.raises(GraphError, match="appears in two parts"):
+            contract(g, parts, set())
+        with pytest.raises(GraphError, match="appears in two parts"):
+            _reference_contract(g, parts, set())
 
 
 # -- flat adjacency and the vectorized BFS ----------------------------------

@@ -1,16 +1,21 @@
 """Low-diameter decomposition: cut bound, diameter cap, partition shape."""
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
                          measure_diameter)
 from shortcycles.io import d_regular, gnm
-from shortcycles.ldd import diameter_cap
+from shortcycles.graph import flat_adjacency_np
+from shortcycles.ldd import _shifted_search, diameter_cap
+from shortcycles.rng import exponential, exponentials, mix64
 
 from conftest import cycle_graph, path_graph, random_multigraph, star_graph
+from ldd_reference import dial_centers, dial_search, dict_clusters
 
 B12 = Fraction(1, 12)
 
@@ -206,3 +211,127 @@ def test_cluster_forest_matches_scalar_bfs():
                                                zip(parent[1:], pedge[1:])))
                 trees += 1
     assert trees > 300
+
+
+def _matches_reference(g, beta, seed):
+    """low_diam_decomp's accepted attempt equals the Dial queue and dict
+    grouping on the same draw; returns its truncated shift count."""
+    res = low_diam_decomp(g, beta, seed=seed)
+    shift_cap = 2.0 / float(beta) * math.log(g.n_active + 1)
+    rng = random.Random(mix64(seed, res.retries))
+    center, truncated = dial_centers(g, float(beta), rng, shift_cap)
+    clusters, labels = dict_clusters(center)
+    assert res.truncated_shifts == truncated
+    assert res.clusters == clusters
+    assert res.labels.tolist() == labels
+    crossing = {e for e in g.active_edges()
+                if labels[g.eu[e]] != labels[g.ev[e]]}
+    assert res.removed == crossing
+    return truncated
+
+
+def test_shifted_search_matches_dial_queue(rng):
+    """Centers and truncation counts equal the scalar bucket queue's on
+    gnm, d_regular and random multigraphs with loops, isolated and
+    deleted vertices and deleted edges."""
+    for seed, beta in itertools.product(range(4), (B12, Fraction(1, 2))):
+        g = random_multigraph(rng, 120, 150)
+        g.add_vertices(10)                      # isolated
+        for v in rng.sample(range(120), 8):
+            g.delete_vertex(v)
+        for e in rng.sample(g.active_edges(), 10):
+            g.delete_edge(e)
+        for h in (g, gnm(300, 900, seed=seed), d_regular(200, 3, seed=seed)):
+            _matches_reference(h, beta, seed)
+
+
+def test_shifted_search_ties_match_dial_queue():
+    """On tiny graphs with beta 1 and 1/2 the shift cap is small, so
+    several shifts are truncated to the same value and tie; the queue's
+    order decides those ties."""
+    ties = 0
+    for seed in range(3000):
+        local = random.Random(seed)
+        small = random_multigraph(local, 6, 9)
+        for beta in (Fraction(1), Fraction(1, 2)):
+            for g in (path_graph(6), star_graph(5), cycle_graph(6), small):
+                ties += _matches_reference(g, beta, seed) >= 2
+    assert ties > 0
+
+
+def test_shifted_search_matches_dial_queue_on_coarse_shifts(rng):
+    """Shifts on a coarse grid make offers from different centers tie, so
+    the settle order and the first-minimum rule decide centers; the
+    filing cases below pin where an improved vertex is filed."""
+    for trial in range(300):
+        g = random_multigraph(rng, rng.randrange(2, 40), rng.randrange(1, 80))
+        for v in rng.sample(range(g.n_total), g.n_total // 8):
+            g.delete_vertex(v)
+        adj = flat_adjacency_np(g)
+        active = np.asarray(g.active_vertices(), dtype=np.int64)
+        live = active[adj[0][active + 1] > adj[0][active]]
+        grid = rng.choice((0.5, 0.25, 1.5))
+        shifts = {v: grid * rng.randrange(6) for v in active.tolist()}
+        got = _shifted_search(adj, active, live,
+                              np.array([shifts[v] for v in active.tolist()]))
+        assert got.tolist() == dial_search(g, shifts)
+
+
+# Vertices s1=0, sx=1, s2=2, w=3, x=4, y=5 and an isolated z=6 carrying
+# the largest shift. sx and s2 start at equal distances, so w (reached
+# from s2) and x (from sx) tie at y, and the queue order of w and x in
+# their bucket decides y's center. w's first offer comes from s1.
+_FILING_EDGES = [(0, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
+_FILING_CASES = [
+    # s1's offer to w is worse but in the same bucket: w keeps the place
+    # of that first offer, ahead of x, so y joins s2.
+    ({0: 2.25, 1: 2.75, 2: 2.75, 3: 0.0, 4: 0.0, 5: 0.0, 6: 3.0}, 2),
+    # s1 starts at 2 - 2**-52, so its offer rounds up to 3.0, a bucket
+    # later than the final 2.25: w is filed at s2's offer, after x, and y
+    # joins sx.
+    ({0: 1.5 + 2.0 ** -52, 1: 2.25, 2: 2.25, 3: 0.0, 4: 0.0, 5: 0.0,
+      6: 3.5}, 1),
+]
+
+
+@pytest.mark.parametrize("shifts,y_center", _FILING_CASES)
+def test_shifted_search_files_at_first_offer_in_bucket(shifts, y_center):
+    g = MultiGraph(7)
+    for u, v in _FILING_EDGES:
+        g.add_edge(u, v)
+    adj = flat_adjacency_np(g)
+    active = np.arange(7)
+    got = _shifted_search(adj, active, active[:6],
+                          np.array([shifts[v] for v in range(7)]))
+    assert got.tolist() == dial_search(g, shifts)
+    assert got[5] == y_center
+
+
+def test_bulk_draw_matches_scalar_exponential():
+    for seed, k in itertools.product(range(50), (1, 2, 3, 1000)):
+        a, b = random.Random(seed), random.Random(seed)
+        want = np.array([exponential(a, 0.25) for _ in range(k)])
+        got = exponentials(b, 0.25, k)
+        assert got.tobytes() == want.tobytes()
+        assert a.getrandbits(64) == b.getrandbits(64)   # same stream after
+
+
+def test_bulk_draw_extreme_words():
+    """The all-ones word maps to u = 1 (shift -0.0); words next to a
+    rounding boundary of float64 round as the scalar division does."""
+    words = [2 ** 64 - 1, 0, 2 ** 64 - 2, 2 ** 64 - 1025, 2 ** 64 - 2049,
+             2 ** 53 + 1, 2 ** 63 + 1]
+
+    class Words:
+        def __init__(self, ws):
+            self.ws = list(ws)
+
+        def getrandbits(self, k):
+            if k == 64:
+                return self.ws.pop(0)
+            return sum(w << (64 * i) for i, w in enumerate(self.ws))
+
+    scalar = Words(words)
+    want = np.array([exponential(scalar, 1.0) for _ in words])
+    assert exponentials(Words(words), 1.0, len(words)).tobytes() == \
+        want.tobytes()
