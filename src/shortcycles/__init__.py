@@ -8,8 +8,7 @@ from .engine import (CycleDecomposition, EngineConfig, EngineFailure,
                      decompose, improved_short_cycle, one_round_short_cycle,
                      short_cycle_decomp)
 from .graph import (ContractionMap, GraphError, MultiGraph, SpanningTree,
-                    bfs_spanning_tree, connected_components, contract,
-                    tree_path)
+                    contract, tree_path)
 from .ldd import LddError, LddResult, low_diam_decomp
 from .primitives import (Cycle, LabeledTree, ReductionMap,
                          VertexDisjointCycleSet, graph_reduce,
@@ -22,12 +21,11 @@ __all__ = [
     "ContractionMap", "Cycle", "CycleDecomposition", "DecompositionReport",
     "EngineConfig", "EngineFailure", "GraphError", "LabeledTree", "LddError",
     "LddResult", "MultiGraph", "ReductionMap", "SpanningTree",
-    "VertexDisjointCycleSet", "bfs_spanning_tree", "brute_force_short_cycles",
-    "connected_components", "contract", "decompose", "graph_reduce",
-    "improved_short_cycle", "low_diam_decomp", "measure_diameter",
-    "naive_short_cycle", "one_round_short_cycle", "pull_up",
-    "short_cycle_decomp", "sparsify", "split_circuit", "tree_path",
-    "tree_split", "verify_decomposition",
+    "VertexDisjointCycleSet", "brute_force_short_cycles", "contract",
+    "decompose", "graph_reduce", "improved_short_cycle", "low_diam_decomp",
+    "measure_diameter", "naive_short_cycle", "one_round_short_cycle",
+    "pull_up", "short_cycle_decomp", "sparsify", "split_circuit",
+    "tree_path", "tree_split", "verify_decomposition",
 ]
 
 __version__ = "0.1.0"

@@ -48,6 +48,13 @@ def _parse_depth(text: str) -> int:
     return c
 
 
+def _parse_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"counts must be >= 0, got {n}")
+    return n
+
+
 def _parse_depths(text: str) -> list[int]:
     return [_parse_depth(c) for c in text.split(",")]
 
@@ -93,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random graph")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--n", type=_parse_count)
+    p.add_argument("--m", type=_parse_count)
+    p.add_argument("--d", type=_parse_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
 

@@ -155,14 +155,6 @@ def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
     if not component:
         return VertexDisjointCycleSet()
     out = VertexDisjointCycleSet()
-    if len(component) == 1:
-        v = component[0]
-        ea, eu, ev = g.eactive, g.eu, g.ev
-        for e in g.inc[v]:
-            if ea[e] and eu[e] == ev[e]:
-                out.add(Cycle(edges=[e], vertices=[v]))
-                break
-        return out
     if clustering is None:
         clustering = single_cluster(g, component)
     i = int(clustering.labels[component[0]])

@@ -1,4 +1,5 @@
-"""Undirected multigraph with stable ids, BFS trees, and contraction."""
+"""Undirected multigraph with stable ids, BFS forests, Euler tours, tree
+paths and contraction."""
 from __future__ import annotations
 
 import itertools
@@ -43,14 +44,6 @@ class MultiGraph:
     @property
     def m_total(self) -> int:
         return len(self.eu)
-
-    def add_vertex(self) -> int:
-        v = len(self.vactive)
-        self.vactive.append(1)
-        self.inc.append(array("i"))
-        self.deg.append(0)
-        self.n_active += 1
-        return v
 
     def add_vertices(self, count: int) -> None:
         if count <= 0:
@@ -168,9 +161,6 @@ class MultiGraph:
         u = self.eu[e]
         return self.ev[e] if u == v else u
 
-    def is_loop(self, e: int) -> bool:
-        return self.eu[e] == self.ev[e]
-
     def incident(self, v: int) -> list[int]:
         """Active edge ids touching v, in append order (loops listed once)."""
         lst = self.inc[v]
@@ -195,21 +185,6 @@ class MultiGraph:
         ea = self.eactive
         return [e for e in range(len(ea)) if ea[e]]
 
-    def compact(self) -> tuple["MultiGraph", list[int], list[int]]:
-        """Fresh graph without tombstones.
-
-        Returns (graph, vertex_map, edge_map) where the maps send new ids
-        back to ids in this graph.
-        """
-        vmap = self.active_vertices()
-        vinv = {v: i for i, v in enumerate(vmap)}
-        g = MultiGraph(len(vmap))
-        emap = []
-        for e in self.active_edges():
-            g.add_edge(vinv[self.eu[e]], vinv[self.ev[e]])
-            emap.append(e)
-        return g, vmap, emap
-
 
 @dataclass
 class SpanningTree:
@@ -225,9 +200,6 @@ class SpanningTree:
 
     def max_depth(self) -> int:
         return max(self.depth.values())
-
-    def tree_edges(self) -> list[int]:
-        return [e for (_, e) in self.parent.values()]
 
 
 def flat_adjacency_np(g: MultiGraph):
@@ -269,118 +241,98 @@ def _gather_rows(starts, tails, eids, frontier):
     return np.repeat(frontier, cnt), tails[pos], eids[pos]
 
 
-def bfs_tree_np(adj_np, root: int, n_total: int, visited=None):
-    """Layer-at-a-time BFS over a flat adjacency snapshot.
+def _first_of(w, pos, mask, n_total) -> np.ndarray:
+    """Mask of the entries that are, for their vertex w, the first entry
+    (lowest pos) with `mask` set."""
+    first = np.full(n_total, len(pos), dtype=np.int64)
+    np.minimum.at(first, w[mask], pos[mask])
+    return mask & (first[w] == pos)
 
-    Returns (order, par_v, par_e, layer_starts): discovery order with the
-    root first, each non-root vertex's parent and parent edge aligned with
-    order[1:], and the order offsets where each depth layer begins. The
-    discovery order and parents match a scalar BFS that scans incidence
-    rows in ascending edge-id order. A caller traversing many
-    components of one graph may pass a shared boolean `visited` array; it
-    is not reset.
+
+def bfs_forest(adj, roots, labels, visited=None):
+    """BFS from every root at once over a flat adjacency snapshot, a layer
+    at a time, each vertex reached only from a vertex of its own label.
+
+    Returns (order, parent, edge, layers): the reached vertices in
+    discovery order, roots first; each one's parent and parent edge (-1 at
+    the roots); and the offsets in `order` where each depth layer begins.
+    A vertex keeps its first discovery in (frontier order, row order), so
+    a root whose label class holds no other root gets the tree a scalar
+    BFS scanning rows in edge-id order builds inside that class. A caller
+    traversing many components of one graph may pass a shared boolean
+    `visited` array; it is not reset.
     """
+    starts, tails, eids = adj
+    n_total = len(starts) - 1
     if visited is None:
         visited = np.zeros(n_total, dtype=bool)
-    visited[root] = True
-    frontier = np.array([root], dtype=np.int64)
-    starts, tails, eids = adj_np
-    order = [frontier]
-    par_v = []
-    par_e = []
-    layer_starts = [0, 1]
+    frontier = np.asarray(roots, dtype=np.int64)
+    visited[frontier] = True
+    none = np.full(len(frontier), -1, dtype=np.int64)
+    order, parent, edge = [frontier], [none], [none]
+    layers = [0, len(frontier)]
     while True:
-        src, w, pe = _gather_rows(starts, tails, eids, frontier)
-        if len(w):
-            ok = ~visited[w]
-            src, w, pe = src[ok], w[ok], pe[ok]
-        if not len(w):
+        src, w, e = _gather_rows(starts, tails, eids, frontier)
+        ok = (labels[w] == labels[src]) & ~visited[w]
+        if not ok.any():
             break
-        # Keep each vertex's first discovery, in discovery order.
-        _, first = np.unique(w, return_index=True)
-        first.sort()
-        w = w[first]
-        visited[w] = True
-        order.append(w)
-        par_v.append(src[first])
-        par_e.append(pe[first])
-        layer_starts.append(layer_starts[-1] + len(w))
-        frontier = w
-    order = np.concatenate(order)
-    empty = np.empty(0, dtype=np.int64)
-    par_v = np.concatenate(par_v) if par_v else empty
-    par_e = np.concatenate(par_e) if par_e else empty
-    return order, par_v, par_e, layer_starts
+        src, w, e = src[ok], w[ok], e[ok]
+        first = _first_of(w, np.arange(len(w)), np.ones(len(w), dtype=bool),
+                          n_total)
+        frontier = w[first]
+        visited[frontier] = True
+        order.append(frontier)
+        parent.append(src[first])
+        edge.append(e[first])
+        layers.append(layers[-1] + len(frontier))
+    return (np.concatenate(order), np.concatenate(parent),
+            np.concatenate(edge), layers)
 
 
-def connected_components(g: MultiGraph) -> list[list[int]]:
-    """Maximal connected sets of active vertices, each in BFS order."""
-    seen = bytearray(g.n_total)
-    va = g.vactive
-    ea = g.eactive
-    eu, ev = g.eu, g.ev
-    comps = []
-    for s in range(g.n_total):
-        if not va[s] or seen[s]:
-            continue
-        seen[s] = 1
-        comp = [s]
-        head = 0
-        while head < len(comp):
-            v = comp[head]
-            head += 1
-            for e in g.inc[v]:
-                if not ea[e]:
-                    continue
-                w = ev[e] if eu[e] == v else eu[e]
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-        comps.append(comp)
-    return comps
+def euler_tours(adj) -> list[list[int]]:
+    """Closed Euler tour (edge ids, in walk order) of every component of a
+    flat adjacency snapshot that has an edge, by Hierholzer's method from
+    the component's lowest vertex; every vertex must have even degree.
 
-
-def bfs_spanning_tree(g: MultiGraph, component, root: int) -> SpanningTree:
-    """BFS tree of `component` rooted at `root`, using only edges internal
-    to the component. Ties broken by incidence order, so the tree is
-    deterministic for a fixed graph. Pass component=None when the root's
-    whole connected component is meant; the membership test is skipped.
-    A bytearray component is read as a per-vertex membership mark.
+    Rows are scanned in order, each once across every visit of its
+    vertex; flat int arrays keep the random row visits cache-friendly.
     """
-    if component is None:
-        member = None
-    elif isinstance(component, bytearray):
-        member = component
-        if not member[root]:
-            raise GraphError(f"root {root} not in component")
-    else:
-        member = bytearray(g.n_total)
-        found = False
-        for v in component:
-            member[v] = 1
-            found = found or v == root
-        if not found:
-            raise GraphError(f"root {root} not in component")
-    parent: dict[int, tuple[int, int]] = {}
-    depth = {root: 0}
-    order = [root]
-    head = 0
-    ea = g.eactive
-    eu, ev = g.eu, g.ev
-    while head < len(order):
-        v = order[head]
-        head += 1
-        dv = depth[v]
-        for e in g.inc[v]:
-            if not ea[e]:
-                continue
-            w = ev[e] if eu[e] == v else eu[e]
-            if w in depth or (member is not None and not member[w]):
-                continue
-            depth[w] = dv + 1
-            parent[w] = (v, e)
-            order.append(w)
-    return SpanningTree(root=root, parent=parent, depth=depth, order=order)
+    starts, tails, eids = adj
+    n_total = len(starts) - 1
+    used = bytearray(int(eids.max()) + 1 if len(eids) else 0)
+    starts = starts.tolist()
+    tails, eids = (array("i", np.asarray(a, dtype=np.int32).tobytes())
+                   for a in (tails, eids))
+    scan = [iter(range(starts[v], starts[v + 1])) for v in range(n_total)]
+    tours = []
+    for s in range(n_total):
+        if starts[s] == starts[s + 1]:
+            continue
+        # A no-op when s's component is already toured. Walk unused edges
+        # from the top vertex until stuck, then pop one onto the tour.
+        stack_v = [s]
+        stack_e: list[int] = []
+        tour: list[int] = []
+        while stack_v:
+            v = stack_v[-1]
+            while True:
+                for i in scan[v]:
+                    e = eids[i]
+                    if not used[e]:
+                        break
+                else:
+                    break
+                used[e] = 1
+                v = tails[i]
+                stack_v.append(v)
+                stack_e.append(e)
+            stack_v.pop()
+            if stack_e:
+                tour.append(stack_e.pop())
+        if tour:
+            tour.reverse()   # the pop order is the tour reversed
+            tours.append(tour)
+    return tours
 
 
 def tree_path(t: SpanningTree, u: int, v: int) -> tuple[list[int], list[int]]:
@@ -439,15 +391,14 @@ class ContractionMap:
 
 
 def contract(g: MultiGraph, parts: list[list[int]], exclude,
-             strict: bool = False, edges=None) -> ContractionMap:
+             edges=None) -> ContractionMap:
     """Contract each part to a single vertex.
 
     Every active edge not in `exclude` whose endpoints both lie in parts
     becomes one edge of H (a self-loop when both endpoints share a part),
-    in ascending source id, and f maps it back to its source edge. With
-    strict=True an endpoint outside all parts raises instead of being
-    skipped. `edges` restricts the scan to a candidate edge list (each id
-    considered once).
+    in ascending source id, and f maps it back to its source edge; edges
+    with an endpoint outside all parts are skipped. `edges` restricts the
+    scan to a candidate edge list (each id considered once).
     """
     flat = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64)
     pmap = np.full(g.n_total, -1, dtype=np.int32)
@@ -473,10 +424,6 @@ def contract(g: MultiGraph, parts: list[list[int]], exclude,
     pv = pmap[np.frombuffer(g.ev, dtype=np.int32)[ids]]
     inside = (pu >= 0) & (pv >= 0)
     outside = int(len(ids) - np.count_nonzero(inside))
-    if outside and strict:
-        bad = int(ids[~inside][0])
-        raise GraphError(f"edge {bad} ({g.eu[bad]}-{g.ev[bad]}) "
-                         f"has an endpoint outside all parts")
     h = MultiGraph.from_edges(len(parts), pu[inside], pv[inside])
     return ContractionMap(parts=parts, part_of=array("i", pmap.tobytes()),
                           h=h, f=ids[inside].tolist(), source=g,

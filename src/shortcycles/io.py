@@ -40,8 +40,10 @@ def parse_edge_list(data) -> MultiGraph:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", lineno)
-            if n < 0 or m < 0:
-                raise ParseError("negative counts in header", lineno)
+            # Ids are stored as int32; refuse before allocating n slots.
+            if not (0 <= n < 2 ** 31 and 0 <= m < 2 ** 31):
+                raise ParseError("header counts must lie in [0, 2^31)",
+                                 lineno)
             g = MultiGraph(n)
             continue
         parts = line.split()

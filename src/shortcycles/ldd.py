@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import (GraphError, MultiGraph, SpanningTree, _gather_rows,
-                    flat_adjacency_np)
+from .graph import (GraphError, MultiGraph, SpanningTree, _first_of,
+                    _gather_rows, bfs_forest, flat_adjacency_np)
 from .rng import exponentials, mix64
 
 
@@ -41,8 +41,8 @@ class LddResult:
     # so each cluster is exactly one label class.
     adj: tuple = ()
     labels: np.ndarray | None = None
-    # The cluster forest: a BFS tree of every non-singleton cluster from its
-    # first vertex, confined to its label class, rows scanned in order.
+    # The cluster forest: a BFS tree of every cluster from its first vertex,
+    # confined to its label class, rows scanned in order.
     # Cluster i's tree is tree_order[tree_starts[i]:tree_starts[i + 1]] in
     # discovery order, with the aligned tree_parent and tree_edge (-1 at the
     # root) and tree_depth; tree_max_degree[i] is its maximum degree.
@@ -61,7 +61,7 @@ class LddResult:
 
     def tree(self, i: int) -> SpanningTree:
         """Cluster i's BFS tree; it covers the whole cluster when the
-        cluster is connected."""
+        cluster is connected (a singleton's is its one vertex)."""
         a, b = int(self.tree_starts[i]), int(self.tree_starts[i + 1])
         order = self.tree_order[a:b].tolist()
         parent = dict(zip(order[1:], zip(self.tree_parent[a + 1:b].tolist(),
@@ -124,7 +124,8 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
 
 def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     """The clustering of g whose one cluster is `component`, every other
-    vertex unlabeled, over a fresh snapshot, with its forest. Unlike
+    vertex unlabeled, over a fresh snapshot, with its forest: tree(0) is
+    the BFS tree of `component` from its lowest vertex. Unlike
     low_diam_decomp's clusters, `component` carries no diameter or
     connectivity guarantee."""
     center = np.full(g.n_total, -1, dtype=np.int64)
@@ -184,14 +185,6 @@ def _shifted_search(adj, active, live, shifts) -> np.ndarray:
     return center
 
 
-def _first_of(w, pos, mask, n_total) -> np.ndarray:
-    """Mask of the entries that are, for their vertex w, the first entry
-    (lowest pos) with `mask` set."""
-    first = np.full(n_total, len(pos), dtype=np.int64)
-    np.minimum.at(first, w[mask], pos[mask])
-    return mask & (first[w] == pos)
-
-
 def _clustering(g: MultiGraph, center: np.ndarray, adj,
                 truncated: int = 0) -> tuple[LddResult, np.ndarray]:
     """The clustering given by per-vertex centers `center` (-1: none) over
@@ -227,54 +220,30 @@ def _forest(g: MultiGraph, result: LddResult, members: np.ndarray) -> None:
     """Fill in the cluster forest, internal edges and degrees of `result`;
     `members` lists every cluster's vertices in cluster order.
 
-    One multi-source BFS, a layer at a time: cluster regions are disjoint,
-    so every root expands simultaneously, confined to its own label. Each
-    vertex keeps its first discovery in (frontier order, row order), so
-    every cluster's tree is the one a scalar BFS from its root would build.
+    One `bfs_forest` from every cluster's first vertex, confined to its
+    own label: each label class holds one root, so every cluster's tree is
+    the one a scalar BFS from its root would build.
     """
-    starts, tails, eids = result.adj
     lab = result.labels
     n_total = len(lab)
     k = len(result.clusters)
-    roots = np.asarray([c[0] for c in result.clusters if len(c) > 1],
-                       dtype=np.int64)
-    visited = np.zeros(n_total, dtype=bool)
-    visited[roots] = True
-    none = np.full(len(roots), -1, dtype=np.int64)
-    order, par, pe, dep = [roots], [none], [none], [np.zeros_like(roots)]
-    frontier = roots
-    while frontier.size:
-        src, w, e = _gather_rows(starts, tails, eids, frontier)
-        ok = (lab[w] == lab[src]) & ~visited[w]
-        if not ok.any():
-            break
-        src, w, e = src[ok], w[ok], e[ok]
-        first = _first_of(w, np.arange(len(w)), np.ones(len(w), dtype=bool),
-                          n_total)
-        frontier = w[first]
-        visited[frontier] = True
-        order.append(frontier)
-        par.append(src[first])
-        pe.append(e[first])
-        dep.append(np.full(len(frontier), len(dep), dtype=np.int64))
-    order = np.concatenate(order)
+    roots = [c[0] for c in result.clusters]
+    order, par, pe, layers = bfs_forest(result.adj, roots, lab)
     size = len(order)
     by_cluster = np.argsort(lab[order] * size + np.arange(size))
     result.tree_order = order[by_cluster]
-    result.tree_parent = np.concatenate(par)[by_cluster]
-    result.tree_edge = np.concatenate(pe)[by_cluster]
-    result.tree_depth = np.concatenate(dep)[by_cluster]
+    result.tree_parent = par[by_cluster]
+    result.tree_edge = pe[by_cluster]
+    result.tree_depth = np.repeat(np.arange(len(layers) - 1),
+                                  np.diff(layers))[by_cluster]
     result.tree_starts = np.concatenate(
         ([0], np.cumsum(np.bincount(lab[order], minlength=k))))
     # Tree degree: child count, plus 1 below the root.
     has_parent = result.tree_parent >= 0
     tdeg = (np.bincount(result.tree_parent[has_parent], minlength=n_total)
             [result.tree_order] + has_parent)
-    result.tree_max_degree = np.zeros(k, dtype=np.int64)
-    nonempty = np.nonzero(np.diff(result.tree_starts))[0]
-    if len(nonempty):
-        result.tree_max_degree[nonempty] = np.maximum.reduceat(
-            tdeg, result.tree_starts[nonempty])
+    result.tree_max_degree = np.maximum.reduceat(tdeg,
+                                                 result.tree_starts[:-1])
     eu = np.frombuffer(g.eu, dtype=np.int32)
     ev = np.frombuffer(g.ev, dtype=np.int32)
     ea = np.frombuffer(g.eactive, dtype=np.uint8)
@@ -321,7 +290,8 @@ def _check_diameters(result: LddResult, cap: int) -> bool:
 
     A cluster passes cheaply when twice its forest depth from the cluster
     root is within the cap; only otherwise is the exact diameter computed,
-    by scalar BFS over the snapshot converted to lists. The recorded
+    by scalar BFS over the snapshot converted to lists (a numpy BFS per
+    vertex is 30x slower on a 185-vertex path cluster). The recorded
     max_diameter is exact unless every cluster passed the cheap test, in
     which case it is the 2*radius upper bound.
     """

@@ -6,13 +6,12 @@ tombstoned copy, never on the caller's graph.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import (ContractionMap, GraphError, MultiGraph, SpanningTree,
-                    bfs_tree_np, flat_adjacency_np, tree_path)
+                    bfs_forest, euler_tours, flat_adjacency_np, tree_path)
 
 
 @dataclass
@@ -264,42 +263,17 @@ def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
                     skipped_parent = True
                     continue
                 if w in depth:
-                    return _close_cycle(parent, depth, v, w, e)
+                    # v .. lca .. w along the tree, closed by e back to v.
+                    tree = SpanningTree(root=root, parent=parent,
+                                        depth=depth, order=list(depth))
+                    verts, edges = tree_path(tree, v, w)
+                    edges.append(e)
+                    return Cycle(edges=edges, vertices=verts)
                 depth[w] = depth[v] + 1
                 parent[w] = (v, e)
                 nxt.append(w)
         frontier = nxt
     return None
-
-
-def _close_cycle(parent, depth, v, w, e) -> Cycle:
-    if v == w:  # self-loop
-        return Cycle(edges=[e], vertices=[v])
-    pv, ev_, pw, ew_ = [], [], [], []
-    a, b = v, w
-    da, db = depth[a], depth[b]
-    while da > db:
-        p, pe = parent[a]
-        pv.append(a)
-        ev_.append(pe)
-        a, da = p, da - 1
-    while db > da:
-        p, pe = parent[b]
-        pw.append(b)
-        ew_.append(pe)
-        b, db = p, db - 1
-    while a != b:
-        pa, ea_ = parent[a]
-        pb, eb_ = parent[b]
-        pv.append(a)
-        ev_.append(ea_)
-        pw.append(b)
-        ew_.append(eb_)
-        a, b = pa, pb
-    # v .. lca .. w, closed by e back to v
-    verts = pv + [a] + pw[::-1]
-    edges = ev_ + ew_[::-1] + [e]
-    return Cycle(edges=edges, vertices=verts)
 
 
 # ---------------------------------------------------------------------------
@@ -433,57 +407,6 @@ def pull_up(cm: ContractionMap, trees: list[SpanningTree],
 # ---------------------------------------------------------------------------
 # Sparsify: halve edges via parity fix + Euler-tour deletion, then trim.
 
-def euler_tour(g: MultiGraph, component: list[int],
-               _used: bytearray | None = None,
-               _cursor=None) -> list[int]:
-    """Closed Euler tour (edge ids) of a connected all-even-degree component,
-    by Hierholzer's method over incidence cursors.
-
-    `_used` and `_cursor` are optional shared scratch buffers (edge marks
-    and an all-zero per-vertex cursor array); a caller touring many
-    components of one graph may pass the same buffers to every call.
-    `_cursor` is re-zeroed before returning.
-    """
-    start = None
-    for v in component:
-        if g.degree(v) > 0:
-            start = v
-            break
-    if start is None:
-        return []
-    cursor = {v: 0 for v in component} if _cursor is None else _cursor
-    used = bytearray(g.m_total) if _used is None else _used
-    stack_v = [start]
-    stack_e: list[int] = []
-    tour: list[int] = []
-    ea = g.eactive
-    while stack_v:
-        v = stack_v[-1]
-        lst = g.inc[v]
-        i = cursor[v]
-        advanced = False
-        while i < len(lst):
-            e = lst[i]
-            if ea[e] and not used[e]:
-                used[e] = 1
-                cursor[v] = i + 1
-                stack_v.append(g.other_end(e, v))
-                stack_e.append(e)
-                advanced = True
-                break
-            i += 1
-        if not advanced:
-            cursor[v] = i
-            stack_v.pop()
-            if stack_e:
-                tour.append(stack_e.pop())
-    tour.reverse()
-    if _cursor is not None:
-        for v in component:
-            _cursor[v] = 0
-    return tour
-
-
 def sparsify(g: MultiGraph, k: int) -> MultiGraph:
     """Subgraph with exactly k edges and max degree <= (2k + 4n) * D / m.
 
@@ -513,14 +436,15 @@ def _halving_round(out: MultiGraph) -> None:
     over a flat adjacency snapshot in incidence order."""
     n_total = out.n_total
     va, deg = out.vactive, out.deg
-    starts, tails, eids = adj_np = flat_adjacency_np(out)
+    starts, tails, eids = adj = flat_adjacency_np(out)
+    one_label = np.zeros(n_total, dtype=np.int8)
     visited = np.zeros(n_total, dtype=bool)
     pos = np.empty(n_total, dtype=np.int64)
     drop: list[int] = []
     for s in range(n_total):
         if not va[s] or deg[s] == 0 or visited[s]:
             continue
-        o, pv, pe, layers = bfs_tree_np(adj_np, s, n_total, visited=visited)
+        o, pv, pe, layers = bfs_forest(adj, [s], one_label, visited)
         # Bottom-up removal of the parent edge at every odd vertex drops
         # exactly the parent edges of odd degree-sum subtrees; the sums
         # are accumulated a layer at a time, deepest first.
@@ -528,44 +452,15 @@ def _halving_round(out: MultiGraph) -> None:
         up = pos[pv]
         sums = np.frombuffer(deg, dtype=np.int32)[o].astype(np.int64)
         for a, b in zip(layers[-2:0:-1], layers[:1:-1]):
-            np.add.at(sums, up[a - 1:b - 1], sums[a:b])
-        drop.extend(pe[(sums[1:] & 1) == 1].tolist())
+            np.add.at(sums, up[a:b], sums[a:b])
+        drop.extend(pe[1:][(sums[1:] & 1) == 1].tolist())
     out.delete_edges(drop)
-    # The snapshot minus the dropped entries is out's own snapshot; flat
-    # int arrays keep the tour's random row visits cache-friendly.
+    # The snapshot minus the dropped entries is out's own snapshot.
     keep = np.frombuffer(out.eactive, dtype=np.uint8)[eids] != 0
     rows = np.repeat(np.arange(n_total), np.diff(starts))[keep]
     starts = np.concatenate(([0], np.cumsum(
-        np.bincount(rows, minlength=n_total)))).tolist()
-    tails, eids = (array("i", a[keep].tobytes()) for a in (tails, eids))
-    used = bytearray(out.m_total)
-    # Each row is scanned once, in order, across every visit of its vertex.
-    scan = [iter(range(starts[v], starts[v + 1])) for v in range(n_total)]
+        np.bincount(rows, minlength=n_total))))
     drop = []
-    for s in range(n_total):
-        if not va[s] or deg[s] == 0:
-            continue
-        # Hierholzer from s; a no-op when s's component is already toured.
-        # Walk unused edges from the top vertex until stuck, then pop one.
-        stack_v = [s]
-        stack_e: list[int] = []
-        tour: list[int] = []
-        while stack_v:
-            v = stack_v[-1]
-            while True:
-                for i in scan[v]:
-                    e = eids[i]
-                    if not used[e]:
-                        break
-                else:
-                    break
-                used[e] = 1
-                v = tails[i]
-                stack_v.append(v)
-                stack_e.append(e)
-            stack_v.pop()
-            if stack_e:
-                tour.append(stack_e.pop())
-        # The tour is the pop order reversed; drop its 1st, 3rd, ... edge.
-        drop.extend(tour[-1::-2])
+    for tour in euler_tours((starts, tails[keep], eids[keep])):
+        drop.extend(tour[::2])   # its 1st, 3rd, ... edge
     out.delete_edges(drop)

@@ -1,9 +1,11 @@
 """Shared builders for the test suite."""
 import random
 
+import numpy as np
 import pytest
 
-from shortcycles import MultiGraph
+from shortcycles import MultiGraph, SpanningTree
+from shortcycles.graph import bfs_forest, flat_adjacency_np
 
 
 def random_multigraph(rng: random.Random, n: int, m: int,
@@ -55,6 +57,38 @@ def recomputed_degrees(g: MultiGraph) -> list[int]:
             deg[u] += 1
             deg[v] += 1
     return deg
+
+
+def connected_components(g: MultiGraph) -> list[list[int]]:
+    """Maximal connected sets of active vertices, each in BFS order from
+    its lowest vertex, one `bfs_forest` call per component over a shared
+    visited array (the pattern sparsify's halving round uses)."""
+    adj = flat_adjacency_np(g)
+    one_label = np.zeros(g.n_total, dtype=np.int8)
+    visited = np.zeros(g.n_total, dtype=bool)
+    comps = []
+    for s in g.active_vertices():
+        if not visited[s]:
+            order = bfs_forest(adj, [s], one_label, visited)[0]
+            comps.append(order.tolist())
+    return comps
+
+
+def bfs_tree(g: MultiGraph, vertices) -> SpanningTree:
+    """BFS tree of `vertices` from vertices[0] over edges inside the set,
+    by the engine's forest builder; when vertices[0] is the lowest vertex
+    it is single_cluster(g, vertices).tree(0)."""
+    root = vertices[0]
+    labels = np.zeros(g.n_total, dtype=np.int8)
+    labels[vertices] = 1
+    order, parent, edge, layers = bfs_forest(flat_adjacency_np(g), [root],
+                                             labels)
+    order = order.tolist()
+    depth = np.repeat(np.arange(len(layers) - 1), np.diff(layers))
+    return SpanningTree(
+        root=root, order=order, depth=dict(zip(order, depth.tolist())),
+        parent=dict(zip(order[1:], zip(parent[1:].tolist(),
+                                       edge[1:].tolist()))))
 
 
 @pytest.fixture

@@ -12,8 +12,7 @@ import time
 from fractions import Fraction
 
 from shortcycles import (EngineConfig, LabeledTree, MultiGraph,
-                         bfs_spanning_tree, brute_force_short_cycles,
-                         connected_components, contract, decompose,
+                         brute_force_short_cycles, contract, decompose,
                          graph_reduce, improved_short_cycle, low_diam_decomp,
                          measure_diameter, naive_short_cycle, pull_up,
                          short_cycle_decomp, sparsify, tree_split,
@@ -21,9 +20,10 @@ from shortcycles import (EngineConfig, LabeledTree, MultiGraph,
 from shortcycles.engine import _introot
 from shortcycles.io import (d_regular, decomposition_to_json, gnm,
                             parallel_gadgets, torus)
+from shortcycles.ldd import single_cluster
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
-from conftest import random_multigraph
+from conftest import bfs_tree, connected_components, random_multigraph
 
 
 def _report(capsys, label, ok, extra=""):
@@ -139,7 +139,7 @@ def _random_labeled_tree(rng, n):
     g = MultiGraph(n)
     for v in range(1, n):
         g.add_edge(rng.randrange(v), v)
-    tree = bfs_spanning_tree(g, list(range(n)), 0)
+    tree = single_cluster(g, list(range(n))).tree(0)
     cap = rng.randrange(1, 16)
     labels = {v: rng.randrange(0, cap + 1) for v in range(n)}
     tdeg = {v: 0 for v in range(n)}
@@ -228,7 +228,7 @@ def _one_contraction_round(rng, seed):
     comp = max(connected_components(g), key=len)
     if len(comp) < 6:
         return None
-    tree = bfs_spanning_tree(g, comp, comp[0])
+    tree = single_cluster(g, comp).tree(0)
     labels = {v: g.degree(v) for v in comp}
     tdeg = {v: 0 for v in comp}
     for v, (p, _) in tree.parent.items():
@@ -240,7 +240,7 @@ def _one_contraction_round(rng, seed):
     parts = tree_split(lt, rng.choice([6, 8, 10]))
     trees, exclude = [], set()
     for part in parts:
-        sub = bfs_spanning_tree(g, part, part[0])
+        sub = bfs_tree(g, part)
         trees.append(sub)
         exclude.update(e for (_, e) in sub.parent.values())
     cm = contract(g, parts, exclude)
@@ -373,26 +373,33 @@ def test_criterion_5_length_scaling(capsys):
 
 # -- criterion 6: runtime scaling -------------------------------------------
 
-def _median_wall(n, c):
-    times = []
+def _wall(n, c, seed):
+    g = d_regular(n, 20, seed=100 + seed)
+    cfg = EngineConfig(c=c, seed=seed, greedy_rounds=False)
+    start = time.perf_counter()
+    if c == 1:
+        improved_short_cycle(g, cfg)
+    else:
+        short_cycle_decomp(g, 0, cfg, max(2, _introot(2 * n, 3)))
+    return time.perf_counter() - start
+
+
+def _median_walls(sizes, c):
+    """Median wall time of each size over 5 seeds. The sizes' runs are
+    interleaved seed by seed, so a change in host speed during the test
+    weighs on every size alike instead of on one size's median."""
+    times = {n: [] for n in sizes}
     for seed in range(5):
-        g = d_regular(n, 20, seed=100 + seed)
-        cfg = EngineConfig(c=c, seed=seed, greedy_rounds=False)
-        start = time.perf_counter()
-        if c == 1:
-            improved_short_cycle(g, cfg)
-        else:
-            short_cycle_decomp(g, 0, cfg, max(2, _introot(2 * n, 3)))
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+        for n in sizes:
+            times[n].append(_wall(n, c, seed))
+    return [statistics.median(times[n]) for n in sizes]
 
 
 def test_criterion_6_runtime_scaling(capsys):
     results = []
     ok = True
     for c, bound in ((2, 2.6), (1, 3.2)):
-        t13 = _median_wall(2 ** 13, c)
-        t16 = _median_wall(2 ** 16, c)
+        t13, t16 = _median_walls((2 ** 13, 2 ** 16), c)
         per_doubling = (t16 / t13) ** (1 / 3)
         results.append(f"c={c}: {per_doubling:.2f}/doubling "
                        f"(limit {bound}), {t16:.1f}s at 2^16")

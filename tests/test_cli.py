@@ -147,6 +147,17 @@ def test_gen_bad_model(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--model", "gnm", "--n", "-1", "--m", "0"],
+    ["--model", "torus", "--n", "-1"],
+    ["--model", "d_regular", "--n", "-2", "--d", "4"],
+    ["--model", "parallel_gadgets", "--n", "4", "--d", "-1"],
+    ["--model", "gnm", "--n", "4", "--m", "-1"]])
+def test_gen_rejects_negative_counts(tmp_path, capsys, flags):
+    assert cli_main(["gen", *flags, "--output", str(tmp_path / "o")]) == 64
+    assert "counts must be >= 0" in capsys.readouterr().err
+
+
 def test_bench_csv(tmp_path, monkeypatch):
     monkeypatch.setenv("SCD_THREADS", "1")
     out = tmp_path / "b.csv"

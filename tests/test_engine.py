@@ -172,7 +172,8 @@ def test_one_rounds_matches_one_round_per_cluster():
     for seed in range(3):
         for g in (gnm(600, 700, seed=seed), d_regular(600, 3, seed=seed)):
             for _ in range(40):   # loop-only singletons
-                v = g.add_vertex()
+                v = g.n_total
+                g.add_vertices(1)
                 for _ in range(1 + v % 2):
                     g.add_edge(v, v)
             ldd = low_diam_decomp(g, Fraction(1), seed=seed)

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortcycles import (GraphError, MultiGraph, bfs_spanning_tree,
-                         connected_components, contract, tree_path)
-from shortcycles.graph import bfs_tree_np, flat_adjacency_np
+from shortcycles import GraphError, MultiGraph, contract, tree_path
+from shortcycles.graph import bfs_forest, flat_adjacency_np
+from shortcycles.ldd import single_cluster
 from shortcycles.verify import measure_diameter
 
-from conftest import (cycle_graph, path_graph, random_multigraph,
-                      recomputed_degrees, star_graph)
+from conftest import (connected_components, cycle_graph, path_graph,
+                      random_multigraph, recomputed_degrees, star_graph)
 
 
 # -- degree and active-count bookkeeping ------------------------------------
@@ -98,7 +98,7 @@ def test_from_edges_matches_add_edge(rng):
         ref = random_multigraph(rng, n, rng.randrange(0, 5 * n))
         vactive = None
         if trial % 2:
-            ref.add_vertex()
+            ref.add_vertices(1)
             ref.vactive[n] = 0
             ref.n_active -= 1
             vactive = ref.vactive
@@ -119,18 +119,6 @@ def test_add_vertices_bulk():
     assert g.degree(100) == 0
     g.add_edge(3, 502)
     assert g.degree(502) == 1
-
-
-def test_compact_drops_tombstones(rng):
-    g = random_multigraph(rng, 15, 60)
-    for e in range(0, 60, 3):
-        g.delete_edge(e)
-    g.delete_vertex(7)
-    h, vmap, emap = g.compact()
-    assert h.n_total == g.n_active
-    assert h.m_total == g.m_active
-    for ne, oe in enumerate(emap):
-        assert {vmap[h.eu[ne]], vmap[h.ev[ne]]} == {g.eu[oe], g.ev[oe]}
 
 
 # -- components -------------------------------------------------------------
@@ -163,35 +151,35 @@ def test_components_partition_vertices(rng):
 
 # -- BFS spanning trees -----------------------------------------------------
 
+def _whole(g):
+    """The tree single_cluster gives for all of g's vertices."""
+    return single_cluster(g, list(range(g.n_total))).tree(0)
+
+
 def test_bfs_star_from_center():
     g = star_graph(4)
-    t = bfs_spanning_tree(g, None, 0)
+    t = _whole(g)
     assert t.max_depth() == 1
     assert len(t.order) == 5
 
 
 def test_bfs_cycle_six():
-    t = bfs_spanning_tree(cycle_graph(6), None, 0)
+    t = _whole(cycle_graph(6))
     assert t.max_depth() == 3
 
 
 def test_bfs_singleton():
     g = MultiGraph(1)
-    t = bfs_spanning_tree(g, None, 0)
+    t = single_cluster(g, [0]).tree(0)
     assert t.order == [0]
     assert t.parent == {}
-
-
-def test_bfs_root_outside_component():
-    g = path_graph(4)
-    with pytest.raises(GraphError):
-        bfs_spanning_tree(g, [0, 1], 3)
+    assert t.depth == {0: 0}
 
 
 def test_bfs_depth_structure(rng):
     g = random_multigraph(rng, 40, 80)
     comp = connected_components(g)[0]
-    t = bfs_spanning_tree(g, comp, comp[0])
+    t = single_cluster(g, comp).tree(0)
     assert set(t.covered) == set(comp)
     for v, (p, e) in t.parent.items():
         assert t.depth[v] == t.depth[p] + 1
@@ -202,20 +190,20 @@ def test_bfs_depth_at_most_diameter(rng):
     for _ in range(10):
         g = random_multigraph(rng, 25, 60)
         for comp in connected_components(g):
-            t = bfs_spanning_tree(g, comp, comp[0])
+            t = single_cluster(g, comp).tree(0)
             assert t.max_depth() <= measure_diameter(g, comp)
 
 
 # -- tree paths -------------------------------------------------------------
 
 def test_tree_path_same_vertex():
-    t = bfs_spanning_tree(path_graph(3), None, 0)
+    t = _whole(path_graph(3))
     verts, edges = tree_path(t, 2, 2)
     assert verts == [2] and edges == []
 
 
 def test_tree_path_along_path():
-    t = bfs_spanning_tree(path_graph(3), None, 0)
+    t = _whole(path_graph(3))
     verts, edges = tree_path(t, 0, 2)
     assert verts == [0, 1, 2]
     assert edges == [0, 1]
@@ -223,7 +211,7 @@ def test_tree_path_along_path():
 
 def test_tree_path_through_center():
     g = star_graph(3)
-    t = bfs_spanning_tree(g, None, 0)
+    t = _whole(g)
     verts, edges = tree_path(t, 1, 2)
     assert verts == [1, 0, 2]
     assert len(edges) == 2
@@ -232,7 +220,7 @@ def test_tree_path_through_center():
 def test_tree_path_uncovered_vertex():
     g = path_graph(4)
     g.delete_edge(2)
-    t = bfs_spanning_tree(g, [0, 1, 2], 0)
+    t = single_cluster(g, [0, 1, 2]).tree(0)
     with pytest.raises(GraphError):
         tree_path(t, 0, 3)
 
@@ -241,7 +229,7 @@ def test_tree_path_is_valid_walk(rng):
     for _ in range(20):
         g = random_multigraph(rng, 20, 50)
         comp = max(connected_components(g), key=len)
-        t = bfs_spanning_tree(g, comp, comp[0])
+        t = single_cluster(g, comp).tree(0)
         u, v = rng.choice(comp), rng.choice(comp)
         verts, edges = tree_path(t, u, v)
         assert verts[0] == u and verts[-1] == v
@@ -282,13 +270,7 @@ def test_contract_parallel_to_loops():
     cm = contract(g, [[0, 1]], {0})
     assert cm.h.n_total == 1
     assert cm.h.m_active == 3
-    assert all(cm.h.is_loop(e) for e in range(3))
-
-
-def test_contract_strict_outside_raises():
-    g = path_graph(3)
-    with pytest.raises(GraphError):
-        contract(g, [[0], [1]], set(), strict=True)
+    assert list(cm.h.eu) == list(cm.h.ev) == [0, 0, 0]
 
 
 def test_contract_skips_outside_by_default():
@@ -432,16 +414,53 @@ def test_flat_adjacency_empty():
     assert len(tails) == 0 and len(eids) == 0
 
 
-def test_bfs_tree_np_matches_scalar(rng):
-    for _ in range(30):
-        g = random_multigraph(rng, 30, rng.randrange(20, 90))
+def _scalar_forest(g, roots, labels):
+    """Multi-root BFS with one FIFO queue, rows in incidence order, a
+    vertex entered only from its own label: (order, parent, edge, depth)."""
+    order = list(roots)
+    parent = [-1] * len(roots)
+    edge = [-1] * len(roots)
+    depth = [0] * len(roots)
+    seen = set(roots)
+    for head, v in enumerate(order):
+        for e in g.incident(v):
+            w = g.other_end(e, v)
+            if labels[w] == labels[v] and w not in seen:
+                seen.add(w)
+                order.append(w)
+                parent.append(v)
+                edge.append(e)
+                depth.append(depth[head] + 1)
+    return order, parent, edge, depth
+
+
+def test_bfs_forest_matches_scalar(rng):
+    """One root under one label, as sparsify uses it; several roots of
+    distinct labels, as the LDD uses it; and a shared visited array."""
+    for trial in range(30):
+        n = 30
+        g = random_multigraph(rng, n, rng.randrange(20, 90))
+        for e in rng.sample(range(g.m_total), 5):
+            g.delete_edge(e)
         adj = flat_adjacency_np(g)
-        comp = max(connected_components(g), key=len)
-        root = comp[0]
-        ref = bfs_spanning_tree(g, None, root)
-        order, pv, pe, layers = bfs_tree_np(adj, root, g.n_total)
-        assert order.tolist() == ref.order
-        got = dict(zip(order.tolist()[1:], zip(pv.tolist(), pe.tolist())))
-        assert got == ref.parent
+        if trial % 2:
+            labels = np.zeros(n, dtype=np.int8)
+            roots = [rng.randrange(n)]
+        else:
+            labels = np.array([rng.randrange(4) for _ in range(n)])
+            roots = [int(np.nonzero(labels == c)[0][0])
+                     for c in range(4) if (labels == c).any()]
+        order, parent, edge, layers = bfs_forest(adj, roots, labels)
+        want = _scalar_forest(g, roots, labels)
         depth = np.repeat(np.arange(len(layers) - 1), np.diff(layers))
-        assert dict(zip(order.tolist(), depth.tolist())) == ref.depth
+        assert (order.tolist(), parent.tolist(), edge.tolist(),
+                depth.tolist()) == want
+        # A second call over the same visited array skips what it covered.
+        visited = np.zeros(n, dtype=bool)
+        first = bfs_forest(adj, roots[:1], labels, visited)[0].tolist()
+        assert np.flatnonzero(visited).tolist() == sorted(first)
+        rest = [v for v in range(n) if not visited[v]]
+        if rest:
+            again = bfs_forest(adj, rest[:1], labels, visited)[0].tolist()
+            assert not set(again) & set(first)
+            assert again == _scalar_forest(g, rest[:1], labels)[0]

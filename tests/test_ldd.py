@@ -11,7 +11,7 @@ from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
                          measure_diameter)
 from shortcycles.io import d_regular, gnm
 from shortcycles.graph import flat_adjacency_np
-from shortcycles.ldd import _shifted_search, diameter_cap
+from shortcycles.ldd import _shifted_search, diameter_cap, single_cluster
 from shortcycles.rng import exponential, exponentials, mix64
 
 from conftest import cycle_graph, path_graph, random_multigraph, star_graph
@@ -175,42 +175,61 @@ def _row_scan(g, cluster):
     return edges, degrees
 
 
-def test_cluster_forest_matches_scalar_bfs():
-    """Every cluster's forest slice is the scalar BFS tree from its first
-    vertex, and its edge slice the row scan of its vertices."""
-    trees = 0
+def _assert_forest_matches(g, res, i, cluster):
+    """Cluster i of `res` against the scalar BFS and row scan."""
+    assert (res.labels[cluster] == i).all()
+    ts, es = res.tree_starts, res.edge_starts
+    edges, degrees = _row_scan(g, cluster)
+    assert res.edges[es[i]:es[i + 1]].tolist() == edges
+    assert res.degrees[cluster].tolist() == [degrees[v] for v in cluster]
+    order, parent, pedge, depth = _scalar_tree(g, cluster)
+    tree = res.tree(i)
+    assert tree.root == order[0]
+    assert tree.order == order
+    assert tree.parent == dict(zip(order[1:], zip(parent[1:], pedge[1:])))
+    assert tree.depth == dict(zip(order, depth))
+    a, b = ts[i], ts[i + 1]
+    assert res.tree_order[a:b].tolist() == order
+    assert res.tree_parent[a:b].tolist() == parent
+    assert res.tree_edge[a:b].tolist() == pedge
+    assert res.tree_depth[a:b].tolist() == depth
+    tdeg = {v: 0 for v in order}
+    for v, p in zip(order[1:], parent[1:]):
+        tdeg[v] += 1
+        tdeg[p] += 1
+    assert res.tree_max_degree[i] == max(tdeg.values())
+
+
+def test_cluster_forest_matches_scalar_bfs(rng):
+    """Every cluster's forest slice and tree are the scalar BFS tree from
+    its first vertex (a singleton's tree is its one vertex), and its edge
+    slice the row scan of its vertices. The same holds for single_cluster
+    on connected vertex sets that are not LDD clusters."""
+    trees = singles = 0
     betas = (Fraction(1, 2), Fraction(1))
     for seed, beta in itertools.product(range(3), betas):
         for g in (gnm(600, 700, seed=seed), d_regular(600, 3, seed=seed),
                   gnm(300, 3000, seed=seed)):
             res = low_diam_decomp(g, beta, seed=seed)
-            ts, es = res.tree_starts, res.edge_starts
             for i, cluster in enumerate(res.clusters):
-                assert (res.labels[cluster] == i).all()
-                edges, degrees = _row_scan(g, cluster)
-                assert res.edges[es[i]:es[i + 1]].tolist() == edges
-                assert res.degrees[cluster].tolist() == \
-                    [degrees[v] for v in cluster]
-                a, b = ts[i], ts[i + 1]
-                if len(cluster) == 1:
-                    assert a == b
-                    continue
-                order, parent, pedge, depth = _scalar_tree(g, cluster)
-                assert res.tree_order[a:b].tolist() == order
-                assert res.tree_parent[a:b].tolist() == parent
-                assert res.tree_edge[a:b].tolist() == pedge
-                assert res.tree_depth[a:b].tolist() == depth
-                tdeg = {v: 0 for v in order}
-                for v, p in zip(order[1:], parent[1:]):
-                    tdeg[v] += 1
-                    tdeg[p] += 1
-                assert res.tree_max_degree[i] == max(tdeg.values())
-                tree = res.tree(i)
-                assert tree.order == order
-                assert tree.parent == dict(zip(order[1:],
-                                               zip(parent[1:], pedge[1:])))
+                _assert_forest_matches(g, res, i, cluster)
                 trees += 1
-    assert trees > 300
+                singles += len(cluster) == 1
+    assert trees - singles > 300 and singles > 100
+    for seed in range(3):
+        g = gnm(80, 160, seed=seed)
+        for e in rng.sample(range(160), 20):
+            g.delete_edge(e)
+        for size in (1, 2, 5, 20, 60):
+            grown = [rng.randrange(80)]   # a random connected set
+            for _ in range(size - 1):
+                fresh = [w for v in grown for w in
+                         (g.other_end(e, v) for e in g.incident(v))
+                         if w not in grown]
+                if fresh:
+                    grown.append(rng.choice(fresh))
+            cluster = sorted(grown)
+            _assert_forest_matches(g, single_cluster(g, grown), 0, cluster)
 
 
 def _matches_reference(g, beta, seed):

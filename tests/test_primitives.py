@@ -3,15 +3,17 @@ import math
 
 import pytest
 
-from shortcycles import (GraphError, LabeledTree, MultiGraph,
-                         bfs_spanning_tree, connected_components, contract,
+from shortcycles import (GraphError, LabeledTree, MultiGraph, contract,
                          graph_reduce, naive_short_cycle, pull_up, sparsify,
                          split_circuit, tree_split)
+from shortcycles.graph import euler_tours, flat_adjacency_np
 from shortcycles.io import d_regular, gnm
-from shortcycles.primitives import Cycle, VertexDisjointCycleSet, euler_tour
+from shortcycles.ldd import single_cluster
+from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
-from conftest import (cycle_graph, path_graph, random_multigraph,
-                      recomputed_degrees, star_graph)
+from conftest import (bfs_tree, connected_components, cycle_graph,
+                      path_graph, random_multigraph, recomputed_degrees,
+                      star_graph)
 
 
 # -- graph_reduce -----------------------------------------------------------
@@ -28,7 +30,7 @@ def test_reduce_no_split_needed():
 
 def test_reduce_rejects_sparse():
     g = star_graph(8)
-    g.add_vertex()
+    g.add_vertices(1)
     with pytest.raises(GraphError):
         graph_reduce(g)  # n=10, m=8
 
@@ -107,7 +109,7 @@ def test_reduce_matches_per_slot_loop(rng):
         n = rng.randrange(2, 30)
         g = random_multigraph(rng, n, rng.randrange(n, 6 * n))
         for _ in range(rng.randrange(3)):
-            g.add_vertex()   # isolated
+            g.add_vertices(1)   # isolated
         for v in rng.sample(range(n), rng.randrange(n // 3 + 1)):
             g.delete_vertex(v)
         for e in g.active_edges():
@@ -177,8 +179,7 @@ def test_split_conserves_edges(rng):
             verts = rng.sample(range(10), rng.randrange(2, 6))
             for i in range(len(verts)):
                 g.add_edge(verts[i], verts[(i + 1) % len(verts)])
-        comp = max(connected_components(g), key=len)
-        tour = euler_tour(g, comp)
+        tour = max(euler_tours(flat_adjacency_np(g)), key=len)
         verts = _walk_vertices(g, tour)
         out = split_circuit(verts, tour, g)
         assert sorted(e for c in out for e in c.edges) == sorted(tour)
@@ -211,28 +212,35 @@ def _walk_vertices(g, tour):
     raise AssertionError("tour is not a closed walk")
 
 
-# -- euler_tour -------------------------------------------------------------
+# -- euler_tours ------------------------------------------------------------
 
 def test_euler_tour_covers_component(rng):
+    """One closed tour per component with an edge, covering exactly the
+    component's edges, with loops, parallel edges and deleted edges."""
     for _ in range(20):
         g = MultiGraph(8)
         for _ in range(3):
             verts = rng.sample(range(8), rng.randrange(2, 5))
             for i in range(len(verts)):
                 g.add_edge(verts[i], verts[(i + 1) % len(verts)])
-        for comp in connected_components(g):
-            tour = euler_tour(g, comp)
+        g.add_edge(0, 0)
+        g.delete_edge(g.add_edge(1, 2))
+        tours = euler_tours(flat_adjacency_np(g))
+        comps = [c for c in connected_components(g)
+                 if any(g.incident(v) for v in c)]
+        assert len(tours) == len(comps)
+        for comp, tour in zip(comps, tours):
             in_comp = {e for v in comp for e in g.incident(v)}
             assert sorted(tour) == sorted(in_comp)
-            if tour:
-                _walk_vertices(g, tour)
+            _walk_vertices(g, tour)
 
 
 def test_euler_tour_isolated_component():
     g = MultiGraph(3)
     g.add_edge(1, 2)
     g.add_edge(2, 1)
-    assert euler_tour(g, [0]) == []
+    assert euler_tours(flat_adjacency_np(g)) == [[0, 1]]
+    assert euler_tours(flat_adjacency_np(MultiGraph(2))) == []
 
 
 # -- naive_short_cycle ------------------------------------------------------
@@ -294,7 +302,7 @@ def test_naive_length_and_yield_bounds(rng):
 
 def _labeled(g, labels):
     comp = connected_components(g)[0]
-    tree = bfs_spanning_tree(g, comp, comp[0])
+    tree = single_cluster(g, comp).tree(0)
     tdeg = {v: 0 for v in comp}
     for v, (p, _) in tree.parent.items():
         tdeg[v] += 1
@@ -313,7 +321,7 @@ def test_tree_split_path_of_four():
 
 def test_tree_split_single_vertex():
     g = MultiGraph(1)
-    t = bfs_spanning_tree(g, [0], 0)
+    t = single_cluster(g, [0]).tree(0)
     lt = LabeledTree(tree=t, labels={0: 5}, label_cap=5, max_deg=0)
     assert tree_split(lt, 3) == [[0]]
 
@@ -384,7 +392,7 @@ def _assert_tree_connected(g, part):
 def test_pull_up_identity():
     g = cycle_graph(3)
     parts = [[v] for v in range(3)]
-    trees = [bfs_spanning_tree(g, [v], v) for v in range(3)]
+    trees = [single_cluster(g, [v]).tree(0) for v in range(3)]
     cm = contract(g, parts, set())
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0, 1, 2], vertices=[0, 1, 2]))
@@ -400,7 +408,7 @@ def test_pull_up_two_parts_triangle():
     g.add_edge(0, 2)
     g.add_edge(1, 2)
     cm = contract(g, [[0, 1], [2]], {ab})
-    trees = [bfs_spanning_tree(g, [0, 1], 0), bfs_spanning_tree(g, [2], 2)]
+    trees = [single_cluster(g, part).tree(0) for part in ([0, 1], [2])]
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0, 1], vertices=[cm.h.eu[0], cm.h.ev[0]]))
     out = pull_up(cm, trees, cyc)
@@ -414,7 +422,7 @@ def test_pull_up_loop_in_part():
     t_edge = g.add_edge(0, 1)
     par = g.add_edge(0, 1)
     cm = contract(g, [[0, 1]], {t_edge})
-    tree = bfs_spanning_tree(g, [0, 1], 0)
+    tree = single_cluster(g, [0, 1]).tree(0)
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0], vertices=[0]))
     out = pull_up(cm, [tree], cyc)
@@ -429,14 +437,14 @@ def test_pull_up_random_rounds(rng):
         comp = max(connected_components(g), key=len)
         if len(comp) < 6:
             continue
-        tree = bfs_spanning_tree(g, comp, comp[0])
+        tree = single_cluster(g, comp).tree(0)
         labels = {v: g.degree(v) for v in comp}
         lt = _labeled_from(tree, labels, comp)
         parts = tree_split(lt, 8)
         trees = []
         exclude = set()
         for part in parts:
-            sub = bfs_spanning_tree(g, part, part[0])
+            sub = bfs_tree(g, part)
             trees.append(sub)
             exclude.update(e for (_, e) in sub.parent.values())
         cm = contract(g, parts, exclude)

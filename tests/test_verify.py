@@ -10,7 +10,8 @@ from shortcycles import (CycleDecomposition, EngineConfig, GraphError,
 from shortcycles.io import gnm
 from shortcycles.primitives import Cycle
 
-from conftest import cycle_graph, path_graph, random_multigraph, star_graph
+from conftest import (connected_components, cycle_graph, path_graph,
+                      random_multigraph, star_graph)
 
 
 def _dec(cycles, leftover, g):
@@ -148,7 +149,6 @@ def _floyd_warshall_diameter(g, comp):
 
 
 def test_diameter_matches_floyd_warshall(rng):
-    from shortcycles import connected_components
     for _ in range(15):
         g = random_multigraph(rng, 20, 40)
         for comp in connected_components(g):
