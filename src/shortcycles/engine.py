@@ -234,12 +234,9 @@ def _pair_loop_greedy(h: MultiGraph) -> VertexDisjointCycleSet:
 def _delete_used(g: MultiGraph, cs: VertexDisjointCycleSet, since: int) -> int:
     """Delete vertices of cycles added at index `since` onward; returns the
     number of vertices covered by those cycles."""
-    covered = 0
-    for cyc in cs.cycles[since:]:
-        covered += len(cyc.vertices)
-        for v in cyc.vertices:
-            g.delete_vertex(v)
-    return covered
+    vs = [v for cyc in cs.cycles[since:] for v in cyc.vertices]
+    g.delete_vertices(vs)
+    return len(vs)
 
 
 def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
@@ -351,8 +348,10 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
         big = [i for i, c in enumerate(ldd.clusters) if len(c) > k]
         small_edges = int(np.diff(ldd.edge_starts)[small].sum())
         if 4 * small_edges >= m0:
+            starts = ldd.edge_starts.tolist()
             for i in small:
-                acc.extend(naive_short_cycle(g, ldd.clusters[i]))
+                acc.extend(naive_short_cycle(
+                    g, ldd.clusters[i], ldd.edges[starts[i]:starts[i + 1]]))
             return
         # H's edges are a subset of g's, so when g has fewer than
         # 10*n_min edges recursion cannot shrink the instance at this k.

@@ -20,6 +20,8 @@ class MultiGraph:
     the degree of its endpoint. Deletion is by tombstone: ids stay valid
     forever, the entity is only marked inactive. Incidence lists are
     append-ordered and pruned lazily; `incident` yields only active edges.
+    Vertices are deleted in batches (`delete_vertices`), each with its
+    edges, and a deleted vertex's incidence list is reset.
     """
 
     __slots__ = ("eu", "ev", "eactive", "vactive", "inc", "deg",
@@ -142,15 +144,28 @@ class MultiGraph:
         self.m_active -= len(ids)
 
     def delete_vertex(self, v: int) -> None:
-        if not self.vactive[v]:
-            raise GraphError(f"vertex {v} already deleted")
-        ea = self.eactive
-        for e in self.inc[v]:
-            if ea[e]:
-                self.delete_edge(e)
-        self.inc[v] = array("i")
-        self.vactive[v] = 0
-        self.n_active -= 1
+        self.delete_vertices([v])
+
+    def delete_vertices(self, vs) -> None:
+        """Delete distinct active vertices and every active edge touching
+        them, edges between two of them included; their incidence lists
+        are reset. An inactive or repeated vertex raises GraphError before
+        anything changes."""
+        vs = list(vs)
+        va, inc = self.vactive, self.inc
+        for v in vs:
+            if not va[v]:
+                raise GraphError(f"vertex {v} already deleted")
+        if len(set(vs)) != len(vs):
+            raise GraphError("vertex repeated in batch")
+        ids = np.frombuffer(b"".join([inc[v] for v in vs]), dtype=np.int32)
+        ids = np.sort(ids[np.frombuffer(self.eactive, np.uint8)[ids] != 0])
+        # An edge between two of them is listed twice.
+        self.delete_edges(ids[np.diff(ids, prepend=-1) != 0])
+        for v in vs:
+            va[v] = 0
+            inc[v] = array("i")
+        self.n_active -= len(vs)
 
     # -- queries -----------------------------------------------------------
 

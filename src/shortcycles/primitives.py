@@ -164,92 +164,97 @@ def split_circuit(vertices: list[int], edges: list[int],
 # NaiveShortCycle: peel low degree, BFS to the first non-tree edge, repeat.
 
 class _Scratch:
-    """Private adjacency mirror used by naive_short_cycle."""
+    """Private adjacency mirror used by naive_short_cycle, built from the
+    active edges induced on `vertices` in ascending id: a row of (edge,
+    other end) per vertex, loops listed once, and the live degrees.
+    Removing a vertex only marks it dead and lowers its live neighbours'
+    degrees; rows keep their entries, and readers skip those whose other
+    end is dead."""
 
     __slots__ = ("adj", "deg", "alive")
 
-    def __init__(self, g: MultiGraph, vertices):
-        self.adj: dict[int, list[tuple[int, int]]] = {}
-        self.deg: dict[int, int] = {}
-        self.alive: set[int] = set()
-        member = set(vertices)
-        for v in vertices:
-            self.adj[v] = []
-            self.deg[v] = 0
-            self.alive.add(v)
-        ea = g.eactive
-        for v in vertices:
-            for e in g.incident(v):
-                u, w = g.eu[e], g.ev[e]
-                if u == w:
-                    if v == u:
-                        self.adj[v].append((e, v))
-                        self.deg[v] += 2
-                else:
-                    o = w if u == v else u
-                    if o in member:
-                        self.adj[v].append((e, o))
-                        self.deg[v] += 1
+    def __init__(self, g: MultiGraph, vertices, edges):
+        self.adj: dict[int, list[tuple[int, int]]] = {
+            v: [] for v in vertices}
+        self.deg: dict[int, int] = dict.fromkeys(vertices, 0)
+        self.alive: set[int] = set(vertices)
+        adj, deg, eu, ev = self.adj, self.deg, g.eu, g.ev
+        for e in edges:
+            u, w = eu[e], ev[e]
+            adj[u].append((e, w))
+            if u != w:
+                adj[w].append((e, u))
+            deg[u] += 1
+            deg[w] += 1
 
-    def remove_vertex(self, v: int) -> None:
-        self.alive.discard(v)
-        for e, w in self.adj[v]:
-            if w != v and w in self.alive:
-                self.adj[w] = [(e2, x) for (e2, x) in self.adj[w] if e2 != e]
-                self.deg[w] -= 1
-        self.adj[v] = []
-        self.deg[v] = 0
+    def remove_vertex(self, v: int) -> list[int]:
+        """Mark v dead; returns its live neighbours, once per edge, whose
+        degrees it lowers."""
+        alive, deg = self.alive, self.deg
+        alive.discard(v)
+        nbrs = [w for _, w in self.adj[v] if w in alive]
+        for w in nbrs:
+            deg[w] -= 1
+        return nbrs
 
 
-def naive_short_cycle(g: MultiGraph, vertices=None) -> VertexDisjointCycleSet:
+def naive_short_cycle(g: MultiGraph, vertices=None,
+                      edges=None) -> VertexDisjointCycleSet:
     """Vertex-disjoint cycles of length <= 2 log2 n with total vertex count
     at least (m - 2n) / max_degree.
 
     Repeatedly peels degree <= 2 vertices, then runs BFS from the lowest
     alive vertex until the first non-tree edge closes a cycle; the cycle's
     vertices are removed and the process repeats until nothing is left.
-    Does not modify `g`; `vertices` restricts the routine to an induced
-    subgraph.
+    The peel and the removals take time linear in the edges. Does not
+    modify `g`; `vertices` restricts the routine to an induced subgraph.
+    `edges`, if given, must be exactly that subgraph's active edges, in any
+    order (a cluster's slice of an LddResult of g is).
     """
     if vertices is None:
         vertices = g.active_vertices()
     out = VertexDisjointCycleSet()
     if not vertices:
         return out
-    s = _Scratch(g, vertices)
-    peel = [v for v in vertices if s.deg[v] <= 2]
-    while s.alive:
+    if edges is None:
+        member = np.zeros(g.n_total, dtype=bool)
+        member[vertices] = True
+        edges = np.nonzero(np.frombuffer(g.eactive, dtype=np.uint8)
+                           & member[np.frombuffer(g.eu, dtype=np.int32)]
+                           & member[np.frombuffer(g.ev, dtype=np.int32)])[0]
+    s = _Scratch(g, vertices, sorted(np.asarray(edges).tolist()))
+    deg, alive = s.deg, s.alive
+    peel = [v for v in vertices if deg[v] <= 2]
+    while alive:
         while peel:
             v = peel.pop()
-            if v not in s.alive:
+            if v not in alive:
                 continue
-            nbrs = [w for (_, w) in s.adj[v] if w != v and w in s.alive]
-            s.remove_vertex(v)
-            for w in nbrs:
-                if w in s.alive and s.deg[w] <= 2:
+            for w in s.remove_vertex(v):
+                if deg[w] <= 2:
                     peel.append(w)
-        if not s.alive:
+        if not alive:
             break
-        root = min(s.alive)
+        root = min(alive)
         cycle = _bfs_first_cycle(s, root)
         if cycle is None:  # cannot happen at min degree >= 3; guard anyway
             s.remove_vertex(root)
             continue
         out.add(cycle)
+        # The whole cycle dies first, so each removal returns only the
+        # neighbours outside it.
+        alive.difference_update(cycle.vertices)
         touched = set()
         for v in cycle.vertices:
-            for _, w in s.adj[v]:
-                if w not in cycle.vertices:
-                    touched.add(w)
-        for v in cycle.vertices:
-            s.remove_vertex(v)
+            touched.update(s.remove_vertex(v))
         for w in touched:
-            if w in s.alive and s.deg[w] <= 2:
+            if deg[w] <= 2:
                 peel.append(w)
     return out
 
 
 def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
+    alive = s.alive
     parent: dict[int, tuple[int, int]] = {}
     depth = {root: 0}
     frontier = [root]
@@ -259,6 +264,8 @@ def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
             pe = parent[v][1] if v in parent else -1
             skipped_parent = False
             for e, w in s.adj[v]:
+                if w not in alive:
+                    continue
                 if e == pe and not skipped_parent:
                     skipped_parent = True
                     continue

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from shortcycles import (EngineConfig, GraphError, MultiGraph, decompose,
-                         improved_short_cycle, low_diam_decomp,
+                         engine, improved_short_cycle, low_diam_decomp,
                          naive_short_cycle, one_round_short_cycle,
                          short_cycle_decomp, verify_decomposition)
 from shortcycles.engine import (_introot, _isqrt_ceil, _one_rounds,
@@ -13,6 +13,7 @@ from shortcycles.engine import (_introot, _isqrt_ceil, _one_rounds,
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 from shortcycles.io import d_regular, gnm, parallel_gadgets, torus
 
+import naive_reference
 from conftest import cycle_graph, path_graph
 
 
@@ -263,6 +264,35 @@ def test_scd_c2_yield_and_validity():
         _cycles_valid(g, out)
         covered = len(_vertex_disjoint(out))
         assert covered * 10 * delta >= m
+
+
+def test_scd_small_clusters_take_the_naive_peel(monkeypatch):
+    """At c=2 on parallel gadgets the small clusters (at most k vertices)
+    hold the edges, so each round peels every one of them with
+    naive_short_cycle and its edge slice; each call's cycles are valid,
+    vertex-disjoint, inside the cluster and the reference peel's."""
+    real = engine.naive_short_cycle
+    cluster_calls = []
+
+    def counted(g, vertices=None, edges=None):
+        out = real(g, vertices, edges)
+        if vertices is not None:
+            cluster_calls.append(len(vertices))
+            want = naive_reference.naive_short_cycle(g, vertices)
+            assert ([(c.edges, c.vertices) for c in out.cycles]
+                    == [(c.edges, c.vertices) for c in want.cycles])
+            _cycles_valid(g, out)
+            assert all(g.eactive[e] for c in out.cycles for e in c.edges)
+            assert _vertex_disjoint(out) <= set(vertices)
+        return out
+
+    monkeypatch.setattr(engine, "naive_short_cycle", counted)
+    g = parallel_gadgets(64, 60, seed=1)
+    dec = decompose(g, EngineConfig(c=2, seed=1))
+    assert len(cluster_calls) > 100
+    assert dec.cycles
+    rep = verify_decomposition(g, dec, 20 * g.n_active, 10 ** 9)
+    assert rep.valid, rep.violations
 
 
 # -- decompose --------------------------------------------------------------

@@ -11,6 +11,7 @@ from shortcycles.graph import bfs_forest, flat_adjacency_np
 from shortcycles.ldd import single_cluster
 from shortcycles.verify import measure_diameter
 
+import naive_reference
 from conftest import (connected_components, cycle_graph, path_graph,
                       random_multigraph, recomputed_degrees, star_graph)
 
@@ -83,6 +84,45 @@ def test_delete_edges_matches_one_by_one(rng):
         assert bytes(a.eactive) == bytes(b.eactive)
         assert list(a.deg) == list(b.deg)
         assert a.m_active == b.m_active
+
+
+def _graph_state(g):
+    return (bytes(g.vactive), bytes(g.eactive), list(g.deg), g.n_active,
+            g.m_active, [g.incident(v) for v in range(g.n_total)])
+
+
+def test_delete_vertices_matches_one_by_one(rng):
+    """A batch deletion leaves the state one-by-one deletion by a loop of
+    delete_edge leaves, with loops, parallel edges, edges between two
+    deleted vertices, and earlier deletions."""
+    for trial in range(40):
+        n = rng.randrange(2, 30)
+        g = random_multigraph(rng, n, rng.randrange(0, 6 * n))
+        for e in rng.sample(range(g.m_total), g.m_total // 8):
+            g.delete_edge(e)
+        for v in rng.sample(range(n), n // 8):
+            naive_reference.delete_vertex(g, v)
+        active = g.active_vertices()
+        for size in (0, 1, len(active) // 2, len(active)):
+            vs = rng.sample(active, size)
+            a, b = g.copy(), g.copy()
+            a.delete_vertices(vs)
+            for v in vs:
+                naive_reference.delete_vertex(b, v)
+            assert _graph_state(a) == _graph_state(b)
+            assert all(len(a.inc[v]) == 0 for v in vs)
+
+
+def test_delete_vertices_rejects_inactive_or_repeated(rng):
+    g = random_multigraph(rng, 10, 40)
+    g.delete_vertices([3])
+    before = _graph_state(g)
+    for vs in ([1, 3], [2, 5, 2], [4, 4]):
+        with pytest.raises(GraphError):
+            g.delete_vertices(vs)
+        assert _graph_state(g) == before
+    with pytest.raises(GraphError):
+        g.delete_vertex(3)
 
 
 def test_delete_edges_rejects_inactive(rng):

@@ -1,16 +1,18 @@
 """Pipeline subroutines: reduce, split, peel, pull up, sparsify."""
 import math
+from fractions import Fraction
 
 import pytest
 
 from shortcycles import (GraphError, LabeledTree, MultiGraph, contract,
-                         graph_reduce, naive_short_cycle, pull_up, sparsify,
-                         split_circuit, tree_split)
+                         graph_reduce, low_diam_decomp, naive_short_cycle,
+                         pull_up, sparsify, split_circuit, tree_split)
 from shortcycles.graph import euler_tours, flat_adjacency_np
-from shortcycles.io import d_regular, gnm
+from shortcycles.io import d_regular, gnm, parallel_gadgets
 from shortcycles.ldd import single_cluster
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
+import naive_reference
 from conftest import (bfs_tree, connected_components, cycle_graph,
                       path_graph, random_multigraph, recomputed_degrees,
                       star_graph)
@@ -296,6 +298,75 @@ def test_naive_length_and_yield_bounds(rng):
             assert not (set(c.vertices) & seen)
             seen.update(c.vertices)
         assert out.total_vertices * delta >= m - 2 * g.n_active
+
+
+def _same_cycles(got, want):
+    assert ([(c.edges, c.vertices) for c in got.cycles]
+            == [(c.edges, c.vertices) for c in want.cycles])
+    assert got.used_vertices == want.used_vertices
+
+
+def _damaged_multigraph(rng, n, m):
+    """Random multigraph with loops and parallel edges, a tenth of its
+    edges and then a tenth of its vertices deleted."""
+    g = random_multigraph(rng, n, m)
+    for e in rng.sample(range(m), m // 10):
+        g.delete_edge(e)
+    for v in rng.sample(range(n), n // 10):
+        g.delete_vertex(v)
+    return g
+
+
+def test_naive_matches_reference(rng):
+    """The peel gives the reference peel's cycles, in order, on the whole
+    graph, on random vertex subsets (induced), and with the subset's edges
+    passed in any order."""
+    found = 0
+    for trial in range(80):
+        n = rng.randrange(1, 40)
+        g = _damaged_multigraph(rng, n, rng.randrange(0, 5 * n))
+        want = naive_reference.naive_short_cycle(g)
+        _same_cycles(naive_short_cycle(g), want)
+        found += len(want.cycles)
+        active = g.active_vertices()
+        vs = rng.sample(active, rng.randrange(0, len(active) + 1))
+        want = naive_reference.naive_short_cycle(g, vs)
+        _same_cycles(naive_short_cycle(g, vs), want)
+        member = set(vs)
+        edges = [e for e in g.active_edges()
+                 if g.eu[e] in member and g.ev[e] in member]
+        rng.shuffle(edges)
+        _same_cycles(naive_short_cycle(g, vs, edges), want)
+        found += len(want.cycles)
+    assert found > 200
+
+
+def _engine_input(g, n):
+    """The graph the driver hands the engine for g's lowest 20n edges:
+    degree-reduced, on 2n vertex slots."""
+    gp = MultiGraph.from_edges(g.n_total, g.eu[:20 * n], g.ev[:20 * n])
+    h = graph_reduce(gp, n_override=n).h
+    h.add_vertices(2 * n - h.n_total)
+    return h
+
+
+@pytest.mark.parametrize("make,beta", [
+    (lambda: _engine_input(parallel_gadgets(256, 60, seed=1), 256),
+     Fraction(1, 12)),
+    (lambda: d_regular(300, 7, seed=2), Fraction(1, 12)),
+    (lambda: d_regular(300, 7, seed=2), Fraction(1)),  # clusters of 1-20+
+])
+def test_naive_on_ldd_clusters_matches_reference(make, beta):
+    """Every cluster of a clustering, passed with its edge slice as the
+    engine's small-cluster branch does, gives the reference's cycles."""
+    g = make()
+    for seed in range(3):
+        ldd = low_diam_decomp(g, beta, seed)
+        starts = ldd.edge_starts.tolist()
+        for i, cluster in enumerate(ldd.clusters):
+            edges = ldd.edges[starts[i]:starts[i + 1]]
+            _same_cycles(naive_short_cycle(g, cluster, edges),
+                         naive_reference.naive_short_cycle(g, cluster))
 
 
 # -- tree_split -------------------------------------------------------------
