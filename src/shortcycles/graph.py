@@ -18,24 +18,25 @@ class MultiGraph:
 
     Parallel edges and self-loops are allowed; a self-loop contributes 2 to
     the degree of its endpoint. Deletion is by tombstone: ids stay valid
-    forever, the entity is only marked inactive. Incidence lists are
-    append-ordered and pruned lazily; `incident` yields only active edges.
-    Vertices are deleted in batches (`delete_vertices`), each with its
-    edges, and a deleted vertex's incidence list is reset.
+    forever, the entity is only marked inactive. Incidence is one CSR over
+    every edge id, built on the first query that needs it and cached;
+    deletions only clear `eactive`, and every query reads the CSR through
+    that mask. Growing the graph drops the cache. Vertices are deleted in
+    batches (`delete_vertices`), each with its edges.
     """
 
-    __slots__ = ("eu", "ev", "eactive", "vactive", "inc", "deg",
-                 "n_active", "m_active")
+    __slots__ = ("eu", "ev", "eactive", "vactive", "deg",
+                 "n_active", "m_active", "_csr")
 
     def __init__(self, n: int = 0):
         self.eu = array("i")
         self.ev = array("i")
         self.eactive = bytearray()
         self.vactive = bytearray([1]) * n
-        self.inc: list[array] = [array("i") for _ in range(n)]
         self.deg = array("i", bytes(4 * n))
         self.n_active = n
         self.m_active = 0
+        self._csr = None
 
     # -- construction ------------------------------------------------------
 
@@ -51,9 +52,9 @@ class MultiGraph:
         if count <= 0:
             return
         self.vactive.extend(b"\x01" * count)
-        self.inc.extend(array("i") for _ in range(count))
         self.deg.frombytes(bytes(4 * count))
         self.n_active += count
+        self._csr = None
 
     def add_edge(self, u: int, v: int) -> int:
         if not (self.vactive[u] and self.vactive[v]):
@@ -62,13 +63,11 @@ class MultiGraph:
         self.eu.append(u)
         self.ev.append(v)
         self.eactive.append(1)
-        self.inc[u].append(e)
-        if u != v:
-            self.inc[v].append(e)
         self.deg[u] += 2 if u == v else 1
         if u != v:
             self.deg[v] += 1
         self.m_active += 1
+        self._csr = None
         return e
 
     @classmethod
@@ -89,17 +88,7 @@ class MultiGraph:
         g.m_active = m
         deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
         g.deg = array("i", deg.astype(np.int32).tobytes())
-        # Incidence lists: every edge under both endpoints (loops once),
-        # ascending edge id within each vertex.
-        ids = np.arange(m, dtype=np.int32)
-        nonloop = eu != ev
-        keys = np.concatenate([eu, ev[nonloop]])
-        vals = np.concatenate([ids, ids[nonloop]])
-        vals = vals[np.argsort(keys.astype(np.int64) * m + vals)]
-        bounds = np.concatenate(
-            ([0], np.cumsum(np.bincount(keys, minlength=n)))).tolist()
-        g.inc = [array("i", vals[bounds[v]:bounds[v + 1]].tobytes())
-                 for v in range(n)]
+        g._csr = None
         return g
 
     def copy(self) -> "MultiGraph":
@@ -108,11 +97,32 @@ class MultiGraph:
         g.ev = array("i", self.ev)
         g.eactive = bytearray(self.eactive)
         g.vactive = bytearray(self.vactive)
-        g.inc = [array("i", l) for l in self.inc]
         g.deg = array("i", self.deg)
         g.n_active = self.n_active
         g.m_active = self.m_active
+        g._csr = self._csr   # never written in place, so safe to share
         return g
+
+    def _incidence(self):
+        """The cached CSR incidence (starts, tails, eids) over every edge
+        id, deleted ones included: vertex v's entries [starts[v],
+        starts[v+1]) hold its edges in ascending id, a loop once, and each
+        one's other end (a loop's own). Callers must not write to it."""
+        if self._csr is None:
+            eu = np.frombuffer(self.eu, dtype=np.int32)
+            ev = np.frombuffer(self.ev, dtype=np.int32)
+            ids = np.arange(len(eu), dtype=np.int64)
+            nonloop = eu != ev
+            heads = np.concatenate([eu, ev[nonloop]])
+            # One sort of (head, id) pairs packed as head << 32 | id.
+            keys = np.sort((heads.astype(np.int64) << 32)
+                           | np.concatenate([ids, ids[nonloop]]))
+            eids = keys.astype(np.int32)   # the low 32 bits
+            tails = eu[eids] ^ ev[eids] ^ (keys >> 32).astype(np.int32)
+            starts = np.concatenate(
+                ([0], np.cumsum(np.bincount(heads, minlength=self.n_total))))
+            self._csr = (starts, tails, eids)
+        return self._csr
 
     # -- deletion ----------------------------------------------------------
 
@@ -128,12 +138,16 @@ class MultiGraph:
 
     def delete_edges(self, edge_ids) -> None:
         """Delete many distinct active edges; equivalent to delete_edge on
-        each id, with vectorized bookkeeping."""
-        ids = np.asarray(edge_ids, dtype=np.int64)
-        ea = np.frombuffer(self.eactive, dtype=np.uint8)
-        if not ea[ids].all():
+        each id, with vectorized bookkeeping. An inactive or repeated id
+        raises GraphError before anything changes."""
+        ids = np.sort(np.asarray(edge_ids, dtype=np.int64))
+        # Checked on a copy: a live view of a buffer held by a kept
+        # exception's frame would block every later resize.
+        if not np.frombuffer(self.eactive, dtype=np.uint8)[ids].all():
             raise GraphError("edge in batch already deleted")
-        ea[ids] = 0
+        if (ids[1:] == ids[:-1]).any():
+            raise GraphError("edge repeated in batch")
+        np.frombuffer(self.eactive, dtype=np.uint8)[ids] = 0
         eu = np.frombuffer(self.eu, dtype=np.int32)
         ev = np.frombuffer(self.ev, dtype=np.int32)
         n = self.n_total
@@ -148,23 +162,22 @@ class MultiGraph:
 
     def delete_vertices(self, vs) -> None:
         """Delete distinct active vertices and every active edge touching
-        them, edges between two of them included; their incidence lists
-        are reset. An inactive or repeated vertex raises GraphError before
-        anything changes."""
+        them, edges between two of them included. An inactive or repeated
+        vertex raises GraphError before anything changes."""
         vs = list(vs)
-        va, inc = self.vactive, self.inc
+        va = self.vactive
         for v in vs:
             if not va[v]:
                 raise GraphError(f"vertex {v} already deleted")
         if len(set(vs)) != len(vs):
             raise GraphError("vertex repeated in batch")
-        ids = np.frombuffer(b"".join([inc[v] for v in vs]), dtype=np.int32)
+        _, _, ids = _gather_rows(*self._incidence(),
+                                 np.asarray(vs, dtype=np.int64))
         ids = np.sort(ids[np.frombuffer(self.eactive, np.uint8)[ids] != 0])
         # An edge between two of them is listed twice.
         self.delete_edges(ids[np.diff(ids, prepend=-1) != 0])
         for v in vs:
             va[v] = 0
-            inc[v] = array("i")
         self.n_active -= len(vs)
 
     # -- queries -----------------------------------------------------------
@@ -177,13 +190,10 @@ class MultiGraph:
         return self.ev[e] if u == v else u
 
     def incident(self, v: int) -> list[int]:
-        """Active edge ids touching v, in append order (loops listed once)."""
-        lst = self.inc[v]
+        """Active edge ids touching v, ascending (loops listed once)."""
+        starts, _, eids = self._incidence()
         ea = self.eactive
-        out = [e for e in lst if ea[e]]
-        if len(out) * 2 < len(lst):  # prune tombstones once they dominate
-            self.inc[v] = array("i", out)
-        return out
+        return [e for e in eids[starts[v]:starts[v + 1]].tolist() if ea[e]]
 
     def degree(self, v: int) -> int:
         return self.deg[v]
@@ -221,26 +231,14 @@ def flat_adjacency_np(g: MultiGraph):
     """Adjacency over active edges as numpy arrays (starts, tails, eids).
 
     Vertex v's entries occupy [starts[v], starts[v+1]) with ascending edge
-    ids, matching incidence-list order; loops appear once. A snapshot:
-    deletions after the call are not reflected.
+    ids; loops appear once. A snapshot: the graph's cached incidence with
+    the deleted edges masked out, so deletions after the call are not
+    reflected.
     """
-    n = g.n_total
-    if g.m_total == 0:
-        return (np.zeros(n + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))
-    # The incidence lists, concatenated, are already in (vertex, id) order;
-    # only the deleted edges they still hold are dropped.
-    eids = np.frombuffer(b"".join(map(bytes, g.inc)), dtype=np.int32)
-    heads = np.repeat(np.arange(n, dtype=np.int32),
-                      np.fromiter(map(len, g.inc), dtype=np.int64, count=n))
-    keep = np.frombuffer(g.eactive, dtype=np.uint8)[eids] != 0
-    eids, heads = eids[keep], heads[keep]
-    eu = np.frombuffer(g.eu, dtype=np.int32)
-    ev = np.frombuffer(g.ev, dtype=np.int32)
-    tails = eu[eids] ^ ev[eids] ^ heads   # the other end; a loop's own
-    starts = np.concatenate(
-        ([0], np.cumsum(np.bincount(heads, minlength=n))))
-    return starts, tails, eids
+    starts, tails, eids = g._incidence()
+    kept = np.flatnonzero(np.frombuffer(g.eactive, dtype=bool)[eids])
+    # A row's new start is the number of kept entries before its old one.
+    return np.searchsorted(kept, starts), tails[kept], eids[kept]
 
 
 def _gather_rows(starts, tails, eids, frontier):

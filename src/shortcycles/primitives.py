@@ -443,7 +443,7 @@ def _halving_round(out: MultiGraph) -> None:
     over a flat adjacency snapshot in incidence order."""
     n_total = out.n_total
     va, deg = out.vactive, out.deg
-    starts, tails, eids = adj = flat_adjacency_np(out)
+    adj = flat_adjacency_np(out)
     one_label = np.zeros(n_total, dtype=np.int8)
     visited = np.zeros(n_total, dtype=bool)
     pos = np.empty(n_total, dtype=np.int64)
@@ -462,12 +462,7 @@ def _halving_round(out: MultiGraph) -> None:
             np.add.at(sums, up[a:b], sums[a:b])
         drop.extend(pe[1:][(sums[1:] & 1) == 1].tolist())
     out.delete_edges(drop)
-    # The snapshot minus the dropped entries is out's own snapshot.
-    keep = np.frombuffer(out.eactive, dtype=np.uint8)[eids] != 0
-    rows = np.repeat(np.arange(n_total), np.diff(starts))[keep]
-    starts = np.concatenate(([0], np.cumsum(
-        np.bincount(rows, minlength=n_total))))
     drop = []
-    for tour in euler_tours((starts, tails[keep], eids[keep])):
+    for tour in euler_tours(flat_adjacency_np(out)):
         drop.extend(tour[::2])   # its 1st, 3rd, ... edge
     out.delete_edges(drop)

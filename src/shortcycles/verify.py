@@ -126,7 +126,11 @@ def verify_decomposition(g: MultiGraph, decomposition, k_hat: int,
 def measure_diameter(g: MultiGraph, component) -> int:
     """Exact strong diameter by BFS from every vertex of the component."""
     comp = list(component)
-    member = set(comp)
+    nbrs: dict[int, list[int]] = {v: [] for v in comp}
+    for u, w, alive in zip(g.eu, g.ev, g.eactive):
+        if alive and u != w and u in nbrs and w in nbrs:
+            nbrs[u].append(w)
+            nbrs[w].append(u)
     diam = 0
     for s in comp:
         depth = {s: 0}
@@ -136,17 +140,13 @@ def measure_diameter(g: MultiGraph, component) -> int:
             nxt = []
             for v in frontier:
                 dv = depth[v]
-                for e in g.inc[v]:
-                    if not g.eactive[e]:
-                        continue
-                    w = g.ev[e] if g.eu[e] == v else g.eu[e]
-                    if w in depth or w not in member:
-                        continue
-                    depth[w] = dv + 1
-                    far = dv + 1
-                    nxt.append(w)
+                for w in nbrs[v]:
+                    if w not in depth:
+                        depth[w] = dv + 1
+                        far = dv + 1
+                        nxt.append(w)
             frontier = nxt
-        if len(depth) != len(member):
+        if len(depth) != len(nbrs):
             raise GraphError("measure_diameter: component disconnected")
         if far > diam:
             diam = far

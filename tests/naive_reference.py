@@ -8,10 +8,8 @@ the shared edges, so rows only ever hold live entries. The library's peel
 must give exactly its cycles, edges and vertices in order.
 
 `delete_vertex` deletes one vertex by a loop of `delete_edge` over its
-incidence list; `MultiGraph.delete_vertices` must leave the same state.
+`incident()` list; `MultiGraph.delete_vertices` must leave the same state.
 """
-from array import array
-
 from shortcycles import GraphError, MultiGraph, SpanningTree, tree_path
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
@@ -19,10 +17,8 @@ from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 def delete_vertex(g: MultiGraph, v: int) -> None:
     if not g.vactive[v]:
         raise GraphError(f"vertex {v} already deleted")
-    for e in g.inc[v]:
-        if g.eactive[e]:
-            g.delete_edge(e)
-    g.inc[v] = array("i")
+    for e in g.incident(v):
+        g.delete_edge(e)
     g.vactive[v] = 0
     g.n_active -= 1
 

@@ -110,7 +110,8 @@ def test_delete_vertices_matches_one_by_one(rng):
             for v in vs:
                 naive_reference.delete_vertex(b, v)
             assert _graph_state(a) == _graph_state(b)
-            assert all(len(a.inc[v]) == 0 for v in vs)
+            starts = flat_adjacency_np(a)[0]
+            assert all(starts[v] == starts[v + 1] for v in vs)
 
 
 def test_delete_vertices_rejects_inactive_or_repeated(rng):
@@ -132,6 +133,102 @@ def test_delete_edges_rejects_inactive(rng):
         g.delete_edges(list(range(400)))
 
 
+def test_delete_edges_rejects_repeated(rng):
+    """A repeated id raises before anything changes, in a small batch and
+    inside a large one."""
+    small = path_graph(3)
+    large = random_multigraph(rng, 20, 600)
+    ids = rng.sample(range(600), 399)
+    for g, batch in ((small, [1, 1]), (large, ids + [ids[200]])):
+        before = _graph_state(g)
+        with pytest.raises(GraphError, match="repeated"):
+            g.delete_edges(batch)
+        assert _graph_state(g) == before
+
+
+def test_graph_grows_after_kept_delete_error():
+    """A GraphError kept by the caller holds no view of the graph's
+    buffers, so the graph can still grow."""
+    g = path_graph(3)
+    g.delete_edge(0)
+    with pytest.raises(GraphError) as kept:
+        g.delete_edges([0, 1])
+    e = g.add_edge(0, 2)
+    g.add_vertices(1)
+    assert g.incident(2) == [1, e]
+
+
+def _scalar_rows(eu, ev, eactive, n):
+    """Each vertex's active (edge id, other end) entries, ascending id, a
+    loop once, from the edge arrays alone."""
+    rows = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(zip(eu, ev)):
+        if eactive[e]:
+            rows[u].append((e, v))
+            if u != v:
+                rows[v].append((e, u))
+    return rows
+
+
+def test_incidence_cache_follows_mutation(rng):
+    """Queries interleaved with growth, deletion and copies read the same
+    rows as a rebuild from edge lists kept here."""
+    def check(g, eu, ev, ea):
+        want = _scalar_rows(eu, ev, ea, g.n_total)
+        starts, tails, eids = (a.tolist() for a in flat_adjacency_np(g))
+        assert len(starts) == g.n_total + 1
+        for v in range(g.n_total):
+            row = slice(starts[v], starts[v + 1])
+            assert list(zip(eids[row], tails[row])) == want[v]
+            assert g.incident(v) == [e for e, _ in want[v]]
+
+    for trial in range(15):
+        n = rng.randrange(2, 12)
+        g = MultiGraph(n)
+        eu, ev, ea = [], [], []
+        for step in range(60):
+            op = rng.randrange(7)
+            alive = [v for v in range(g.n_total) if g.vactive[v]]
+            live = [e for e in range(len(ea)) if ea[e]]
+            if op <= 1 and alive:
+                u, v = rng.choice(alive), rng.choice(alive)
+                assert g.add_edge(u, v) == len(eu)
+                eu.append(u)
+                ev.append(v)
+                ea.append(1)
+            elif op == 2:
+                g.add_vertices(rng.randrange(3))
+            elif op == 3 and live:
+                e = rng.choice(live)
+                g.delete_edge(e)
+                ea[e] = 0
+            elif op == 4 and live:
+                batch = rng.sample(live, rng.randrange(len(live) + 1))
+                g.delete_edges(batch)
+                for e in batch:
+                    ea[e] = 0
+            elif op == 5 and alive:
+                vs = rng.sample(alive, rng.randrange(len(alive)) // 2 + 1)
+                g.delete_vertices(vs)
+                for e in range(len(ea)):
+                    if eu[e] in vs or ev[e] in vs:
+                        ea[e] = 0
+            elif op == 6:
+                # The copy shares the original's cache until it grows;
+                # growing the copy must leave the original's rows alone.
+                check(g, eu, ev, ea)
+                c = g.copy()
+                alive_c = [v for v in range(c.n_total) if c.vactive[v]]
+                if alive_c:
+                    u, v = rng.choice(alive_c), rng.choice(alive_c)
+                    c.add_edge(u, v)
+                    check(c, eu + [u], ev + [v], ea + [1])
+                check(g, eu, ev, ea)
+            if rng.random() < 0.5:
+                check(g, eu, ev, ea)
+        check(g, eu, ev, ea)
+
+
 def test_from_edges_matches_add_edge(rng):
     for trial in range(20):
         n = rng.randrange(1, 20)
@@ -147,7 +244,10 @@ def test_from_edges_matches_add_edge(rng):
         for attr in ("eu", "ev", "deg"):
             assert list(getattr(g, attr)) == list(getattr(ref, attr))
         assert g.eactive == ref.eactive and g.vactive == ref.vactive
-        assert [list(a) for a in g.inc] == [list(a) for a in ref.inc]
+        assert ([g.incident(v) for v in range(g.n_total)]
+                == [ref.incident(v) for v in range(ref.n_total)])
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(flat_adjacency_np(g), flat_adjacency_np(ref)))
         assert (g.n_active, g.m_active) == (ref.n_active, ref.m_active)
 
 
@@ -441,11 +541,11 @@ def test_flat_adjacency_matches_incidence(rng):
     for v in rng.sample(range(25), 3):
         g.delete_vertex(v)
     starts, tails, eids = (a.tolist() for a in flat_adjacency_np(g))
+    want = _scalar_rows(g.eu, g.ev, g.eactive, g.n_total)
     for v in range(g.n_total):
         row = list(zip(eids[starts[v]:starts[v + 1]],
                        tails[starts[v]:starts[v + 1]]))
-        want = sorted((e, g.other_end(e, v)) for e in g.incident(v))
-        assert row == want
+        assert row == want[v]
 
 
 def test_flat_adjacency_empty():

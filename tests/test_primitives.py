@@ -126,7 +126,8 @@ def test_reduce_matches_per_slot_loop(rng):
             assert list(rm.h.eu) == list(h.eu)
             assert list(rm.h.ev) == list(h.ev)
             assert list(rm.h.deg) == list(h.deg)
-            assert [list(a) for a in rm.h.inc] == [list(a) for a in h.inc]
+            assert ([rm.h.incident(v) for v in range(rm.h.n_total)]
+                    == [h.incident(v) for v in range(h.n_total)])
             assert rm.h.n_active == h.n_active
             assert rm.h.m_active == h.m_active
             assert rm.origin_vertex == origin_vertex

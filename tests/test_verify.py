@@ -1,5 +1,7 @@
 """Oracle behavior: validity checks, diameter, brute-force packing."""
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,20 @@ def test_diameter_matches_floyd_warshall(rng):
         for comp in connected_components(g):
             assert measure_diameter(g, comp) == \
                 _floyd_warshall_diameter(g, comp)
+
+
+def test_verify_imports_no_engine_traversal():
+    """The oracle keeps its own traversal: verify.py imports none of the
+    engine's traversal helpers."""
+    banned = {"bfs_forest", "flat_adjacency_np", "euler_tours",
+              "_gather_rows", "tree_path"}
+    path = (Path(__file__).resolve().parents[1]
+            / "src" / "shortcycles" / "verify.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    assert not imported & banned
 
 
 # -- brute_force_short_cycles -----------------------------------------------
