@@ -5,8 +5,9 @@ decomposition of what is left, extraction of vertex-disjoint short cycles
 from its clusters, then deletion of the covered vertices, until the level
 covers m/(10*max_degree) vertices. Only the per-round extractor differs:
 
-  one_round_short_cycle  -- one contraction round on one cluster
-  improved_short_cycle   -- deepest level: one_round on every cluster
+  one_round_short_cycle  -- one contraction round on a connected piece
+  improved_short_cycle   -- deepest level: one contraction round on every
+                            cluster at once
   short_cycle_decomp     -- levels above: contract the big clusters'
                             tree-split parts, sparsify, recurse one level
                             down and pull the cycles back up
@@ -24,11 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, MultiGraph, SpanningTree, contract, tree_path
+from .graph import GraphError, MultiGraph, contract
 from .ldd import LddError, low_diam_decomp, single_cluster
-from .primitives import (Cycle, LabeledTree, VertexDisjointCycleSet,
-                         graph_reduce, naive_short_cycle, pull_up,
-                         sparsify, split_circuit, tree_split)
+from .primitives import (Cycle, VertexDisjointCycleSet, graph_reduce,
+                         naive_short_cycle, pull_up, sparsify, split_circuit,
+                         tree_split)
 from .rng import mix64
 
 # A level with at most this many active vertices left ends with one naive
@@ -122,77 +123,34 @@ def _introot(x: int, p: int) -> int:
     return r
 
 
-def _subtree(tree: SpanningTree, part: list[int]) -> SpanningTree:
-    """Spanning tree of `part` using only tree edges internal to the part,
-    rooted at its shallowest vertex; depths keep the tree's offset, which
-    tree_path allows. `part` must be connected within the tree (tree_split
-    guarantees it)."""
-    depth = {v: tree.depth[v] for v in part}
-    order = sorted(part, key=depth.__getitem__)
-    parent = {v: tree.parent[v] for v in order[1:]}
-    if any(p not in depth for p, _ in parent.values()):
-        raise GraphError("part not connected within its tree")
-    return SpanningTree(root=order[0], parent=parent, depth=depth,
-                        order=order)
-
-
 def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
-                          component=None,
-                          clustering=None) -> VertexDisjointCycleSet:
+                          component=None) -> VertexDisjointCycleSet:
     """One contraction round on a connected low-diameter piece.
 
     Spanning tree -> degree-labeled tree split at threshold 4*ceil(sqrt(m))
     -> contraction without the part-tree edges -> maximal vertex-disjoint
-    collection of parallel-pair 2-cycles then self-loops -> pull-up.
-
-    `component` defaults to every active vertex. `clustering` is an
-    LddResult of g, taken since g last changed, that has `component` as one
-    of its clusters; without it, the clustering with `component` as its
-    only cluster is built.
+    collection of parallel-pair 2-cycles then self-loops -> pull-up: the
+    deepest level's pass (`_one_rounds`) over the clustering whose one
+    cluster is `component` (default: every active vertex).
     """
     if component is None:
         component = g.active_vertices()
-    if not component:
-        return VertexDisjointCycleSet()
     out = VertexDisjointCycleSet()
-    if clustering is None:
-        clustering = single_cluster(g, component)
-    i = int(clustering.labels[component[0]])
-    tree = clustering.tree(i)
-    if len(tree.order) != len(component):
+    if not component:
+        return out
+    clustering = single_cluster(g, component)
+    if clustering.tree_starts[1] != len(component):
         raise GraphError("one_round_short_cycle needs a connected input")
-    edges = clustering.edges[clustering.edge_starts[i]:
-                             clustering.edge_starts[i + 1]]
-    m_i = len(edges)
-    if m_i == 0:
-        return out
-    threshold = 4 * _isqrt_ceil(m_i)
-    if 2 * m_i < threshold:
-        # Single part: contraction would collapse the piece to one vertex
-        # with every non-tree edge a loop, and the greedy would keep the
-        # smallest-id loop. Lift it along the tree path directly.
-        tree_edges = {e for (_, e) in tree.parent.values()}
-        best = min((e for e in edges.tolist() if e not in tree_edges),
-                   default=-1)
-        if best >= 0:
-            pv_, pe_ = tree_path(tree, g.ev[best], g.eu[best])
-            pe_.append(best)
-            out.add(Cycle(edges=pe_, vertices=pv_))
-        return out
-    parts = tree_split(_labeled_tree(clustering, i, tree), threshold)
-    part_trees = [_subtree(tree, part) for part in parts]
-    exclude = {e for st in part_trees for (_, e) in st.parent.values()}
-    cm = contract(g, parts, exclude, edges=edges)
-    return pull_up(cm, part_trees, _pair_loop_greedy(cm.h))
+    _one_rounds(g, cfg, clustering, out)
+    return out
 
 
-def _labeled_tree(ldd, i: int, tree: SpanningTree) -> LabeledTree:
-    """Cluster i's tree labeled by internal degree."""
-    a, b = ldd.tree_starts[i], ldd.tree_starts[i + 1]
-    labels = dict(zip(tree.order, ldd.degrees[ldd.tree_order[a:b]].tolist()))
-    return LabeledTree(tree=tree, labels=labels,
-                       label_cap=max(labels.values()),
-                       max_deg=int(ldd.tree_max_degree[i]))
+def _contract_parts(g: MultiGraph, ldd, part, edges=None):
+    """Contract the parts of a split of ldd's forest, without the tree
+    edges inside a part."""
+    parent = ldd.parent
+    inside = (parent >= 0) & (part >= 0) & (part[parent] == part)
+    return contract(g, part, ldd.parent_edge[inside], edges)
 
 
 def _pair_loop_greedy(h: MultiGraph) -> VertexDisjointCycleSet:
@@ -297,16 +255,24 @@ def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
 
 def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
                 acc: VertexDisjointCycleSet) -> None:
-    """Extractor of the deepest level: one_round on every cluster. A
-    singleton cluster's internal edges are its loops, so it yields its
-    lowest-id loop, as one_round would, without the call."""
-    edges = ldd.edges.tolist()
-    starts = ldd.edge_starts.tolist()
-    for i, cluster in enumerate(ldd.clusters):
-        if len(cluster) > 1:
-            acc.extend(one_round_short_cycle(g, cfg, cluster, ldd))
-        elif starts[i] < starts[i + 1]:
-            acc.add(Cycle(edges=[edges[starts[i]]], vertices=cluster[:]))
+    """Extractor of the deepest level: one contraction round on every
+    cluster at once. Cluster i's tree splits at 4*ceil(sqrt(m_i)) for its
+    m_i internal edges, and only internal edges are contracted, so each
+    component of H lies in one cluster. The cycles are listed in cluster
+    order, as one round per cluster would give them."""
+    m_i = np.diff(ldd.edge_starts)
+    # ceil(sqrt(m_i)), exact below 2^52: IEEE sqrt is correctly rounded.
+    # A cluster without internal edges yields nothing at any threshold.
+    root = np.ceil(np.sqrt(m_i)).astype(np.int64)
+    part = tree_split(ldd, ldd.degrees, np.maximum(4 * root, 1))
+    cm = _contract_parts(g, ldd, part, ldd.edges)
+    cycles = _pair_loop_greedy(cm.h)
+    in_part = part >= 0
+    cluster_of = np.empty(cm.h.n_total, dtype=np.int64)
+    cluster_of[part[in_part]] = ldd.labels[in_part]
+    cluster_of = cluster_of.tolist()
+    cycles.cycles.sort(key=lambda c: cluster_of[c.vertices[0]])
+    acc.extend(pull_up(cm, ldd.parent, ldd.parent_edge, ldd.depth, cycles))
 
 
 def improved_short_cycle(g: MultiGraph, cfg: EngineConfig,
@@ -344,30 +310,29 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
     n_min = -(-20 * n0 // k)   # vertex count of the recursion's input
 
     def extract(g, cfg, ldd, acc):
-        small = [i for i, c in enumerate(ldd.clusters) if len(c) <= k]
-        big = [i for i, c in enumerate(ldd.clusters) if len(c) > k]
-        small_edges = int(np.diff(ldd.edge_starts)[small].sum())
+        big = np.diff(ldd.tree_starts) > k   # each tree spans its cluster
+        small_edges = int(np.diff(ldd.edge_starts)[~big].sum())
         if 4 * small_edges >= m0:
             starts = ldd.edge_starts.tolist()
-            for i in small:
+            for i in np.flatnonzero(~big).tolist():
                 acc.extend(naive_short_cycle(
                     g, ldd.clusters[i], ldd.edges[starts[i]:starts[i + 1]]))
             return
         # H's edges are a subset of g's, so when g has fewer than
         # 10*n_min edges recursion cannot shrink the instance at this k.
-        if not big or 10 * n_min > g.m_active:
+        if not big.any() or 10 * n_min > g.m_active:
             _one_rounds(g, cfg, ldd, acc)
             return
-        parts: list[list[int]] = []
-        trees: list[SpanningTree] = []
-        for i in big:
-            tree = ldd.tree(i)
-            for part in tree_split(_labeled_tree(ldd, i, tree), k):
-                parts.append(part)
-                trees.append(_subtree(tree, part))
-        exclude = {e for st in trees for (_, e) in st.parent.values()}
-        cm = contract(g, parts, exclude)
-        n_target = max(n_min, len(parts))
+        # Split every tree at k and keep the big clusters' parts,
+        # renumbered in order (vertices off the forest have no part).
+        part = tree_split(ldd, ldd.degrees, k)
+        part[~big[ldd.labels]] = -1
+        ids = np.flatnonzero(part >= 0)
+        kept = np.zeros(int(part.max()) + 1, dtype=np.int64)
+        kept[part[ids]] = 1
+        part[ids] = np.cumsum(kept)[part[ids]] - 1
+        cm = _contract_parts(g, ldd, part)
+        n_target = max(n_min, cm.h.n_total)
         m_target = 10 * n_target
         if m_target > cm.h.m_active:   # too many parts to shrink
             _one_rounds(g, cfg, ldd, acc)
@@ -376,7 +341,8 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
         h_sub = sparsify(cm.h, m_target)
         assert h_sub.m_active == 10 * h_sub.n_active
         inner = short_cycle_decomp(h_sub, d + 1, cfg, k, _ctx=ctx)
-        acc.extend(pull_up(cm, trees, inner))
+        acc.extend(pull_up(cm, ldd.parent, ldd.parent_edge, ldd.depth,
+                           inner))
 
     return _round_loop(g, cfg, ctx, d, "short_cycle_decomp", 100 * k,
                        extract)

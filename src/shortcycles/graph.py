@@ -2,7 +2,6 @@
 paths and contraction."""
 from __future__ import annotations
 
-import itertools
 from array import array
 from dataclasses import dataclass
 
@@ -211,22 +210,6 @@ class MultiGraph:
         return [e for e in range(len(ea)) if ea[e]]
 
 
-@dataclass
-class SpanningTree:
-    """Rooted tree from a BFS; parent maps a vertex to (parent, edge id)."""
-    root: int
-    parent: dict[int, tuple[int, int]]
-    depth: dict[int, int]
-    order: list[int]  # BFS discovery order, root first
-
-    @property
-    def covered(self):
-        return self.depth.keys()
-
-    def max_depth(self) -> int:
-        return max(self.depth.values())
-
-
 def flat_adjacency_np(g: MultiGraph):
     """Adjacency over active edges as numpy arrays (starts, tails, eids).
 
@@ -348,39 +331,40 @@ def euler_tours(adj) -> list[list[int]]:
     return tours
 
 
-def tree_path(t: SpanningTree, u: int, v: int) -> tuple[list[int], list[int]]:
+def tree_path(parent, edge, depth, u: int, v: int
+              ) -> tuple[list[int], list[int]]:
     """Unique path u -> v along tree edges, meeting at the LCA.
 
-    Returns (vertices, edges) with vertices[0] == u, vertices[-1] == v and
-    len(vertices) == len(edges) + 1. Empty edge list when u == v.
+    `parent`, `edge` and `depth` give each vertex's tree parent, parent
+    edge and depth (-1 off the forest), as any indexable: lists, arrays
+    or dicts. Returns (vertices, edges) with vertices[0] == u,
+    vertices[-1] == v and len(vertices) == len(edges) + 1. Empty edge list
+    when u == v.
     """
-    if u not in t.depth or v not in t.depth:
-        missing = u if u not in t.depth else v
-        raise GraphError(f"vertex {missing} not covered by tree")
+    du, dv = depth[u], depth[v]
+    if du < 0 or dv < 0:
+        raise GraphError(f"vertex {u if du < 0 else v} not covered by tree")
     up_v: list[int] = []      # vertices u ... lca (exclusive of lca)
     up_e: list[int] = []
     dn_v: list[int] = []      # vertices v ... lca (exclusive of lca)
     dn_e: list[int] = []
-    du, dv = t.depth[u], t.depth[v]
     a, b = u, v
     while du > dv:
-        p, e = t.parent[a]
         up_v.append(a)
-        up_e.append(e)
-        a, du = p, du - 1
+        up_e.append(edge[a])
+        a, du = parent[a], du - 1
     while dv > du:
-        p, e = t.parent[b]
         dn_v.append(b)
-        dn_e.append(e)
-        b, dv = p, dv - 1
+        dn_e.append(edge[b])
+        b, dv = parent[b], dv - 1
     while a != b:
-        pa, ea_ = t.parent[a]
-        pb, eb_ = t.parent[b]
+        if du == 0:
+            raise GraphError(f"vertices {u} and {v} in different trees")
         up_v.append(a)
-        up_e.append(ea_)
+        up_e.append(edge[a])
         dn_v.append(b)
-        dn_e.append(eb_)
-        a, b = pa, pb
+        dn_e.append(edge[b])
+        a, b, du = parent[a], parent[b], du - 1
     verts = up_v + [a] + dn_v[::-1]
     edges = up_e + dn_e[::-1]
     return verts, edges
@@ -394,8 +378,7 @@ class ContractionMap:
     the source graph. Edges of the source with an endpoint outside all
     parts are skipped and counted in `outside_edges`.
     """
-    parts: list[list[int]]
-    part_of: list[int]          # source vertex -> part index, -1 if none
+    part_of: array              # source vertex -> part index, -1 if none
     h: MultiGraph
     f: list[int]
     source: MultiGraph
@@ -403,25 +386,20 @@ class ContractionMap:
     outside_edges: int
 
 
-def contract(g: MultiGraph, parts: list[list[int]], exclude,
-             edges=None) -> ContractionMap:
+def contract(g: MultiGraph, part, exclude, edges=None) -> ContractionMap:
     """Contract each part to a single vertex.
 
-    Every active edge not in `exclude` whose endpoints both lie in parts
-    becomes one edge of H (a self-loop when both endpoints share a part),
-    in ascending source id, and f maps it back to its source edge; edges
-    with an endpoint outside all parts are skipped. `edges` restricts the
-    scan to a candidate edge list (each id considered once).
+    `part` gives every vertex slot of g its part, 0 .. k-1 (-1: none), and
+    H has k = max(part) + 1 vertices. Every active edge not in `exclude`
+    (edge ids) whose endpoints both lie in parts becomes one edge of H (a
+    self-loop when both endpoints share a part), in ascending source id,
+    and f maps it back to its source edge; edges with an endpoint outside
+    all parts are skipped. `edges` restricts the scan to a candidate edge
+    list (each id considered once).
     """
-    flat = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.int64)
-    pmap = np.full(g.n_total, -1, dtype=np.int32)
-    pmap[flat] = np.repeat(np.arange(len(parts), dtype=np.int32),
-                           [len(p) for p in parts])
-    if np.count_nonzero(pmap >= 0) != len(flat):
-        v = int(np.argmax(np.bincount(flat) > 1))
-        raise GraphError(f"vertex {v} appears in two parts")
+    pmap = np.asarray(part, dtype=np.int32)
     ex = np.zeros(g.m_total, dtype=bool)
-    ex[np.fromiter(exclude, dtype=np.int64)] = True
+    ex[np.asarray(exclude, dtype=np.int64)] = True
     if edges is None:
         ids = np.arange(g.m_total)
     else:
@@ -437,7 +415,8 @@ def contract(g: MultiGraph, parts: list[list[int]], exclude,
     pv = pmap[np.frombuffer(g.ev, dtype=np.int32)[ids]]
     inside = (pu >= 0) & (pv >= 0)
     outside = int(len(ids) - np.count_nonzero(inside))
-    h = MultiGraph.from_edges(len(parts), pu[inside], pv[inside])
-    return ContractionMap(parts=parts, part_of=array("i", pmap.tobytes()),
-                          h=h, f=ids[inside].tolist(), source=g,
+    h = MultiGraph.from_edges(int(pmap.max(initial=-1)) + 1, pu[inside],
+                              pv[inside])
+    return ContractionMap(part_of=array("i", pmap.tobytes()), h=h,
+                          f=ids[inside].tolist(), source=g,
                           excluded=excluded, outside_edges=outside)

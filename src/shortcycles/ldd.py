@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import (GraphError, MultiGraph, SpanningTree, _first_of,
-                    _gather_rows, bfs_forest, flat_adjacency_np)
+from .graph import (GraphError, MultiGraph, _first_of, _gather_rows,
+                    bfs_forest, flat_adjacency_np)
 from .rng import exponentials, mix64
 
 
@@ -42,33 +42,21 @@ class LddResult:
     adj: tuple = ()
     labels: np.ndarray | None = None
     # The cluster forest: a BFS tree of every cluster from its first vertex,
-    # confined to its label class, rows scanned in order.
-    # Cluster i's tree is tree_order[tree_starts[i]:tree_starts[i + 1]] in
-    # discovery order, with the aligned tree_parent and tree_edge (-1 at the
-    # root) and tree_depth; tree_max_degree[i] is its maximum degree.
+    # confined to its label class, rows scanned in order. Cluster i's tree
+    # is tree_order[tree_starts[i]:tree_starts[i + 1]] in discovery order;
+    # per vertex, `parent` and `parent_edge` (-1 at the roots) and `depth`
+    # (-1 off the forest, as are the other two).
     tree_order: np.ndarray | None = None
-    tree_parent: np.ndarray | None = None
-    tree_edge: np.ndarray | None = None
-    tree_depth: np.ndarray | None = None
     tree_starts: np.ndarray | None = None
-    tree_max_degree: np.ndarray | None = None
+    parent: np.ndarray | None = None
+    parent_edge: np.ndarray | None = None
+    depth: np.ndarray | None = None
     # Cluster i's internal active edges are edges[edge_starts[i]:
     # edge_starts[i + 1]] in (eu, id) order; `degrees` is the per-vertex
     # internal degree, loops counted twice.
     edges: np.ndarray | None = None
     edge_starts: np.ndarray | None = None
     degrees: np.ndarray | None = None
-
-    def tree(self, i: int) -> SpanningTree:
-        """Cluster i's BFS tree; it covers the whole cluster when the
-        cluster is connected (a singleton's is its one vertex)."""
-        a, b = int(self.tree_starts[i]), int(self.tree_starts[i + 1])
-        order = self.tree_order[a:b].tolist()
-        parent = dict(zip(order[1:], zip(self.tree_parent[a + 1:b].tolist(),
-                                         self.tree_edge[a + 1:b].tolist())))
-        depth = dict(zip(order, self.tree_depth[a:b].tolist()))
-        return SpanningTree(root=order[0], parent=parent, depth=depth,
-                            order=order)
 
 
 def diameter_cap(beta: Fraction, n: int, constant: int = 4) -> int:
@@ -124,8 +112,8 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
 
 def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     """The clustering of g whose one cluster is `component`, every other
-    vertex unlabeled, over a fresh snapshot, with its forest: tree(0) is
-    the BFS tree of `component` from its lowest vertex. Unlike
+    vertex unlabeled, over a fresh snapshot, with its forest: its one
+    tree is the BFS tree of `component` from its lowest vertex. Unlike
     low_diam_decomp's clusters, `component` carries no diameter or
     connectivity guarantee."""
     center = np.full(g.n_total, -1, dtype=np.int64)
@@ -230,20 +218,17 @@ def _forest(g: MultiGraph, result: LddResult, members: np.ndarray) -> None:
     roots = [c[0] for c in result.clusters]
     order, par, pe, layers = bfs_forest(result.adj, roots, lab)
     size = len(order)
-    by_cluster = np.argsort(lab[order] * size + np.arange(size))
-    result.tree_order = order[by_cluster]
-    result.tree_parent = par[by_cluster]
-    result.tree_edge = pe[by_cluster]
-    result.tree_depth = np.repeat(np.arange(len(layers) - 1),
-                                  np.diff(layers))[by_cluster]
+    result.tree_order = order[np.argsort(lab[order] * size
+                                         + np.arange(size))]
     result.tree_starts = np.concatenate(
         ([0], np.cumsum(np.bincount(lab[order], minlength=k))))
-    # Tree degree: child count, plus 1 below the root.
-    has_parent = result.tree_parent >= 0
-    tdeg = (np.bincount(result.tree_parent[has_parent], minlength=n_total)
-            [result.tree_order] + has_parent)
-    result.tree_max_degree = np.maximum.reduceat(tdeg,
-                                                 result.tree_starts[:-1])
+    result.parent = np.full(n_total, -1, dtype=np.int64)
+    result.parent_edge = np.full(n_total, -1, dtype=np.int64)
+    result.depth = np.full(n_total, -1, dtype=np.int64)
+    result.parent[order] = par
+    result.parent_edge[order] = pe
+    result.depth[order] = np.repeat(np.arange(len(layers) - 1),
+                                    np.diff(layers))
     eu = np.frombuffer(g.eu, dtype=np.int32)
     ev = np.frombuffer(g.ev, dtype=np.int32)
     ea = np.frombuffer(g.eactive, dtype=np.uint8)
@@ -298,7 +283,7 @@ def _check_diameters(result: LddResult, cap: int) -> bool:
     worst = 0
     exact = True
     ts = result.tree_starts.tolist()
-    depth = result.tree_depth
+    order, depth = result.tree_order, result.depth
     rows = None
     for i, cluster in enumerate(result.clusters):
         size = len(cluster)
@@ -308,7 +293,7 @@ def _check_diameters(result: LddResult, cap: int) -> bool:
             continue
         if ts[i + 1] - ts[i] != size:
             raise GraphError("cluster disconnected (internal error)")
-        bound = 2 * int(depth[ts[i + 1] - 1])
+        bound = 2 * int(depth[order[ts[i + 1] - 1]])
         if bound <= cap:
             if bound > worst:
                 worst = bound

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (ContractionMap, GraphError, MultiGraph, SpanningTree,
-                    bfs_forest, euler_tours, flat_adjacency_np, tree_path)
+from .graph import (ContractionMap, GraphError, MultiGraph, bfs_forest,
+                    euler_tours, flat_adjacency_np, tree_path)
 
 
 @dataclass
@@ -48,14 +48,6 @@ class VertexDisjointCycleSet:
     @property
     def total_edges(self) -> int:
         return sum(len(c.edges) for c in self.cycles)
-
-
-@dataclass
-class LabeledTree:
-    tree: SpanningTree
-    labels: dict[int, int]
-    label_cap: int    # X: labels lie in [0, X]
-    max_deg: int      # D: max degree of the tree
 
 
 @dataclass
@@ -255,13 +247,14 @@ def naive_short_cycle(g: MultiGraph, vertices=None,
 
 def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
     alive = s.alive
-    parent: dict[int, tuple[int, int]] = {}
+    parent: dict[int, int] = {}
+    pedge: dict[int, int] = {}
     depth = {root: 0}
     frontier = [root]
     while frontier:
         nxt = []
         for v in frontier:
-            pe = parent[v][1] if v in parent else -1
+            pe = pedge.get(v, -1)
             skipped_parent = False
             for e, w in s.adj[v]:
                 if w not in alive:
@@ -271,115 +264,110 @@ def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
                     continue
                 if w in depth:
                     # v .. lca .. w along the tree, closed by e back to v.
-                    tree = SpanningTree(root=root, parent=parent,
-                                        depth=depth, order=list(depth))
-                    verts, edges = tree_path(tree, v, w)
+                    verts, edges = tree_path(parent, pedge, depth, v, w)
                     edges.append(e)
                     return Cycle(edges=edges, vertices=verts)
                 depth[w] = depth[v] + 1
-                parent[w] = (v, e)
+                parent[w] = v
+                pedge[w] = e
                 nxt.append(w)
         frontier = nxt
     return None
 
 
 # ---------------------------------------------------------------------------
-# TreeSplit: partition a labeled tree into subtrees with bounded label sums.
+# TreeSplit: partition every tree of a forest into subtrees with bounded
+# label sums.
 
-def tree_split(t: LabeledTree, threshold: int) -> list[list[int]]:
-    """Partition the tree into connected subtrees whose label sums lie in
-    [threshold, D*threshold + X].
+def tree_split(ldd, weights, threshold) -> np.ndarray:
+    """Partition every tree of a clustering's forest (an LddResult) into
+    connected subtrees whose label sums lie in [t, D*t + X], for the
+    tree's threshold t, maximum degree D and largest label X; `weights`
+    holds every vertex's non-negative label.
 
-    Re-roots at a leaf, accumulates label sums bottom-up, and cuts the
-    parent edge whenever the accumulated sum reaches the threshold; a
-    leftover root component below threshold is merged into a component
-    adjacent across a cut edge.
+    `threshold` is one int or one per cluster, each at least 1. Each tree
+    is re-rooted at its first leaf in BFS order. Walking up a layer at a
+    time from the deepest, a vertex whose accumulated label sum reaches t
+    is cut from its parent; otherwise the sum is added to its parent's.
+    A root component lighter than t merges into its shallowest adjacent
+    cut, the first in the re-rooted BFS order (tree edges scanned in id
+    order). A tree whose label sum is below t has no cut and stays one
+    part.
+
+    Returns every vertex's part, -1 off the forest. Parts are numbered by
+    cluster, then by the re-rooted BFS order of their shallowest vertex.
     """
-    labels = t.labels
-    total = sum(labels[v] for v in t.tree.covered)
-    if threshold < 1:
+    lab = ldd.labels
+    n_total = len(lab)
+    thr = np.asarray(threshold, dtype=np.int64)
+    if (thr < 1).any():
         raise GraphError("threshold must be positive")
-    if total < threshold:
-        raise GraphError(f"label sum {total} below threshold {threshold}")
-    verts = list(t.tree.order)
-    if len(verts) == 1:
-        return [verts]
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for v, (p, _) in t.tree.parent.items():
-        adj[v].append(p)
-        adj[p].append(v)
-    root = next(v for v in verts if len(adj[v]) == 1)
-    # Iterative post-order from the leaf root.
-    par: dict[int, int] = {root: -1}
-    order: list[int] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if w not in par:
-                par[w] = v
-                stack.append(w)
-    extra = dict(labels)
-    cut: set[int] = set()   # vertices cut from their parent
-    for v in reversed(order):
-        p = par[v]
-        if p == -1:
-            continue
-        if extra[v] >= threshold:
-            cut.add(v)
-        else:
-            extra[p] += extra[v]
-    # Components of the forest left after the cuts.
-    comp = {v: -1 for v in verts}
-    comps: list[list[int]] = []
-    for v in order:
-        if comp[v] != -1:
-            continue
-        cid = len(comps)
-        comps.append([])
-        stack = [v]
-        comp[v] = cid
-        while stack:
-            x = stack.pop()
-            comps[cid].append(x)
-            for w in adj[x]:
-                if comp[w] == -1 and not (w in cut and par[w] == x) \
-                        and not (x in cut and par[x] == w):
-                    comp[w] = cid
-                    stack.append(w)
-    root_cid = comp[root]
-    root_sum = sum(labels[v] for v in comps[root_cid])
-    if root_sum < threshold:
-        # Merge the leftover root component across the shallowest cut edge.
-        target = None
-        for v in order:
-            if v in cut and comp[par[v]] == root_cid:
-                target = comp[v]
-                break
-        if target is None:
-            raise GraphError("no cut adjacent to root component "
-                             "(internal error)")
-        comps[target].extend(comps[root_cid])
-        comps.pop(root_cid)
-    return comps
+    fv, parent = ldd.tree_order, ldd.parent
+    child = np.flatnonzero(parent >= 0)
+    child = child[np.argsort(ldd.parent_edge[child])]
+    tdeg = np.bincount(parent[child], minlength=n_total) + (parent >= 0)
+    # Each tree's first vertex of tree degree <= 1: a leaf, or a lone root.
+    cand = fv[tdeg[fv] <= 1]
+    first = np.ones(len(cand), dtype=bool)
+    first[1:] = lab[cand[1:]] != lab[cand[:-1]]
+    tree_adj = flat_adjacency_np(
+        MultiGraph.from_edges(n_total, child, parent[child]))
+    order, up, _, layers = bfs_forest(tree_adj, cand[first], lab)
+    size, n_roots = len(order), layers[1]
+    pos = np.empty(n_total, dtype=np.int64)
+    pos[order] = np.arange(size)
+    up = pos[up]                       # parent positions; junk at the roots
+    label = np.asarray(weights, dtype=np.int64)[order]
+    t = thr[lab[order]] if thr.ndim else np.full(size, thr)
+    extra = label.copy()
+    cut = np.zeros(size, dtype=bool)
+    for a, b in zip(layers[-2:0:-1], layers[:1:-1]):
+        cut[a:b] = extra[a:b] >= t[a:b]
+        light = np.flatnonzero(~cut[a:b]) + a
+        np.add.at(extra, up[light], extra[light])
+    top = np.arange(size)       # position of each part's shallowest vertex
+    for a, b in zip(layers[1:-1], layers[2:]):
+        top[a:b] = np.where(cut[a:b], top[a:b], top[up[a:b]])
+    # The first cut whose parent lies in a root component, per root.
+    cuts = np.flatnonzero(cut)
+    at_root = top[up[cuts]] < n_roots
+    target = np.full(n_roots, size)
+    np.minimum.at(target, top[up[cuts[at_root]]], cuts[at_root])
+    merge = ((np.bincount(top, weights=label, minlength=size)[:n_roots]
+              < t[:n_roots]) & (target < size))
+    moved = np.arange(size)
+    moved[target[merge]] = np.flatnonzero(merge)
+    top = moved[top]
+    tops = np.flatnonzero(top == np.arange(size))
+    rank = np.empty(size, dtype=np.int64)
+    rank[tops[np.argsort(lab[order[tops]], kind="stable")]] = \
+        np.arange(len(tops))
+    part = np.full(n_total, -1, dtype=np.int64)
+    part[order] = rank[top]
+    return part
 
 
 # ---------------------------------------------------------------------------
 # PullUp: lift vertex-disjoint cycles of a contracted graph to the source.
 
-def pull_up(cm: ContractionMap, trees: list[SpanningTree],
+def pull_up(cm: ContractionMap, parent, edge, depth,
             cycles_h: VertexDisjointCycleSet) -> VertexDisjointCycleSet:
     """Lift cycles on the contracted graph H back to the source graph.
 
     Each H-edge of a cycle maps through the injection f to a source edge;
-    consecutive images are joined by the unique path inside the part's
-    spanning tree. Output cycles are vertex-disjoint and cover at least
-    one source vertex per H-vertex covered.
+    consecutive images are joined by the unique tree path inside the part,
+    read from per-vertex `parent`, `edge` and `depth` arrays (-1 off the
+    forest) of a forest in which every part is connected. Output cycles
+    are vertex-disjoint and cover at least one source vertex per H-vertex
+    covered.
     """
     g = cm.source
     part_of = cm.part_of
     out = VertexDisjointCycleSet()
+    if not cycles_h.cycles:
+        return out
+    parent, edge, depth = (np.asarray(a).tolist()
+                           for a in (parent, edge, depth))
     for hc in cycles_h.cycles:
         k = len(hc.edges)
         # exits[i]: source vertex where the cycle leaves part hc.vertices[i]
@@ -403,7 +391,7 @@ def pull_up(cm: ContractionMap, trees: list[SpanningTree],
         verts: list[int] = []
         edges: list[int] = []
         for i in range(k):
-            pv_, pe_ = tree_path(trees[hc.vertices[i]], entries[i], exits[i])
+            pv_, pe_ = tree_path(parent, edge, depth, entries[i], exits[i])
             verts.extend(pv_)
             edges.extend(pe_)
             edges.append(cm.f[hc.edges[i]])

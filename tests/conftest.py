@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from shortcycles import MultiGraph, SpanningTree
+from shortcycles import MultiGraph
 from shortcycles.graph import bfs_forest, flat_adjacency_np
 
 
@@ -19,6 +19,17 @@ def random_multigraph(rng: random.Random, n: int, m: int,
             while v == u:
                 v = rng.randrange(n)
         g.add_edge(u, v)
+    return g
+
+
+def multigraph_with_holes(seed: int, n: int, m: int) -> MultiGraph:
+    """A random multigraph with loops, m/8 edges and n/10 vertices
+    deleted."""
+    rng = random.Random(seed)
+    g = random_multigraph(rng, n, m)
+    for e in rng.sample(range(m), m // 8):
+        g.delete_edge(e)
+    g.delete_vertices(rng.sample(range(n), n // 10))
     return g
 
 
@@ -74,21 +85,44 @@ def connected_components(g: MultiGraph) -> list[list[int]]:
     return comps
 
 
-def bfs_tree(g: MultiGraph, vertices) -> SpanningTree:
-    """BFS tree of `vertices` from vertices[0] over edges inside the set,
-    by the engine's forest builder; when vertices[0] is the lowest vertex
-    it is single_cluster(g, vertices).tree(0)."""
-    root = vertices[0]
-    labels = np.zeros(g.n_total, dtype=np.int8)
-    labels[vertices] = 1
-    order, parent, edge, layers = bfs_forest(flat_adjacency_np(g), [root],
-                                             labels)
-    order = order.tolist()
-    depth = np.repeat(np.arange(len(layers) - 1), np.diff(layers))
-    return SpanningTree(
-        root=root, order=order, depth=dict(zip(order, depth.tolist())),
-        parent=dict(zip(order[1:], zip(parent[1:].tolist(),
-                                       edge[1:].tolist()))))
+def part_trees(g: MultiGraph, parts):
+    """Every part's own BFS tree from its first vertex over edges inside
+    the part, by the engine's forest builder, as one forest of per-vertex
+    (parent, edge, depth) arrays, -1 off the forest (parent and edge also
+    at the roots). A part whose first vertex is its lowest gets the tree
+    single_cluster(g, part) has."""
+    labels = np.full(g.n_total, -1, dtype=np.int64)
+    for j, p in enumerate(parts):
+        labels[p] = j
+    order, parent, edge, layers = bfs_forest(
+        flat_adjacency_np(g), [p[0] for p in parts], labels)
+    out = np.full((3, g.n_total), -1, dtype=np.int64)
+    out[0, order] = parent
+    out[1, order] = edge
+    out[2, order] = np.repeat(np.arange(len(layers) - 1), np.diff(layers))
+    return out
+
+
+def part_array(n_total: int, parts) -> np.ndarray:
+    """Per-vertex part index of a list of vertex lists (-1: none)."""
+    part = np.full(n_total, -1, dtype=np.int64)
+    for j, p in enumerate(parts):
+        part[p] = j
+    return part
+
+
+def parts_of(part) -> list[list[int]]:
+    """The parts of a per-vertex part array, each ascending, by index."""
+    part = np.asarray(part)
+    return [np.flatnonzero(part == j).tolist()
+            for j in range(int(part.max(initial=-1)) + 1)]
+
+
+def tree_degrees(forest_parent) -> np.ndarray:
+    """Per-vertex degree in a forest given by per-vertex parents."""
+    parent = np.asarray(forest_parent)
+    has = parent >= 0
+    return np.bincount(parent[has], minlength=len(parent)) + has
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ must give exactly its cycles, edges and vertices in order.
 `delete_vertex` deletes one vertex by a loop of `delete_edge` over its
 `incident()` list; `MultiGraph.delete_vertices` must leave the same state.
 """
-from shortcycles import GraphError, MultiGraph, SpanningTree, tree_path
+from shortcycles import GraphError, MultiGraph, tree_path
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
 
@@ -96,26 +96,26 @@ def naive_short_cycle(g: MultiGraph, vertices=None) -> VertexDisjointCycleSet:
 
 
 def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
-    parent: dict[int, tuple[int, int]] = {}
+    parent: dict[int, int] = {}
+    pedge: dict[int, int] = {}
     depth = {root: 0}
     frontier = [root]
     while frontier:
         nxt = []
         for v in frontier:
-            pe = parent[v][1] if v in parent else -1
+            pe = pedge.get(v, -1)
             skipped_parent = False
             for e, w in s.adj[v]:
                 if e == pe and not skipped_parent:
                     skipped_parent = True
                     continue
                 if w in depth:
-                    tree = SpanningTree(root=root, parent=parent,
-                                        depth=depth, order=list(depth))
-                    verts, edges = tree_path(tree, v, w)
+                    verts, edges = tree_path(parent, pedge, depth, v, w)
                     edges.append(e)
                     return Cycle(edges=edges, vertices=verts)
                 depth[w] = depth[v] + 1
-                parent[w] = (v, e)
+                parent[w] = v
+                pedge[w] = e
                 nxt.append(w)
         frontier = nxt
     return None

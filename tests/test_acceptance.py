@@ -11,7 +11,9 @@ import statistics
 import time
 from fractions import Fraction
 
-from shortcycles import (EngineConfig, LabeledTree, MultiGraph,
+import numpy as np
+
+from shortcycles import (EngineConfig, MultiGraph,
                          brute_force_short_cycles, contract, decompose,
                          graph_reduce, improved_short_cycle, low_diam_decomp,
                          measure_diameter, naive_short_cycle, pull_up,
@@ -23,7 +25,8 @@ from shortcycles.io import (d_regular, decomposition_to_json, gnm,
 from shortcycles.ldd import single_cluster
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
-from conftest import bfs_tree, connected_components, random_multigraph
+from conftest import (connected_components, part_trees, parts_of,
+                      random_multigraph, tree_degrees)
 
 
 def _report(capsys, label, ok, extra=""):
@@ -135,19 +138,16 @@ def test_criterion_2_graph_reduce_bounds(capsys):
     assert ok, bad
 
 
-def _random_labeled_tree(rng, n):
+def _random_tree_with_labels(rng, n):
+    """A random tree's forest, labels, D (its maximum degree, from the
+    forest) and X (the label cap)."""
     g = MultiGraph(n)
     for v in range(1, n):
         g.add_edge(rng.randrange(v), v)
-    tree = single_cluster(g, list(range(n))).tree(0)
+    ldd = single_cluster(g, list(range(n)))
     cap = rng.randrange(1, 16)
-    labels = {v: rng.randrange(0, cap + 1) for v in range(n)}
-    tdeg = {v: 0 for v in range(n)}
-    for v, (p, _) in tree.parent.items():
-        tdeg[v] += 1
-        tdeg[p] += 1
-    return LabeledTree(tree=tree, labels=labels, label_cap=cap,
-                       max_deg=max(tdeg.values()) if n > 1 else 0)
+    labels = np.array([rng.randrange(0, cap + 1) for v in range(n)])
+    return ldd, labels, int(tree_degrees(ldd.parent).max()), cap
 
 
 def test_criterion_2_tree_split_window(capsys):
@@ -156,19 +156,19 @@ def test_criterion_2_tree_split_window(capsys):
     trials = 0
     while trials < 200:
         n = rng.randrange(2, 50)
-        lt = _random_labeled_tree(rng, n)
-        total = sum(lt.labels.values())
+        ldd, labels, max_deg, label_cap = _random_tree_with_labels(rng, n)
+        total = int(labels.sum())
         if total < 1:
             continue
         trials += 1
         t = rng.randrange(1, total + 1)
-        parts = tree_split(lt, t)
-        hi = lt.max_deg * t + lt.label_cap
+        parts = parts_of(tree_split(ldd, labels, t))
+        hi = max_deg * t + label_cap
         if sorted(v for p in parts for v in p) != list(range(n)):
             bad.append(trials)
             continue
         for p in parts:
-            s = sum(lt.labels[v] for v in p)
+            s = int(labels[p].sum())
             if not (t <= s <= hi):
                 bad.append(trials)
     ok = not bad
@@ -228,22 +228,11 @@ def _one_contraction_round(rng, seed):
     comp = max(connected_components(g), key=len)
     if len(comp) < 6:
         return None
-    tree = single_cluster(g, comp).tree(0)
-    labels = {v: g.degree(v) for v in comp}
-    tdeg = {v: 0 for v in comp}
-    for v, (p, _) in tree.parent.items():
-        tdeg[v] += 1
-        tdeg[p] += 1
-    lt = LabeledTree(tree=tree, labels=labels,
-                     label_cap=max(labels.values()),
-                     max_deg=max(tdeg.values()))
-    parts = tree_split(lt, rng.choice([6, 8, 10]))
-    trees, exclude = [], set()
-    for part in parts:
-        sub = bfs_tree(g, part)
-        trees.append(sub)
-        exclude.update(e for (_, e) in sub.parent.values())
-    cm = contract(g, parts, exclude)
+    ldd = single_cluster(g, comp)
+    part = tree_split(ldd, np.array(g.deg), rng.choice([6, 8, 10]))
+    trees = part_trees(g, parts_of(part))
+    exclude = trees[1][trees[1] >= 0]
+    cm = contract(g, part, exclude)
     cyc = VertexDisjointCycleSet()
     used = set()
     first = {}
@@ -276,7 +265,7 @@ def test_criterion_2_pull_up_disjoint_and_covering(capsys):
             continue
         trials += 1
         g, cm, trees, cyc = built
-        out = pull_up(cm, trees, cyc)
+        out = pull_up(cm, *trees, cyc)
         seen = set()
         good = len(out.cycles) == len(cyc.cycles)
         for c in out.cycles:

@@ -14,7 +14,8 @@ from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 from shortcycles.io import d_regular, gnm, parallel_gadgets, torus
 
 import naive_reference
-from conftest import cycle_graph, path_graph
+import tree_reference
+from conftest import cycle_graph, multigraph_with_holes, path_graph
 
 
 CFG = EngineConfig(c=1, seed=0)
@@ -98,25 +99,6 @@ def test_one_round_loop_only_vertex():
     assert len(out.cycles) == 1 and len(out.cycles[0]) == 1
 
 
-def test_one_round_without_clustering_matches_ldd_clustering():
-    """Called without a clustering, one_round builds one for the component
-    alone; every cluster of an LDD must give the cycles it gives with the
-    LDD's own clustering."""
-    yielding = split = 0
-    for seed in range(3):
-        for g in (gnm(300, 3000, seed=seed), d_regular(300, 20, seed=seed)):
-            for beta in (Fraction(1, 12), Fraction(1, 2)):
-                ldd = low_diam_decomp(g, beta, seed=seed)
-                for cluster in ldd.clusters:
-                    want = one_round_short_cycle(g, CFG, cluster, ldd)
-                    got = one_round_short_cycle(g, CFG, cluster)
-                    assert [(c.edges, c.vertices) for c in got.cycles] == \
-                        [(c.edges, c.vertices) for c in want.cycles]
-                    yielding += bool(want.cycles)
-                    split += len(want.cycles) > 1
-    assert yielding and split
-
-
 def _reference_greedy(h):
     """The dict loop the array greedy replaced: 2-cycles of parallel pairs
     in edge order, then the lowest loop of every free vertex."""
@@ -189,6 +171,31 @@ def test_one_rounds_matches_one_round_per_cluster():
             singles += sum(len(c.vertices) == 1 and len(c.edges) == 1
                            for c in got.cycles)
     assert singles
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: gnm(300, 3000, seed=s),
+    lambda s: d_regular(300, 20, seed=s),
+    lambda s: parallel_gadgets(128, 60, seed=s),
+    lambda s: multigraph_with_holes(s, 400, 1600),
+], ids=["gnm", "d_regular", "parallel_gadgets", "holes"])
+def test_one_rounds_matches_reference_round(make):
+    """The batched pass gives, cycle for cycle, one dict round per cluster
+    (tree split, part trees, contraction, greedy, lift) in cluster order."""
+    found = 0
+    for seed in range(3):
+        g = make(seed)
+        for beta in (Fraction(1, 12), Fraction(1, 2), Fraction(1)):
+            ldd = low_diam_decomp(g, beta, seed=seed)
+            want = VertexDisjointCycleSet()
+            for i in range(len(ldd.clusters)):
+                want.extend(tree_reference.one_round(g, ldd, i))
+            got = VertexDisjointCycleSet()
+            _one_rounds(g, CFG, ldd, got)
+            assert [(c.edges, c.vertices) for c in got.cycles] == \
+                [(c.edges, c.vertices) for c in want.cycles]
+            found += len(got.cycles)
+    assert found
 
 
 # -- improved_short_cycle ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Multigraph core: mutation bookkeeping, BFS trees, contraction."""
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from shortcycles import GraphError, MultiGraph, contract, tree_path
 from shortcycles.graph import bfs_forest, flat_adjacency_np
-from shortcycles.ldd import single_cluster
+from shortcycles.ldd import low_diam_decomp, single_cluster
 from shortcycles.verify import measure_diameter
 
 import naive_reference
-from conftest import (connected_components, cycle_graph, path_graph,
-                      random_multigraph, recomputed_degrees, star_graph)
+from conftest import (connected_components, cycle_graph, part_array,
+                      path_graph, random_multigraph, recomputed_degrees,
+                      star_graph)
 
 
 # -- degree and active-count bookkeeping ------------------------------------
@@ -292,36 +294,41 @@ def test_components_partition_vertices(rng):
 # -- BFS spanning trees -----------------------------------------------------
 
 def _whole(g):
-    """The tree single_cluster gives for all of g's vertices."""
-    return single_cluster(g, list(range(g.n_total))).tree(0)
+    """The forest single_cluster gives for all of g's vertices."""
+    return single_cluster(g, list(range(g.n_total)))
+
+
+def _path(t, u, v):
+    return tree_path(t.parent, t.parent_edge, t.depth, u, v)
 
 
 def test_bfs_star_from_center():
     g = star_graph(4)
     t = _whole(g)
-    assert t.max_depth() == 1
-    assert len(t.order) == 5
+    assert t.depth.max() == 1
+    assert len(t.tree_order) == 5
 
 
 def test_bfs_cycle_six():
     t = _whole(cycle_graph(6))
-    assert t.max_depth() == 3
+    assert t.depth.max() == 3
 
 
 def test_bfs_singleton():
     g = MultiGraph(1)
-    t = single_cluster(g, [0]).tree(0)
-    assert t.order == [0]
-    assert t.parent == {}
-    assert t.depth == {0: 0}
+    t = single_cluster(g, [0])
+    assert t.tree_order.tolist() == [0]
+    assert t.parent.tolist() == [-1] and t.parent_edge.tolist() == [-1]
+    assert t.depth.tolist() == [0]
 
 
 def test_bfs_depth_structure(rng):
     g = random_multigraph(rng, 40, 80)
     comp = connected_components(g)[0]
-    t = single_cluster(g, comp).tree(0)
-    assert set(t.covered) == set(comp)
-    for v, (p, e) in t.parent.items():
+    t = single_cluster(g, comp)
+    assert set(t.tree_order.tolist()) == set(comp)
+    for v in t.tree_order[1:].tolist():
+        p, e = t.parent[v], t.parent_edge[v]
         assert t.depth[v] == t.depth[p] + 1
         assert {g.eu[e], g.ev[e]} == {v, p} or g.eu[e] == g.ev[e] == v == p
 
@@ -330,21 +337,21 @@ def test_bfs_depth_at_most_diameter(rng):
     for _ in range(10):
         g = random_multigraph(rng, 25, 60)
         for comp in connected_components(g):
-            t = single_cluster(g, comp).tree(0)
-            assert t.max_depth() <= measure_diameter(g, comp)
+            t = single_cluster(g, comp)
+            assert t.depth.max() <= measure_diameter(g, comp)
 
 
 # -- tree paths -------------------------------------------------------------
 
 def test_tree_path_same_vertex():
     t = _whole(path_graph(3))
-    verts, edges = tree_path(t, 2, 2)
+    verts, edges = _path(t, 2, 2)
     assert verts == [2] and edges == []
 
 
 def test_tree_path_along_path():
     t = _whole(path_graph(3))
-    verts, edges = tree_path(t, 0, 2)
+    verts, edges = _path(t, 0, 2)
     assert verts == [0, 1, 2]
     assert edges == [0, 1]
 
@@ -352,7 +359,7 @@ def test_tree_path_along_path():
 def test_tree_path_through_center():
     g = star_graph(3)
     t = _whole(g)
-    verts, edges = tree_path(t, 1, 2)
+    verts, edges = _path(t, 1, 2)
     assert verts == [1, 0, 2]
     assert len(edges) == 2
 
@@ -360,24 +367,37 @@ def test_tree_path_through_center():
 def test_tree_path_uncovered_vertex():
     g = path_graph(4)
     g.delete_edge(2)
-    t = single_cluster(g, [0, 1, 2]).tree(0)
+    t = single_cluster(g, [0, 1, 2])
     with pytest.raises(GraphError):
-        tree_path(t, 0, 3)
+        _path(t, 0, 3)
+
+
+def test_tree_path_across_trees_raises():
+    g = path_graph(4)
+    g.delete_edge(1)
+    t = low_diam_decomp(g, Fraction(1), seed=0)
+    assert t.labels[0] != t.labels[3]
+    with pytest.raises(GraphError):
+        _path(t, 0, 3)
 
 
 def test_tree_path_is_valid_walk(rng):
     for _ in range(20):
         g = random_multigraph(rng, 20, 50)
         comp = max(connected_components(g), key=len)
-        t = single_cluster(g, comp).tree(0)
+        t = single_cluster(g, comp)
         u, v = rng.choice(comp), rng.choice(comp)
-        verts, edges = tree_path(t, u, v)
+        verts, edges = _path(t, u, v)
         assert verts[0] == u and verts[-1] == v
         assert len(verts) == len(edges) + 1
         assert len(set(verts)) == len(verts)
         for i, e in enumerate(edges):
             assert {g.eu[e], g.ev[e]} == {verts[i], verts[i + 1]}
-        assert len(edges) <= 2 * t.max_depth()
+        assert len(edges) <= 2 * t.depth.max()
+        # Dicts and lists index the same way.
+        as_dicts = [dict(enumerate(a.tolist()))
+                    for a in (t.parent, t.parent_edge, t.depth)]
+        assert tree_path(*as_dicts, u, v) == (verts, edges)
 
 
 # -- contraction ------------------------------------------------------------
@@ -387,7 +407,7 @@ def test_contract_triangle():
     e0 = g.add_edge(0, 1)
     g.add_edge(1, 2)
     g.add_edge(2, 0)
-    cm = contract(g, [[0, 1], [2]], {e0})
+    cm = contract(g, [0, 0, 1], [e0])
     assert cm.h.n_total == 2
     assert cm.h.m_active == 2
     assert all({cm.h.eu[e], cm.h.ev[e]} == {0, 1} for e in range(2))
@@ -396,7 +416,7 @@ def test_contract_triangle():
 
 def test_contract_identity(rng):
     g = random_multigraph(rng, 12, 30)
-    cm = contract(g, [[v] for v in range(12)], set())
+    cm = contract(g, np.arange(12), [])
     assert cm.h.m_active == g.m_active
     assert sorted(cm.f) == g.active_edges()
     for he, e in enumerate(cm.f):
@@ -407,7 +427,7 @@ def test_contract_parallel_to_loops():
     g = MultiGraph(2)
     for _ in range(4):
         g.add_edge(0, 1)
-    cm = contract(g, [[0, 1]], {0})
+    cm = contract(g, [0, 0], [0])
     assert cm.h.n_total == 1
     assert cm.h.m_active == 3
     assert list(cm.h.eu) == list(cm.h.ev) == [0, 0, 0]
@@ -415,7 +435,7 @@ def test_contract_parallel_to_loops():
 
 def test_contract_skips_outside_by_default():
     g = path_graph(3)
-    cm = contract(g, [[0], [1]], set())
+    cm = contract(g, [0, 1, -1], [])
     assert cm.h.m_active == 1
     assert cm.outside_edges == 1
 
@@ -423,12 +443,7 @@ def test_contract_skips_outside_by_default():
 def _reference_contract(g, parts, exclude, edges=None):
     """Straight-line re-implementation used as a cross-check: returns
     (hu, hv, f, excluded, outside)."""
-    part_of = {}
-    for i, part in enumerate(parts):
-        for v in part:
-            if v in part_of:
-                raise GraphError(f"vertex {v} appears in two parts")
-            part_of[v] = i
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
     hu, hv, f = [], [], []
     excluded = outside = 0
     cand = range(g.m_total) if edges is None else sorted(set(edges))
@@ -450,7 +465,8 @@ def _reference_contract(g, parts, exclude, edges=None):
 
 
 def _assert_contract_matches(g, parts, exclude, edges=None):
-    cm = contract(g, parts, exclude, edges=edges)
+    cm = contract(g, part_array(g.n_total, parts), sorted(exclude),
+                  edges=edges)
     hu, hv, f, excluded, outside = _reference_contract(g, parts, exclude,
                                                        edges)
     assert list(cm.h.eu) == hu
@@ -515,21 +531,11 @@ def test_contract_edge_conservation(rng):
         cut = rng.randrange(1, 20)
         parts = [list(range(cut)), list(range(cut, 20))]
         exclude = {e for e in g.active_edges() if rng.random() < 0.2}
-        cm = contract(g, parts, exclude)
+        cm = contract(g, part_array(20, parts), sorted(exclude))
         assert cm.h.m_active + cm.excluded + cm.outside_edges == g.m_active
         for he, e in enumerate(cm.f):
             pu, pv = cm.h.eu[he], cm.h.ev[he]
             assert {cm.part_of[g.eu[e]], cm.part_of[g.ev[e]]} == {pu, pv}
-
-
-def test_contract_duplicate_part_raises():
-    g = path_graph(3)
-    for parts in ([[0, 1], [1, 2]], [[2], [0, 1, 2]], [[0, 0]],
-                  [[1], [2, 0, 1]]):
-        with pytest.raises(GraphError, match="appears in two parts"):
-            contract(g, parts, set())
-        with pytest.raises(GraphError, match="appears in two parts"):
-            _reference_contract(g, parts, set())
 
 
 # -- flat adjacency and the vectorized BFS ----------------------------------

@@ -183,28 +183,23 @@ def _assert_forest_matches(g, res, i, cluster):
     assert res.edges[es[i]:es[i + 1]].tolist() == edges
     assert res.degrees[cluster].tolist() == [degrees[v] for v in cluster]
     order, parent, pedge, depth = _scalar_tree(g, cluster)
-    tree = res.tree(i)
-    assert tree.root == order[0]
-    assert tree.order == order
-    assert tree.parent == dict(zip(order[1:], zip(parent[1:], pedge[1:])))
-    assert tree.depth == dict(zip(order, depth))
     a, b = ts[i], ts[i + 1]
     assert res.tree_order[a:b].tolist() == order
-    assert res.tree_parent[a:b].tolist() == parent
-    assert res.tree_edge[a:b].tolist() == pedge
-    assert res.tree_depth[a:b].tolist() == depth
-    tdeg = {v: 0 for v in order}
-    for v, p in zip(order[1:], parent[1:]):
-        tdeg[v] += 1
-        tdeg[p] += 1
-    assert res.tree_max_degree[i] == max(tdeg.values())
+    assert res.parent[order].tolist() == parent
+    assert res.parent_edge[order].tolist() == pedge
+    assert res.depth[order].tolist() == depth
+    off = np.ones(len(res.labels), dtype=bool)
+    off[res.tree_order] = False   # vertices in no cluster's tree
+    assert (res.parent[off] == -1).all() and (res.parent_edge[off] == -1).all()
+    assert (res.depth[off] == -1).all()
 
 
 def test_cluster_forest_matches_scalar_bfs(rng):
-    """Every cluster's forest slice and tree are the scalar BFS tree from
-    its first vertex (a singleton's tree is its one vertex), and its edge
-    slice the row scan of its vertices. The same holds for single_cluster
-    on connected vertex sets that are not LDD clusters."""
+    """Every cluster's forest slice and per-vertex forest arrays are the
+    scalar BFS tree from its first vertex (a singleton's tree is its one
+    vertex), -1 off the forest, and its edge slice the row scan of its
+    vertices. The same holds for single_cluster on connected vertex sets
+    that are not LDD clusters."""
     trees = singles = 0
     betas = (Fraction(1, 2), Fraction(1))
     for seed, beta in itertools.product(range(3), betas):

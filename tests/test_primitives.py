@@ -1,10 +1,12 @@
 """Pipeline subroutines: reduce, split, peel, pull up, sparsify."""
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from shortcycles import (GraphError, LabeledTree, MultiGraph, contract,
+from shortcycles import (GraphError, MultiGraph, contract,
                          graph_reduce, low_diam_decomp, naive_short_cycle,
                          pull_up, sparsify, split_circuit, tree_split)
 from shortcycles.graph import euler_tours, flat_adjacency_np
@@ -13,9 +15,11 @@ from shortcycles.ldd import single_cluster
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
 import naive_reference
-from conftest import (bfs_tree, connected_components, cycle_graph,
+import tree_reference
+from conftest import (connected_components, cycle_graph,
+                      multigraph_with_holes, part_array, part_trees, parts_of,
                       path_graph, random_multigraph, recomputed_degrees,
-                      star_graph)
+                      star_graph, tree_degrees)
 
 
 # -- graph_reduce -----------------------------------------------------------
@@ -372,37 +376,30 @@ def test_naive_on_ldd_clusters_matches_reference(make, beta):
 
 # -- tree_split -------------------------------------------------------------
 
-def _labeled(g, labels):
-    comp = connected_components(g)[0]
-    tree = single_cluster(g, comp).tree(0)
-    tdeg = {v: 0 for v in comp}
-    for v, (p, _) in tree.parent.items():
-        tdeg[v] += 1
-        tdeg[p] += 1
-    return LabeledTree(tree=tree, labels=labels,
-                       label_cap=max(labels.values()),
-                       max_deg=max(tdeg.values()) if tree.parent else 0)
+def _split(g, labels, threshold):
+    """tree_split of the tree of g's first component: (parts, D, X)."""
+    ldd = single_cluster(g, connected_components(g)[0])
+    weights = np.zeros(g.n_total, dtype=np.int64)
+    weights[list(labels)] = list(labels.values())
+    parts = parts_of(tree_split(ldd, weights, threshold))
+    return parts, int(tree_degrees(ldd.parent).max()), max(labels.values())
 
 
 def test_tree_split_path_of_four():
-    lt = _labeled(path_graph(4), {v: 1 for v in range(4)})
-    parts = tree_split(lt, 2)
+    parts, _, _ = _split(path_graph(4), {v: 1 for v in range(4)}, 2)
     assert sorted(sum(1 for _ in p) for p in parts) == [2, 2]
     assert sorted(v for p in parts for v in p) == [0, 1, 2, 3]
 
 
 def test_tree_split_single_vertex():
-    g = MultiGraph(1)
-    t = single_cluster(g, [0]).tree(0)
-    lt = LabeledTree(tree=t, labels={0: 5}, label_cap=5, max_deg=0)
-    assert tree_split(lt, 3) == [[0]]
+    parts, _, _ = _split(MultiGraph(1), {0: 5}, 3)
+    assert parts == [[0]]
 
 
 def test_tree_split_star():
     labels = {0: 0}
     labels.update({i: 1 for i in range(1, 7)})
-    lt = _labeled(star_graph(6), labels)
-    parts = tree_split(lt, 2)
+    parts, _, _ = _split(star_graph(6), labels, 2)
     total = 0
     for p in parts:
         s = sum(labels[v] for v in p)
@@ -411,16 +408,38 @@ def test_tree_split_star():
     assert total == 6
 
 
-def test_tree_split_below_threshold_rejected():
-    lt = _labeled(path_graph(3), {0: 1, 1: 0, 2: 0})
+def test_tree_split_below_threshold_one_part():
+    """A tree whose label sum is below the threshold stays one part; a
+    threshold below 1 raises."""
+    g = path_graph(3)
+    parts, _, _ = _split(g, {0: 1, 1: 0, 2: 0}, 2)
+    assert parts == [[0, 1, 2]]
     with pytest.raises(GraphError):
-        tree_split(lt, 2)
+        _split(g, {0: 1, 1: 0, 2: 0}, 0)
+
+
+def test_tree_split_merges_into_shallowest_cut():
+    """Root 0 (a leaf) - 1; 1 has children 2 (heavy) and 3 - 4 - 5 (5
+    heavy). The light root component {0, 1, 3, 4} has two adjacent cuts:
+    2 at depth 2 and 5 at depth 4. A DFS preorder from 0 reaches 5
+    first; the root component merges into 2, the shallowest."""
+    g = MultiGraph(6)
+    for u, v in ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5)):
+        g.add_edge(u, v)
+    labels = {0: 0, 1: 0, 2: 4, 3: 0, 4: 0, 5: 4}
+    parts, d, x = _split(g, labels, 4)
+    assert parts == [[0, 1, 2, 3, 4], [5]]
+    for p in parts:
+        assert 4 <= sum(labels[v] for v in p) <= d * 4 + x
 
 
 def _random_tree(rng, n):
+    """A random tree on n vertices, its edges added in random order."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    rng.shuffle(edges)
     g = MultiGraph(n)
-    for v in range(1, n):
-        g.add_edge(rng.randrange(v), v)
+    for u, v in edges:
+        g.add_edge(u, v)
     return g
 
 
@@ -431,14 +450,13 @@ def test_tree_split_window_random(rng):
         g = _random_tree(rng, n)
         x_cap = rng.randrange(1, 21)
         labels = {v: rng.randrange(0, x_cap + 1) for v in range(n)}
-        lt = _labeled(g, labels)
         total = sum(labels.values())
         if total < 1:
             continue
         t = rng.randrange(1, total + 1)
-        parts = tree_split(lt, t)
+        parts, d, x = _split(g, labels, t)
         assert sorted(v for p in parts for v in p) == list(range(n))
-        hi = lt.max_deg * t + lt.label_cap
+        hi = d * t + x
         for p in parts:
             s = sum(labels[v] for v in p)
             assert t <= s <= hi
@@ -459,16 +477,77 @@ def _assert_tree_connected(g, part):
     assert seen == pset
 
 
+def _assert_split_matches_reference(ldd, weights, threshold):
+    """tree_split of a whole forest against the dict TreeSplit of every
+    tree: the same parts, numbered by cluster and then in the reference's
+    order. Returns (parts, trees below threshold)."""
+    part = tree_split(ldd, weights, threshold)
+    thr = np.broadcast_to(np.asarray(threshold), (len(ldd.clusters),))
+    assert (part[ldd.depth < 0] == -1).all()
+    done = light = 0
+    for i in range(len(ldd.clusters)):
+        tree = tree_reference.dict_tree(ldd, i)
+        labels = {v: int(weights[v]) for v in tree.order}
+        want = tree_reference.tree_split(
+            tree_reference.Labeled(tree=tree, labels=labels), int(thr[i]))
+        got = part[tree.order]
+        assert sorted(set(got.tolist())) == list(range(done,
+                                                        done + len(want)))
+        assert [sorted(np.array(tree.order)[got == done + j].tolist())
+                for j in range(len(want))] == [sorted(p) for p in want]
+        done += len(want)
+        light += sum(labels.values()) < thr[i]
+    return done, light
+
+
+def test_tree_split_matches_reference_on_random_trees():
+    rng = random.Random(11)
+    parts = light = 0
+    for trial in range(1500):
+        n = rng.randrange(1, 40)
+        g = _random_tree(rng, n)
+        weights = np.array([rng.randrange(0, 10) for _ in range(n)])
+        t = rng.randrange(1, int(weights.sum()) + 4)
+        p, lt = _assert_split_matches_reference(
+            single_cluster(g, list(range(n))), weights, t)
+        parts += p
+        light += lt
+    assert parts > 3000 and light > 50
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: gnm(600, 3000, seed=s),
+    lambda s: d_regular(600, 7, seed=s),
+    lambda s: parallel_gadgets(256, 60, seed=s),
+    lambda s: multigraph_with_holes(s, 300, 900),
+], ids=["gnm", "d_regular", "parallel_gadgets", "holes"])
+def test_tree_split_matches_reference_on_ldd_forests(make):
+    """Every tree of LDD forests, at one threshold and at per-cluster
+    thresholds, some below the tree's label sum, singletons included."""
+    rng = random.Random(5)
+    light = singles = 0
+    for seed in range(3):
+        g = make(seed)
+        for beta in (Fraction(1, 12), Fraction(1, 2), Fraction(1)):
+            ldd = low_diam_decomp(g, beta, seed)
+            singles += sum(len(c) == 1 for c in ldd.clusters)
+            m_i = np.diff(ldd.edge_starts)
+            _assert_split_matches_reference(ldd, ldd.degrees, 5)
+            per = np.array([rng.randrange(1, 2 * m + 3) for m in m_i])
+            light += _assert_split_matches_reference(ldd, ldd.degrees,
+                                                     per)[1]
+    assert light and singles
+
+
 # -- pull_up ----------------------------------------------------------------
 
 def test_pull_up_identity():
     g = cycle_graph(3)
     parts = [[v] for v in range(3)]
-    trees = [single_cluster(g, [v]).tree(0) for v in range(3)]
-    cm = contract(g, parts, set())
+    cm = contract(g, part_array(3, parts), [])
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0, 1, 2], vertices=[0, 1, 2]))
-    out = pull_up(cm, trees, cyc)
+    out = pull_up(cm, *part_trees(g, parts), cyc)
     assert len(out.cycles) == 1
     assert sorted(out.cycles[0].edges) == [cm.f[0], cm.f[1], cm.f[2]]
     assert sorted(out.cycles[0].vertices) == [0, 1, 2]
@@ -479,11 +558,10 @@ def test_pull_up_two_parts_triangle():
     ab = g.add_edge(0, 1)
     g.add_edge(0, 2)
     g.add_edge(1, 2)
-    cm = contract(g, [[0, 1], [2]], {ab})
-    trees = [single_cluster(g, part).tree(0) for part in ([0, 1], [2])]
+    cm = contract(g, [0, 0, 1], [ab])
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0, 1], vertices=[cm.h.eu[0], cm.h.ev[0]]))
-    out = pull_up(cm, trees, cyc)
+    out = pull_up(cm, *part_trees(g, [[0, 1], [2]]), cyc)
     assert len(out.cycles) == 1
     assert sorted(out.cycles[0].edges) == [0, 1, 2]
     assert len(out.cycles[0].vertices) == 3
@@ -493,11 +571,10 @@ def test_pull_up_loop_in_part():
     g = MultiGraph(2)
     t_edge = g.add_edge(0, 1)
     par = g.add_edge(0, 1)
-    cm = contract(g, [[0, 1]], {t_edge})
-    tree = single_cluster(g, [0, 1]).tree(0)
+    cm = contract(g, [0, 0], [t_edge])
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0], vertices=[0]))
-    out = pull_up(cm, [tree], cyc)
+    out = pull_up(cm, *part_trees(g, [[0, 1]]), cyc)
     assert len(out.cycles) == 1
     assert sorted(out.cycles[0].edges) == [t_edge, par]
 
@@ -509,19 +586,15 @@ def test_pull_up_random_rounds(rng):
         comp = max(connected_components(g), key=len)
         if len(comp) < 6:
             continue
-        tree = single_cluster(g, comp).tree(0)
-        labels = {v: g.degree(v) for v in comp}
-        lt = _labeled_from(tree, labels, comp)
-        parts = tree_split(lt, 8)
-        trees = []
-        exclude = set()
-        for part in parts:
-            sub = bfs_tree(g, part)
-            trees.append(sub)
-            exclude.update(e for (_, e) in sub.parent.values())
-        cm = contract(g, parts, exclude)
+        ldd = single_cluster(g, comp)
+        weights = np.array(g.deg)
+        part = tree_split(ldd, weights, 8)
+        parts = parts_of(part)
+        forest = part_trees(g, parts)
+        exclude = forest[1][forest[1] >= 0]
+        cm = contract(g, part, exclude)
         cyc = _greedy_pairs(cm.h)
-        out = pull_up(cm, trees, cyc)
+        out = pull_up(cm, *forest, cyc)
         assert out.total_edges >= cyc.total_edges
         assert len(out.cycles) == len(cyc.cycles)
         seen = set()
@@ -535,16 +608,6 @@ def test_pull_up_random_rounds(rng):
                 a, b = g.endpoints(e)
                 assert {a, b} == {u, v} or u == v == a == b
         assert len(seen) >= cyc.total_vertices
-
-
-def _labeled_from(tree, labels, comp):
-    tdeg = {v: 0 for v in comp}
-    for v, (p, _) in tree.parent.items():
-        tdeg[v] += 1
-        tdeg[p] += 1
-    return LabeledTree(tree=tree, labels=labels,
-                       label_cap=max(labels.values()),
-                       max_deg=max(tdeg.values()))
 
 
 def _greedy_pairs(h):
