@@ -275,6 +275,19 @@ def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
     acc.extend(pull_up(cm, ldd.parent, ldd.parent_edge, ldd.depth, cycles))
 
 
+def _naive_round(g: MultiGraph, ldd, small: np.ndarray,
+                 acc: VertexDisjointCycleSet) -> None:
+    """One naive_short_cycle call over the clusters where `small` holds,
+    on their internal edges only, so each yields the cycles it would
+    alone; they are listed in cluster order."""
+    cs = naive_short_cycle(
+        g, ldd.tree_order[np.repeat(small, np.diff(ldd.tree_starts))],
+        ldd.edges[np.repeat(small, np.diff(ldd.edge_starts))])
+    label = ldd.labels.tolist()
+    cs.cycles.sort(key=lambda c: label[c.vertices[0]])
+    acc.extend(cs)
+
+
 def improved_short_cycle(g: MultiGraph, cfg: EngineConfig,
                          _ctx: _Ctx | None = None,
                          _level: int = 0) -> VertexDisjointCycleSet:
@@ -296,10 +309,11 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
 
     At depth d = c-1 this is improved_short_cycle. Above it, a round whose
     small clusters (at most k vertices) hold a quarter of the edges peels
-    them with naive_short_cycle. Otherwise, when there are no big clusters
-    or the sparsification target would not shrink the contracted graph
-    (small k), the round runs one_round on every cluster, which preserves
-    every guarantee except the asymptotic runtime.
+    them all with one naive_short_cycle call (`_naive_round`). Otherwise,
+    when there are no big clusters or the sparsification target would not
+    shrink the contracted graph (small k), the round runs one_round on
+    every cluster, which preserves every guarantee except the asymptotic
+    runtime.
     """
     ctx = _ctx or _Ctx(cfg)
     if not (0 <= d <= cfg.c - 1):
@@ -313,10 +327,7 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
         big = np.diff(ldd.tree_starts) > k   # each tree spans its cluster
         small_edges = int(np.diff(ldd.edge_starts)[~big].sum())
         if 4 * small_edges >= m0:
-            starts = ldd.edge_starts.tolist()
-            for i in np.flatnonzero(~big).tolist():
-                acc.extend(naive_short_cycle(
-                    g, ldd.clusters[i], ldd.edges[starts[i]:starts[i + 1]]))
+            _naive_round(g, ldd, ~big, acc)
             return
         # H's edges are a subset of g's, so when g has fewer than
         # 10*n_min edges recursion cannot shrink the instance at this k.

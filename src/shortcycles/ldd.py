@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -29,18 +30,22 @@ class LddError(GraphError):
 
 @dataclass
 class LddResult:
-    removed: set[int]           # edge ids crossing clusters
-    clusters: list[list[int]]   # vertex sets, each internally connected
     max_diameter: int           # measured (exact when cheap, else 2*radius)
     retries: int                # attempts before acceptance, 0 = first try
     truncated_shifts: int
     diameter_exact: bool = True
     # The clustering, valid while the graph is unchanged. `adj` is a CSR
     # snapshot (starts, tails, eids) of the active edges as numpy arrays and
-    # `labels` the per-vertex index into `clusters` (-1 off the clusters),
-    # so each cluster is exactly one label class.
+    # `labels` the per-vertex cluster index (-1 off the clusters), so each
+    # cluster is exactly one label class. Cluster i's vertices, ascending,
+    # are members[member_starts[i]:member_starts[i + 1]], and `crossing`
+    # holds the ids of the active edges between clusters, ascending;
+    # `clusters` and `removed` are their list and set views, built on use.
     adj: tuple = ()
     labels: np.ndarray | None = None
+    members: np.ndarray | None = None
+    member_starts: np.ndarray | None = None
+    crossing: np.ndarray | None = None
     # The cluster forest: a BFS tree of every cluster from its first vertex,
     # confined to its label class, rows scanned in order. Cluster i's tree
     # is tree_order[tree_starts[i]:tree_starts[i + 1]] in discovery order;
@@ -58,6 +63,16 @@ class LddResult:
     edge_starts: np.ndarray | None = None
     degrees: np.ndarray | None = None
 
+    @cached_property
+    def clusters(self) -> list[list[int]]:
+        flat = self.members.tolist()
+        bounds = self.member_starts.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def removed(self) -> set[int]:
+        return set(self.crossing.tolist())
+
 
 def diameter_cap(beta: Fraction, n: int, constant: int = 4) -> int:
     """Cap enforced on cluster strong diameter: ceil((constant/beta) ln(n+1))."""
@@ -74,7 +89,7 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
     dist(c, v) - shift(c). Vertices start at max_shift - shift; the search
     settles them a unit layer at a time, relaxing every edge of a layer at
     once, in the order a Dijkstra bucket queue would (`_shifted_search`).
-    `removed` is the set of inter-cluster edges; |removed| <= beta * m is
+    `crossing` holds the inter-cluster edges; |crossing| <= beta * m is
     checked exactly on the rational beta, and an attempt that fails it or
     the diameter cap is redrawn, up to max_retries times.
     """
@@ -98,10 +113,10 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
         truncated = int(np.count_nonzero(shifts > shift_cap))
         np.minimum(shifts, shift_cap, out=shifts)
         center = _shifted_search(adj, active, live, shifts)
-        result, members = _clustering(g, center, adj, truncated)
+        result = _clustering(g, center, adj, truncated)
         result.retries = attempt
-        if len(result.removed) * beta.denominator <= beta.numerator * m:
-            _forest(g, result, members)
+        if len(result.crossing) * beta.denominator <= beta.numerator * m:
+            _forest(g, result)
             if _check_diameters(result, cap):
                 return result
         best = result
@@ -118,8 +133,8 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     connectivity guarantee."""
     center = np.full(g.n_total, -1, dtype=np.int64)
     center[component] = component[0]
-    result, members = _clustering(g, center, flat_adjacency_np(g))
-    _forest(g, result, members)
+    result = _clustering(g, center, flat_adjacency_np(g))
+    _forest(g, result)
     return result
 
 
@@ -174,11 +189,10 @@ def _shifted_search(adj, active, live, shifts) -> np.ndarray:
 
 
 def _clustering(g: MultiGraph, center: np.ndarray, adj,
-                truncated: int = 0) -> tuple[LddResult, np.ndarray]:
+                truncated: int = 0) -> LddResult:
     """The clustering given by per-vertex centers `center` (-1: none) over
     the snapshot `adj`: its label classes, ordered by first vertex with
-    ascending members, and the edges crossing them. Also returns the
-    members of every cluster concatenated in cluster order."""
+    ascending members, and the edges crossing them."""
     n_total = len(center)
     vs = np.nonzero(center >= 0)[0]
     cv = center[vs]
@@ -189,34 +203,29 @@ def _clustering(g: MultiGraph, center: np.ndarray, adj,
     rank[vs] = np.cumsum(head == vs) - 1
     labels = np.full(n_total, -1, dtype=np.int64)
     labels[vs] = rank[head]
-    members = vs[np.argsort(labels[vs] * n_total + vs)]
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(labels[vs])))).tolist()
-    flat = members.tolist()
-    clusters = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
     eu = np.frombuffer(g.eu, dtype=np.int32)
     ev = np.frombuffer(g.ev, dtype=np.int32)
     ea = np.frombuffer(g.eactive, dtype=np.uint8)
-    crossing = (ea != 0) & (labels[eu] != labels[ev])
-    result = LddResult(removed=set(np.nonzero(crossing)[0].tolist()),
-                       clusters=clusters, max_diameter=0, retries=0,
-                       truncated_shifts=truncated, adj=adj, labels=labels)
-    return result, members
+    return LddResult(
+        max_diameter=0, retries=0, truncated_shifts=truncated, adj=adj,
+        labels=labels, members=vs[np.argsort(labels[vs] * n_total + vs)],
+        member_starts=np.concatenate(([0], np.cumsum(np.bincount(
+            labels[vs])))),
+        crossing=np.nonzero((ea != 0) & (labels[eu] != labels[ev]))[0])
 
 
-def _forest(g: MultiGraph, result: LddResult, members: np.ndarray) -> None:
-    """Fill in the cluster forest, internal edges and degrees of `result`;
-    `members` lists every cluster's vertices in cluster order.
+def _forest(g: MultiGraph, result: LddResult) -> None:
+    """Fill in the cluster forest, internal edges and degrees of `result`.
 
     One `bfs_forest` from every cluster's first vertex, confined to its
     own label: each label class holds one root, so every cluster's tree is
     the one a scalar BFS from its root would build.
     """
-    lab = result.labels
+    lab, members = result.labels, result.members
     n_total = len(lab)
-    k = len(result.clusters)
-    roots = [c[0] for c in result.clusters]
-    order, par, pe, layers = bfs_forest(result.adj, roots, lab)
+    k = len(result.member_starts) - 1
+    order, par, pe, layers = bfs_forest(
+        result.adj, members[result.member_starts[:-1]], lab)
     size = len(order)
     result.tree_order = order[np.argsort(lab[order] * size
                                          + np.arange(size))]
@@ -273,41 +282,34 @@ def _cluster_ecc(starts, tails, lab, i: int, size: int, root: int) -> int:
 def _check_diameters(result: LddResult, cap: int) -> bool:
     """Verify every cluster's strong diameter is <= cap, and record the max.
 
-    A cluster passes cheaply when twice its forest depth from the cluster
-    root is within the cap; only otherwise is the exact diameter computed,
-    by scalar BFS over the snapshot converted to lists (a numpy BFS per
-    vertex is 30x slower on a 185-vertex path cluster). The recorded
-    max_diameter is exact unless every cluster passed the cheap test, in
-    which case it is the 2*radius upper bound.
+    A cluster of at most 2 vertices has diameter size - 1. A larger one
+    passes cheaply when twice its forest depth (that of its last vertex in
+    BFS order) is within the cap; only the clusters over it get their
+    exact diameter, by scalar BFS over the snapshot converted to lists (a
+    numpy BFS per vertex is 30x slower on a 185-vertex path cluster). The
+    recorded max_diameter is exact when the first cluster reaching it was
+    measured exactly, and otherwise a 2*radius upper bound.
     """
-    worst = 0
-    exact = True
-    ts = result.tree_starts.tolist()
-    order, depth = result.tree_order, result.depth
-    rows = None
-    for i, cluster in enumerate(result.clusters):
-        size = len(cluster)
-        if size <= 2:
-            if size - 1 > worst:
-                worst = size - 1   # diameter <= 1 <= cap
-            continue
-        if ts[i + 1] - ts[i] != size:
-            raise GraphError("cluster disconnected (internal error)")
-        bound = 2 * int(depth[order[ts[i + 1] - 1]])
-        if bound <= cap:
-            if bound > worst:
-                worst = bound
-                exact = False
-            continue
-        if rows is None:
-            rows = (result.adj[0].tolist(), result.adj[1].tolist(),
-                    result.labels.tolist())
-        diam = max(_cluster_ecc(*rows, i, size, v) for v in cluster)
-        if diam > cap:
-            return False
-        if diam > worst:
-            worst = diam
-            exact = True
-    result.max_diameter = worst
-    result.diameter_exact = exact
+    ms, ts = result.member_starts, result.tree_starts
+    size = np.diff(ms)
+    if (np.diff(ts) != size).any():
+        raise GraphError("cluster disconnected (internal error)")
+    value = np.where(size <= 2, size - 1,
+                     2 * result.depth[result.tree_order[ts[1:] - 1]])
+    exact = (size <= 2) | (value > cap)
+    heavy = np.flatnonzero(exact & (size > 2)).tolist()
+    if heavy:
+        rows = (result.adj[0].tolist(), result.adj[1].tolist(),
+                result.labels.tolist())
+        ms = ms.tolist()
+        for i in heavy:
+            cluster = result.members[ms[i]:ms[i + 1]].tolist()
+            diam = max(_cluster_ecc(*rows, i, len(cluster), v)
+                       for v in cluster)
+            if diam > cap:
+                return False
+            value[i] = diam
+    top = int(np.argmax(value))
+    result.max_diameter = int(value[top])
+    result.diameter_exact = bool(exact[top])
     return True

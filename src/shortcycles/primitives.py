@@ -156,38 +156,49 @@ def split_circuit(vertices: list[int], edges: list[int],
 # NaiveShortCycle: peel low degree, BFS to the first non-tree edge, repeat.
 
 class _Scratch:
-    """Private adjacency mirror used by naive_short_cycle, built from the
-    active edges induced on `vertices` in ascending id: a row of (edge,
-    other end) per vertex, loops listed once, and the live degrees.
-    Removing a vertex only marks it dead and lowers its live neighbours'
-    degrees; rows keep their entries, and readers skip those whose other
-    end is dead."""
+    """Private adjacency mirror used by naive_short_cycle: a CSR over the
+    slots of the sorted `vertices` whose rows list the edges inside them
+    in ascending id (other end's slot, edge), loops once, and every slot's
+    live degree (loops twice) and alive flag. Removing a vertex only marks
+    it dead and lowers its live neighbours' degrees; rows keep their
+    entries, and readers skip those whose other end is dead."""
 
-    __slots__ = ("adj", "deg", "alive")
+    __slots__ = ("vs", "starts", "tails", "eids", "deg", "alive")
 
     def __init__(self, g: MultiGraph, vertices, edges):
-        self.adj: dict[int, list[tuple[int, int]]] = {
-            v: [] for v in vertices}
-        self.deg: dict[int, int] = dict.fromkeys(vertices, 0)
-        self.alive: set[int] = set(vertices)
-        adj, deg, eu, ev = self.adj, self.deg, g.eu, g.ev
-        for e in edges:
-            u, w = eu[e], ev[e]
-            adj[u].append((e, w))
-            if u != w:
-                adj[w].append((e, u))
-            deg[u] += 1
-            deg[w] += 1
+        vs = np.unique(np.asarray(vertices, dtype=np.int64))
+        n = len(vs)
+        if edges is None:
+            edges = np.flatnonzero(np.frombuffer(g.eactive, dtype=np.uint8))
+        edges = np.asarray(edges, dtype=np.int64)
+        ends = np.stack([np.frombuffer(a, dtype=np.int32)[edges]
+                         for a in (g.eu, g.ev)])
+        slot = np.minimum(np.searchsorted(vs, ends), n - 1)
+        inside = (vs[slot] == ends).all(axis=0)   # both ends in `vertices`
+        edges, (su, sv) = edges[inside], slot[:, inside]
+        two = su != sv
+        head = np.concatenate((su, sv[two]))
+        eids = np.concatenate((edges, edges[two]))
+        order = np.argsort(head * g.m_total + eids)
+        self.vs = vs.tolist()
+        self.starts = np.concatenate(
+            ([0], np.cumsum(np.bincount(head, minlength=n)))).tolist()
+        self.tails = np.concatenate((sv, su[two]))[order].tolist()
+        self.eids = eids[order].tolist()
+        self.deg = (np.bincount(su, minlength=n)
+                    + np.bincount(sv, minlength=n)).tolist()
+        self.alive = bytearray(b"\x01") * n
 
-    def remove_vertex(self, v: int) -> list[int]:
-        """Mark v dead; returns its live neighbours, once per edge, whose
-        degrees it lowers."""
+    def remove_vertex(self, x: int, peel: list[int]) -> None:
+        """Mark slot x dead and lower its live neighbours' degrees, once
+        per edge, appending each that drops to 2 or less to `peel`."""
         alive, deg = self.alive, self.deg
-        alive.discard(v)
-        nbrs = [w for _, w in self.adj[v] if w in alive]
-        for w in nbrs:
-            deg[w] -= 1
-        return nbrs
+        alive[x] = 0
+        for w in self.tails[self.starts[x]:self.starts[x + 1]]:
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] <= 2:
+                    peel.append(w)
 
 
 def naive_short_cycle(g: MultiGraph, vertices=None,
@@ -199,54 +210,47 @@ def naive_short_cycle(g: MultiGraph, vertices=None,
     alive vertex until the first non-tree edge closes a cycle; the cycle's
     vertices are removed and the process repeats until nothing is left.
     The peel and the removals take time linear in the edges. Does not
-    modify `g`; `vertices` restricts the routine to an induced subgraph.
-    `edges`, if given, must be exactly that subgraph's active edges, in any
-    order (a cluster's slice of an LddResult of g is).
+    modify `g`; it runs on the subgraph of `edges` (active edge ids in any
+    order, default all active edges) with both ends in `vertices`. Each
+    of its components yields the cycles it would alone: no BFS leaves it,
+    and the peel's fixpoint does not depend on the order of removals.
     """
     if vertices is None:
-        vertices = g.active_vertices()
+        vertices = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
     out = VertexDisjointCycleSet()
-    if not vertices:
+    if len(vertices) == 0:
         return out
-    if edges is None:
-        member = np.zeros(g.n_total, dtype=bool)
-        member[vertices] = True
-        edges = np.nonzero(np.frombuffer(g.eactive, dtype=np.uint8)
-                           & member[np.frombuffer(g.eu, dtype=np.int32)]
-                           & member[np.frombuffer(g.ev, dtype=np.int32)])[0]
-    s = _Scratch(g, vertices, sorted(np.asarray(edges).tolist()))
-    deg, alive = s.deg, s.alive
-    peel = [v for v in vertices if deg[v] <= 2]
-    while alive:
+    s = _Scratch(g, vertices, edges)
+    vs, deg, alive = s.vs, s.deg, s.alive
+    peel = [x for x in range(len(vs)) if deg[x] <= 2]
+    root = 0   # alive only shrinks, so the lowest live slot only rises
+    while True:
         while peel:
-            v = peel.pop()
-            if v not in alive:
-                continue
-            for w in s.remove_vertex(v):
-                if deg[w] <= 2:
-                    peel.append(w)
-        if not alive:
-            break
-        root = min(alive)
+            x = peel.pop()
+            if alive[x]:
+                s.remove_vertex(x, peel)
+        while root < len(vs) and not alive[root]:
+            root += 1
+        if root == len(vs):
+            return out
         cycle = _bfs_first_cycle(s, root)
         if cycle is None:  # cannot happen at min degree >= 3; guard anyway
-            s.remove_vertex(root)
+            s.remove_vertex(root, peel)
             continue
-        out.add(cycle)
-        # The whole cycle dies first, so each removal returns only the
-        # neighbours outside it.
-        alive.difference_update(cycle.vertices)
-        touched = set()
-        for v in cycle.vertices:
-            touched.update(s.remove_vertex(v))
-        for w in touched:
-            if deg[w] <= 2:
-                peel.append(w)
-    return out
+        slots, cyc_edges = cycle
+        out.add(Cycle(edges=cyc_edges, vertices=[vs[x] for x in slots]))
+        # The whole cycle dies first, so each removal lowers only the
+        # degrees of neighbours outside it.
+        for x in slots:
+            alive[x] = 0
+        for x in slots:
+            s.remove_vertex(x, peel)
 
 
-def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
-    alive = s.alive
+def _bfs_first_cycle(s: _Scratch, root: int):
+    """BFS from slot root up to the first non-tree edge: the cycle it
+    closes as (slots, edges), or None."""
+    alive, starts, tails, eids = s.alive, s.starts, s.tails, s.eids
     parent: dict[int, int] = {}
     pedge: dict[int, int] = {}
     depth = {root: 0}
@@ -256,9 +260,11 @@ def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
         for v in frontier:
             pe = pedge.get(v, -1)
             skipped_parent = False
-            for e, w in s.adj[v]:
-                if w not in alive:
+            for j in range(starts[v], starts[v + 1]):
+                w = tails[j]
+                if not alive[w]:
                     continue
+                e = eids[j]
                 if e == pe and not skipped_parent:
                     skipped_parent = True
                     continue
@@ -266,7 +272,7 @@ def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
                     # v .. lca .. w along the tree, closed by e back to v.
                     verts, edges = tree_path(parent, pedge, depth, v, w)
                     edges.append(e)
-                    return Cycle(edges=edges, vertices=verts)
+                    return verts, edges
                 depth[w] = depth[v] + 1
                 parent[w] = v
                 pedge[w] = e

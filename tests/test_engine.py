@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from shortcycles import (EngineConfig, GraphError, MultiGraph, decompose,
-                         engine, improved_short_cycle, low_diam_decomp,
-                         naive_short_cycle, one_round_short_cycle,
-                         short_cycle_decomp, verify_decomposition)
+from shortcycles import (EngineConfig, GraphError, LddResult, MultiGraph,
+                         decompose, engine, improved_short_cycle,
+                         low_diam_decomp, naive_short_cycle,
+                         one_round_short_cycle, short_cycle_decomp,
+                         verify_decomposition)
 from shortcycles.engine import (_introot, _isqrt_ceil, _one_rounds,
                                 _pair_loop_greedy)
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
@@ -275,28 +276,48 @@ def test_scd_c2_yield_and_validity():
 
 def test_scd_small_clusters_take_the_naive_peel(monkeypatch):
     """At c=2 on parallel gadgets the small clusters (at most k vertices)
-    hold the edges, so each round peels every one of them with
-    naive_short_cycle and its edge slice; each call's cycles are valid,
-    vertex-disjoint, inside the cluster and the reference peel's."""
-    real = engine.naive_short_cycle
-    cluster_calls = []
+    hold the edges, so a round peels all of them with one naive_short_cycle
+    call, right after its LDD, on exactly their vertices. The call's
+    cycles are valid, vertex-disjoint and inside those clusters, and once
+    the round puts them in cluster order they are the reference peel of
+    each small cluster alone, concatenated in cluster order."""
+    real_naive, real_ldd = engine.naive_short_cycle, engine.low_diam_decomp
+    events = []   # each round's LddResult, then "naive" for its peel
+    checks = []   # (a peel's result, the cycles expected of it)
+    g = parallel_gadgets(64, 60, seed=1)
+    k = max(2, _introot(2 * g.n_active, 3))
 
-    def counted(g, vertices=None, edges=None):
-        out = real(g, vertices, edges)
-        if vertices is not None:
-            cluster_calls.append(len(vertices))
-            want = naive_reference.naive_short_cycle(g, vertices)
-            assert ([(c.edges, c.vertices) for c in out.cycles]
-                    == [(c.edges, c.vertices) for c in want.cycles])
-            _cycles_valid(g, out)
-            assert all(g.eactive[e] for c in out.cycles for e in c.edges)
-            assert _vertex_disjoint(out) <= set(vertices)
+    def logged_ldd(*args, **kwargs):
+        events.append(real_ldd(*args, **kwargs))
+        return events[-1]
+
+    def counted(h, vertices=None, edges=None):
+        out = real_naive(h, vertices, edges)
+        if vertices is None:   # a level's closing sweep
+            return out
+        ldd = events[-1]
+        assert isinstance(ldd, LddResult), "a second naive call in a round"
+        events.append("naive")
+        small = [c for c in ldd.clusters if len(c) <= k]
+        assert sorted(vertices.tolist()) == sorted(v for c in small
+                                                   for v in c)
+        want = VertexDisjointCycleSet()
+        for cluster in small:
+            want.extend(naive_reference.naive_short_cycle(h, cluster))
+        checks.append((out, want))
+        _cycles_valid(h, out)
+        assert all(h.eactive[e] for c in out.cycles for e in c.edges)
+        assert _vertex_disjoint(out) <= set(vertices.tolist())
         return out
 
+    monkeypatch.setattr(engine, "low_diam_decomp", logged_ldd)
     monkeypatch.setattr(engine, "naive_short_cycle", counted)
-    g = parallel_gadgets(64, 60, seed=1)
     dec = decompose(g, EngineConfig(c=2, seed=1))
-    assert len(cluster_calls) > 100
+    assert len(checks) == events.count("naive") > 1
+    for out, want in checks:
+        assert ([(c.edges, c.vertices) for c in out.cycles]
+                == [(c.edges, c.vertices) for c in want.cycles])
+    assert sum(len(want.cycles) for _, want in checks) > 100
     assert dec.cycles
     rep = verify_decomposition(g, dec, 20 * g.n_active, 10 ** 9)
     assert rep.valid, rep.violations

@@ -11,11 +11,13 @@ from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
                          measure_diameter)
 from shortcycles.io import d_regular, gnm
 from shortcycles.graph import flat_adjacency_np
-from shortcycles.ldd import _shifted_search, diameter_cap, single_cluster
+from shortcycles.ldd import (_check_diameters, _clustering, _forest,
+                             _shifted_search, diameter_cap, single_cluster)
 from shortcycles.rng import exponential, exponentials, mix64
 
 from conftest import cycle_graph, path_graph, random_multigraph, star_graph
-from ldd_reference import dial_centers, dial_search, dict_clusters
+from ldd_reference import (check_diameters, dial_centers, dial_search,
+                           dict_clusters)
 
 B12 = Fraction(1, 12)
 
@@ -349,3 +351,58 @@ def test_bulk_draw_extreme_words():
     want = np.array([exponential(scalar, 1.0) for _ in words])
     assert exponentials(Words(words), 1.0, len(words)).tobytes() == \
         want.tobytes()
+
+
+def _diameter_outcomes(res, caps):
+    """Compare the array diameter test with the scalar loop at each cap;
+    returns the set of (accepted, exact) outcomes seen."""
+    seen = set()
+    for cap in caps:
+        ok, worst, exact = check_diameters(res, cap)
+        assert _check_diameters(res, cap) == ok
+        if ok:
+            assert (res.max_diameter, res.diameter_exact) == (worst, exact)
+        seen.add((ok, exact))
+    return seen
+
+
+def test_check_diameters_matches_scalar_loop():
+    """Accept/reject, max_diameter and diameter_exact equal the scalar
+    loop's at the real cap and around every cluster's cheap bound, on gnm,
+    d_regular and a long path, whose one cluster over the real cap takes
+    the exact branch."""
+    path = low_diam_decomp(path_graph(1500), B12, 5)
+    # One cluster's 2 * depth is over the real cap, so it is measured.
+    assert path.diameter_exact and path.max_diameter == 184
+    runs = [(path, diameter_cap(B12, 1500))]
+    for seed in range(3):
+        for g, beta in ((gnm(300, 600, seed=seed), Fraction(1, 2)),
+                        (gnm(200, 2000, seed=seed), B12),
+                        (d_regular(200, 3, seed=seed), Fraction(1, 2))):
+            runs.append((low_diam_decomp(g, beta, seed),
+                         diameter_cap(beta, g.n_active)))
+    seen = set()
+    for res, cap in runs:
+        bounds = 2 * res.depth[res.tree_order[res.tree_starts[1:] - 1]]
+        caps = {cap} | {b + d for b in bounds.tolist() for d in (-1, 0)}
+        seen |= _diameter_outcomes(res, sorted(c for c in caps if c >= 0))
+    assert {(False, None), (True, True), (True, False)} <= seen
+
+
+@pytest.mark.parametrize("first_exact", [True, False])
+def test_check_diameters_tie_takes_first_cluster(first_exact):
+    """Two clusters of diameter 2 at cap 3: a path rooted at its end,
+    whose 2 * depth of 4 is over the cap and so is measured exactly, and
+    a star rooted at its centre, which passes on 2 * depth = 2. The
+    maximum is exact iff the measured one comes first."""
+    g = MultiGraph(6)
+    a, b = (0, 3) if first_exact else (3, 0)
+    g.add_edge(a, a + 1)          # path a - a+1 - a+2
+    g.add_edge(a + 1, a + 2)
+    g.add_edge(b, b + 1)          # star at b
+    g.add_edge(b, b + 2)
+    center = np.array([0, 0, 0, 3, 3, 3])
+    res = _clustering(g, center, flat_adjacency_np(g))
+    _forest(g, res)
+    assert _diameter_outcomes(res, [3]) == {(True, first_exact)}
+    assert res.max_diameter == 2

@@ -9,6 +9,7 @@ import pytest
 from shortcycles import (GraphError, MultiGraph, contract,
                          graph_reduce, low_diam_decomp, naive_short_cycle,
                          pull_up, sparsify, split_circuit, tree_split)
+from shortcycles.engine import _naive_round
 from shortcycles.graph import euler_tours, flat_adjacency_np
 from shortcycles.io import d_regular, gnm, parallel_gadgets
 from shortcycles.ldd import single_cluster
@@ -324,8 +325,9 @@ def _damaged_multigraph(rng, n, m):
 
 def test_naive_matches_reference(rng):
     """The peel gives the reference peel's cycles, in order, on the whole
-    graph, on random vertex subsets (induced), and with the subset's edges
-    passed in any order."""
+    graph, on random vertex subsets (induced), with the subset's edges
+    passed in any order, and with every active edge passed, those leaving
+    the subset being ignored."""
     found = 0
     for trial in range(80):
         n = rng.randrange(1, 40)
@@ -342,6 +344,7 @@ def test_naive_matches_reference(rng):
                  if g.eu[e] in member and g.ev[e] in member]
         rng.shuffle(edges)
         _same_cycles(naive_short_cycle(g, vs, edges), want)
+        _same_cycles(naive_short_cycle(g, vs, g.active_edges()), want)
         found += len(want.cycles)
     assert found > 200
 
@@ -372,6 +375,40 @@ def test_naive_on_ldd_clusters_matches_reference(make, beta):
             edges = ldd.edges[starts[i]:starts[i + 1]]
             _same_cycles(naive_short_cycle(g, cluster, edges),
                          naive_reference.naive_short_cycle(g, cluster))
+
+
+@pytest.mark.parametrize("make,beta", [
+    (lambda s: parallel_gadgets(128, 60, seed=s), Fraction(1, 12)),
+    (lambda s: parallel_gadgets(128, 60, seed=s), Fraction(1)),
+    (lambda s: d_regular(600, 10, seed=s), Fraction(1)),
+    (lambda s: multigraph_with_holes(s, 400, 2400), Fraction(1)),
+], ids=["gadgets-b12", "gadgets-b1", "d_regular", "holes"])
+def test_naive_round_matches_per_cluster_peels(make, beta):
+    """The engine's naive round, one peel over every small cluster with
+    only their internal edges while the edges between them stay active in
+    g, gives, once put in cluster order, each small cluster's reference
+    peel in turn. Small is every cluster, then every one but the
+    largest."""
+    crossing = found = 0
+    for seed in range(3):
+        g = make(seed)
+        eu = np.frombuffer(g.eu, dtype=np.int32)
+        ev = np.frombuffer(g.ev, dtype=np.int32)
+        ldd = low_diam_decomp(g, beta, seed)
+        sizes = np.diff(ldd.member_starts)
+        for small in (sizes > 0, sizes < sizes.max()):
+            want = VertexDisjointCycleSet()
+            for i in np.flatnonzero(small).tolist():
+                want.extend(naive_reference.naive_short_cycle(
+                    g, ldd.clusters[i]))
+            got = VertexDisjointCycleSet()
+            _naive_round(g, ldd, small, got)
+            _same_cycles(got, want)
+            lab = ldd.labels
+            crossing += int(np.count_nonzero(
+                small[lab[eu[ldd.crossing]]] & small[lab[ev[ldd.crossing]]]))
+            found += len(want.cycles)
+    assert crossing and found
 
 
 # -- tree_split -------------------------------------------------------------
