@@ -131,17 +131,15 @@ def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
     -> contraction without the part-tree edges -> maximal vertex-disjoint
     collection of parallel-pair 2-cycles then self-loops -> pull-up: the
     deepest level's pass (`_one_rounds`) over the clustering whose one
-    cluster is `component` (default: every active vertex).
+    cluster is `component` (default: every active vertex), which must be
+    connected (GraphError otherwise).
     """
     if component is None:
         component = g.active_vertices()
     out = VertexDisjointCycleSet()
     if not component:
         return out
-    clustering = single_cluster(g, component)
-    if clustering.tree_starts[1] != len(component):
-        raise GraphError("one_round_short_cycle needs a connected input")
-    _one_rounds(g, cfg, clustering, out)
+    _one_rounds(g, cfg, single_cluster(g, component), out)
     return out
 
 

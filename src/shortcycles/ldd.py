@@ -1,9 +1,11 @@
 """Low-diameter decomposition via exponentially shifted clustering.
 
 Removes at most a beta fraction of edges so that every remaining component
-has small strong diameter. The guarantee is enforced by check-and-retry:
-an attempt is accepted only if both the cut bound and the diameter cap
-hold, resampling shifts otherwise.
+has small strong diameter. The diameter cap holds by construction: every
+vertex is within shift(center) <= (2/beta) ln(n+1) hops of its center
+inside its own cluster (Miller-Peng-Xu). The cut bound is enforced by
+check-and-retry: an attempt is accepted only if both the cut bound and the
+diameter cap hold, resampling shifts otherwise.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ from .graph import (GraphError, MultiGraph, _first_of, _gather_rows,
                     bfs_forest, flat_adjacency_np)
 from .rng import exponentials, mix64
 
+MAX_RETRIES = 20
+
 
 class LddError(GraphError):
     """All retry attempts failed; `best` carries the last attempt."""
@@ -30,10 +34,9 @@ class LddError(GraphError):
 
 @dataclass
 class LddResult:
-    max_diameter: int           # measured (exact when cheap, else 2*radius)
+    max_diameter: int           # 2 * largest hop count: a diameter bound
     retries: int                # attempts before acceptance, 0 = first try
     truncated_shifts: int
-    diameter_exact: bool = True
     # The clustering, valid while the graph is unchanged. `adj` is a CSR
     # snapshot (starts, tails, eids) of the active edges as numpy arrays and
     # `labels` the per-vertex cluster index (-1 off the clusters), so each
@@ -74,14 +77,20 @@ class LddResult:
         return set(self.crossing.tolist())
 
 
-def diameter_cap(beta: Fraction, n: int, constant: int = 4) -> int:
-    """Cap enforced on cluster strong diameter: ceil((constant/beta) ln(n+1))."""
-    return math.ceil(constant / float(beta) * math.log(n + 1))
+def _shift_cap(beta: Fraction, n: int) -> float:
+    """Cap on every shift: (2/beta) ln(n+1)."""
+    return 2.0 / float(beta) * math.log(n + 1)
 
 
-def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
-                    diam_constant: int = 4,
-                    max_retries: int = 20) -> LddResult:
+def diameter_cap(beta: Fraction, n: int) -> int:
+    """Cap on cluster strong diameter: ceil(2 * shift cap), which equals
+    ceil((4/beta) ln(n+1)) exactly (scaling by 2 is exact in floats). No
+    vertex is more than the shift cap hops from its center inside its
+    cluster, so no clustering of low_diam_decomp exceeds it."""
+    return math.ceil(2 * _shift_cap(beta, n))
+
+
+def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
     """Partition active vertices into low-diameter clusters.
 
     Each active vertex v draws an exponential shift with rate beta (capped
@@ -89,9 +98,11 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
     dist(c, v) - shift(c). Vertices start at max_shift - shift; the search
     settles them a unit layer at a time, relaxing every edge of a layer at
     once, in the order a Dijkstra bucket queue would (`_shifted_search`).
+    A vertex's hop count to its center is dist(v) - dist(center), at most
+    shift(center) - shift(v), and `max_diameter` is twice the largest one.
     `crossing` holds the inter-cluster edges; |crossing| <= beta * m is
     checked exactly on the rational beta, and an attempt that fails it or
-    the diameter cap is redrawn, up to max_retries times.
+    the diameter cap is redrawn, up to MAX_RETRIES times.
     """
     if g.n_active == 0:
         raise GraphError("low_diam_decomp on empty graph")
@@ -99,29 +110,31 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int,
         raise GraphError(f"beta must be in (0, 1], got {beta}")
     n = g.n_active
     m = g.m_active
-    cap = diameter_cap(beta, n, diam_constant)
-    shift_cap = 2.0 / float(beta) * math.log(n + 1)
+    shift_cap = _shift_cap(beta, n)
+    cap = diameter_cap(beta, n)
     best = None
     adj = flat_adjacency_np(g)   # static across attempts
     starts = adj[0]
     active = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
     # Vertices without an active edge stay their own centers.
     live = active[starts[active + 1] > starts[active]]
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = random.Random(mix64(seed, attempt))
         shifts = exponentials(rng, float(beta), n)
         truncated = int(np.count_nonzero(shifts > shift_cap))
         np.minimum(shifts, shift_cap, out=shifts)
-        center = _shifted_search(adj, active, live, shifts)
+        center, dist = _shifted_search(adj, active, live, shifts)
         result = _clustering(g, center, adj, truncated)
         result.retries = attempt
-        if len(result.crossing) * beta.denominator <= beta.numerator * m:
+        hops = np.rint(dist[active] - dist[center[active]])
+        result.max_diameter = 2 * int(hops.max())
+        if (len(result.crossing) * beta.denominator <= beta.numerator * m
+                and result.max_diameter <= cap):
             _forest(g, result)
-            if _check_diameters(result, cap):
-                return result
+            return result
         best = result
     raise LddError(
-        f"low-diameter decomposition failed after {max_retries} attempts "
+        f"low-diameter decomposition failed after {MAX_RETRIES} attempts "
         f"(cap {cap}, beta {beta})", best=best)
 
 
@@ -129,8 +142,8 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     """The clustering of g whose one cluster is `component`, every other
     vertex unlabeled, over a fresh snapshot, with its forest: its one
     tree is the BFS tree of `component` from its lowest vertex. Unlike
-    low_diam_decomp's clusters, `component` carries no diameter or
-    connectivity guarantee."""
+    low_diam_decomp's clusters, `component` carries no diameter guarantee;
+    GraphError if it is not connected."""
     center = np.full(g.n_total, -1, dtype=np.int64)
     center[component] = component[0]
     result = _clustering(g, center, flat_adjacency_np(g))
@@ -138,10 +151,11 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     return result
 
 
-def _shifted_search(adj, active, live, shifts) -> np.ndarray:
-    """Each vertex's center (-1 when inactive) under the shifts of the
-    `active` vertices: the Dijkstra with unit edges and start distances
-    max_shift - shift, run one bucket of the queue at a time.
+def _shifted_search(adj, active, live, shifts):
+    """(center, dist): each vertex's center (-1 when inactive) and final
+    distance under the shifts of the `active` vertices, from the Dijkstra
+    with unit edges and start distances max_shift - shift, run one bucket
+    of the queue at a time.
 
     A vertex settles in bucket int(dist). Relaxing from bucket b only
     reaches b + 1 or later, so bucket b's vertices are settled together,
@@ -149,6 +163,11 @@ def _shifted_search(adj, active, live, shifts) -> np.ndarray:
     first entered bucket b. Each relaxed vertex takes its minimum offer,
     the first in gather order among equal ones, as the queue's strict `<`
     does. `key` holds each vertex's place in its current bucket.
+
+    A vertex's final (dist, center) come from one settled offer, one edge
+    closer and with the same center, so dist(v) - dist(center) is the
+    length of a path inside v's cluster; and dist(v) is at most v's own
+    start, so that length is at most shift(center) - shift(v).
     """
     starts, tails, eids = adj
     n_total = len(starts) - 1
@@ -185,7 +204,7 @@ def _shifted_search(adj, active, live, shifts) -> np.ndarray:
                           n_total)
         key[w[filed]] = stamp + pos[filed]
         stamp += len(w)
-    return center
+    return center, dist
 
 
 def _clustering(g: MultiGraph, center: np.ndarray, adj,
@@ -219,7 +238,8 @@ def _forest(g: MultiGraph, result: LddResult) -> None:
 
     One `bfs_forest` from every cluster's first vertex, confined to its
     own label: each label class holds one root, so every cluster's tree is
-    the one a scalar BFS from its root would build.
+    the one a scalar BFS from its root would build. GraphError if a tree
+    misses some of its cluster.
     """
     lab, members = result.labels, result.members
     n_total = len(lab)
@@ -231,6 +251,8 @@ def _forest(g: MultiGraph, result: LddResult) -> None:
                                          + np.arange(size))]
     result.tree_starts = np.concatenate(
         ([0], np.cumsum(np.bincount(lab[order], minlength=k))))
+    if (np.diff(result.tree_starts) != np.diff(result.member_starts)).any():
+        raise GraphError("cluster disconnected")
     result.parent = np.full(n_total, -1, dtype=np.int64)
     result.parent_edge = np.full(n_total, -1, dtype=np.int64)
     result.depth = np.full(n_total, -1, dtype=np.int64)
@@ -252,64 +274,3 @@ def _forest(g: MultiGraph, result: LddResult) -> None:
         ([0], np.cumsum(np.bincount(lu[ids], minlength=k))))
     result.degrees = (np.bincount(iu, minlength=n_total)
                       + np.bincount(ev[ids], minlength=n_total))
-
-
-def _cluster_ecc(starts, tails, lab, i: int, size: int, root: int) -> int:
-    """Eccentricity of `root` inside cluster i; inter-cluster edges are
-    exactly those whose endpoints carry different labels, so the cluster
-    is traversed by comparing labels."""
-    depth = {root: 0}
-    frontier = [root]
-    ecc = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            dv = depth[v]
-            for j in range(starts[v], starts[v + 1]):
-                w = tails[j]
-                if lab[w] != i or w in depth:
-                    continue
-                depth[w] = dv + 1
-                if dv + 1 > ecc:
-                    ecc = dv + 1
-                nxt.append(w)
-        frontier = nxt
-    if len(depth) != size:
-        raise GraphError("cluster disconnected (internal error)")
-    return ecc
-
-
-def _check_diameters(result: LddResult, cap: int) -> bool:
-    """Verify every cluster's strong diameter is <= cap, and record the max.
-
-    A cluster of at most 2 vertices has diameter size - 1. A larger one
-    passes cheaply when twice its forest depth (that of its last vertex in
-    BFS order) is within the cap; only the clusters over it get their
-    exact diameter, by scalar BFS over the snapshot converted to lists (a
-    numpy BFS per vertex is 30x slower on a 185-vertex path cluster). The
-    recorded max_diameter is exact when the first cluster reaching it was
-    measured exactly, and otherwise a 2*radius upper bound.
-    """
-    ms, ts = result.member_starts, result.tree_starts
-    size = np.diff(ms)
-    if (np.diff(ts) != size).any():
-        raise GraphError("cluster disconnected (internal error)")
-    value = np.where(size <= 2, size - 1,
-                     2 * result.depth[result.tree_order[ts[1:] - 1]])
-    exact = (size <= 2) | (value > cap)
-    heavy = np.flatnonzero(exact & (size > 2)).tolist()
-    if heavy:
-        rows = (result.adj[0].tolist(), result.adj[1].tolist(),
-                result.labels.tolist())
-        ms = ms.tolist()
-        for i in heavy:
-            cluster = result.members[ms[i]:ms[i + 1]].tolist()
-            diam = max(_cluster_ecc(*rows, i, len(cluster), v)
-                       for v in cluster)
-            if diam > cap:
-                return False
-            value[i] = diam
-    top = int(np.argmax(value))
-    result.max_diameter = int(value[top])
-    result.diameter_exact = bool(exact[top])
-    return True

@@ -3,13 +3,9 @@
 `dial_centers` is the exponential-shift clustering as one multi-source
 Dijkstra over a Dial bucket queue (`dial_search`), drawing one scalar
 exponential per active vertex; `dict_clusters` groups per-vertex centers into clusters with
-a dict. `low_diam_decomp` must reproduce both exactly. `check_diameters`
-is the diameter test as a loop over the clusters; the library's array
-pass must accept and reject the same clusterings and record the same
-maximum and exactness flag.
+a dict. `low_diam_decomp` must reproduce both exactly.
 """
-from shortcycles.graph import GraphError, flat_adjacency_np
-from shortcycles.ldd import _cluster_ecc
+from shortcycles.graph import flat_adjacency_np
 from shortcycles.rng import exponential
 
 
@@ -87,38 +83,3 @@ def dict_clusters(center):
             labels[v] = index[c]
             clusters[labels[v]].append(v)
     return clusters, labels
-
-
-def check_diameters(result, cap: int):
-    """(accepted, max_diameter, diameter_exact) of `result` at `cap`, one
-    cluster at a time: a cluster of at most 2 vertices measures size - 1;
-    a larger one passes on 2 * its forest depth when that is within the
-    cap, otherwise its exact diameter is measured. The maximum is exact
-    when the first cluster reaching it was measured exactly."""
-    worst = 0
-    exact = True
-    ts = result.tree_starts.tolist()
-    order, depth = result.tree_order, result.depth
-    rows = (result.adj[0].tolist(), result.adj[1].tolist(),
-            result.labels.tolist())
-    for i, cluster in enumerate(result.clusters):
-        size = len(cluster)
-        if size <= 2:
-            if size - 1 > worst:
-                worst = size - 1
-            continue
-        if ts[i + 1] - ts[i] != size:
-            raise GraphError("cluster disconnected")
-        bound = 2 * int(depth[order[ts[i + 1] - 1]])
-        if bound <= cap:
-            if bound > worst:
-                worst = bound
-                exact = False
-            continue
-        diam = max(_cluster_ecc(*rows, i, size, v) for v in cluster)
-        if diam > cap:
-            return False, None, None
-        if diam > worst:
-            worst = diam
-            exact = True
-    return True, worst, exact

@@ -11,13 +11,11 @@ from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
                          measure_diameter)
 from shortcycles.io import d_regular, gnm
 from shortcycles.graph import flat_adjacency_np
-from shortcycles.ldd import (_check_diameters, _clustering, _forest,
-                             _shifted_search, diameter_cap, single_cluster)
+from shortcycles.ldd import _shifted_search, diameter_cap, single_cluster
 from shortcycles.rng import exponential, exponentials, mix64
 
 from conftest import cycle_graph, path_graph, random_multigraph, star_graph
-from ldd_reference import (check_diameters, dial_centers, dial_search,
-                           dict_clusters)
+from ldd_reference import dial_centers, dial_search, dict_clusters
 
 B12 = Fraction(1, 12)
 
@@ -97,20 +95,19 @@ def test_partition_and_intra_cluster_edges(rng):
 
 
 def test_guarantees_on_seeded_runs():
-    """The measured diameter from the independent oracle respects the cap."""
-    cap = diameter_cap(B12, 200)
-    for seed in range(8):
-        g = gnm(200, 2000, seed=seed)
+    """The measured diameter from the independent oracle is at most
+    max_diameter, which is at most the cap. On the long path, twice one
+    cluster's forest depth from its first vertex is over the cap, yet the
+    first draw is accepted: the bound comes from the hop counts."""
+    runs = [(gnm(200, 2000, seed=seed), seed) for seed in range(8)]
+    runs.append((path_graph(1500), 5))
+    for g, seed in runs:
         res = low_diam_decomp(g, B12, seed=seed)
         cut = g_minus(g, res.removed)
-        worst = 0
-        for cluster in res.clusters:
-            d = measure_diameter(cut, cluster)
-            worst = max(worst, d)
-            assert d <= cap
-        assert worst <= res.max_diameter or res.diameter_exact is False
-        if res.diameter_exact:
-            assert worst == res.max_diameter
+        worst = max(measure_diameter(cut, c) for c in res.clusters)
+        cap = diameter_cap(B12, g.n_active)
+        assert worst <= res.max_diameter <= cap
+    assert 2 * res.depth.max() > cap and res.retries == 0
 
 
 def test_deterministic_per_seed():
@@ -275,10 +272,28 @@ def test_shifted_search_ties_match_dial_queue():
     assert ties > 0
 
 
+def _assert_hop_bound(g, center, dist, shifts):
+    """Each active vertex's hop count h = dist(v) - dist(center) is 0 at
+    its center, at least its BFS depth from the center inside its
+    cluster, and at most shift(center) - shift(v)."""
+    hops = {v: np.rint(dist[v] - dist[center[v]]) for v in shifts}
+    clusters = {}
+    for v in shifts:
+        clusters.setdefault(int(center[v]), []).append(v)
+    for c, cluster in clusters.items():
+        assert hops[c] == 0
+        order, _, _, depth = _scalar_tree(
+            g, [c] + [v for v in cluster if v != c])
+        assert len(order) == len(cluster)
+        for v, d in zip(order, depth):
+            assert d <= hops[v] <= shifts[c] - shifts[v] + 1e-9
+
+
 def test_shifted_search_matches_dial_queue_on_coarse_shifts(rng):
     """Shifts on a coarse grid make offers from different centers tie, so
     the settle order and the first-minimum rule decide centers; the
-    filing cases below pin where an improved vertex is filed."""
+    filing cases below pin where an improved vertex is filed. The hop
+    counts bound every vertex's depth from its center."""
     for trial in range(300):
         g = random_multigraph(rng, rng.randrange(2, 40), rng.randrange(1, 80))
         for v in rng.sample(range(g.n_total), g.n_total // 8):
@@ -288,9 +303,10 @@ def test_shifted_search_matches_dial_queue_on_coarse_shifts(rng):
         live = active[adj[0][active + 1] > adj[0][active]]
         grid = rng.choice((0.5, 0.25, 1.5))
         shifts = {v: grid * rng.randrange(6) for v in active.tolist()}
-        got = _shifted_search(adj, active, live,
-                              np.array([shifts[v] for v in active.tolist()]))
+        got, dist = _shifted_search(
+            adj, active, live, np.array([shifts[v] for v in active.tolist()]))
         assert got.tolist() == dial_search(g, shifts)
+        _assert_hop_bound(g, got, dist, shifts)
 
 
 # Vertices s1=0, sx=1, s2=2, w=3, x=4, y=5 and an isolated z=6 carrying
@@ -317,10 +333,11 @@ def test_shifted_search_files_at_first_offer_in_bucket(shifts, y_center):
         g.add_edge(u, v)
     adj = flat_adjacency_np(g)
     active = np.arange(7)
-    got = _shifted_search(adj, active, active[:6],
-                          np.array([shifts[v] for v in range(7)]))
+    got, dist = _shifted_search(adj, active, active[:6],
+                                np.array([shifts[v] for v in range(7)]))
     assert got.tolist() == dial_search(g, shifts)
     assert got[5] == y_center
+    _assert_hop_bound(g, got, dist, shifts)
 
 
 def test_bulk_draw_matches_scalar_exponential():
@@ -351,58 +368,3 @@ def test_bulk_draw_extreme_words():
     want = np.array([exponential(scalar, 1.0) for _ in words])
     assert exponentials(Words(words), 1.0, len(words)).tobytes() == \
         want.tobytes()
-
-
-def _diameter_outcomes(res, caps):
-    """Compare the array diameter test with the scalar loop at each cap;
-    returns the set of (accepted, exact) outcomes seen."""
-    seen = set()
-    for cap in caps:
-        ok, worst, exact = check_diameters(res, cap)
-        assert _check_diameters(res, cap) == ok
-        if ok:
-            assert (res.max_diameter, res.diameter_exact) == (worst, exact)
-        seen.add((ok, exact))
-    return seen
-
-
-def test_check_diameters_matches_scalar_loop():
-    """Accept/reject, max_diameter and diameter_exact equal the scalar
-    loop's at the real cap and around every cluster's cheap bound, on gnm,
-    d_regular and a long path, whose one cluster over the real cap takes
-    the exact branch."""
-    path = low_diam_decomp(path_graph(1500), B12, 5)
-    # One cluster's 2 * depth is over the real cap, so it is measured.
-    assert path.diameter_exact and path.max_diameter == 184
-    runs = [(path, diameter_cap(B12, 1500))]
-    for seed in range(3):
-        for g, beta in ((gnm(300, 600, seed=seed), Fraction(1, 2)),
-                        (gnm(200, 2000, seed=seed), B12),
-                        (d_regular(200, 3, seed=seed), Fraction(1, 2))):
-            runs.append((low_diam_decomp(g, beta, seed),
-                         diameter_cap(beta, g.n_active)))
-    seen = set()
-    for res, cap in runs:
-        bounds = 2 * res.depth[res.tree_order[res.tree_starts[1:] - 1]]
-        caps = {cap} | {b + d for b in bounds.tolist() for d in (-1, 0)}
-        seen |= _diameter_outcomes(res, sorted(c for c in caps if c >= 0))
-    assert {(False, None), (True, True), (True, False)} <= seen
-
-
-@pytest.mark.parametrize("first_exact", [True, False])
-def test_check_diameters_tie_takes_first_cluster(first_exact):
-    """Two clusters of diameter 2 at cap 3: a path rooted at its end,
-    whose 2 * depth of 4 is over the cap and so is measured exactly, and
-    a star rooted at its centre, which passes on 2 * depth = 2. The
-    maximum is exact iff the measured one comes first."""
-    g = MultiGraph(6)
-    a, b = (0, 3) if first_exact else (3, 0)
-    g.add_edge(a, a + 1)          # path a - a+1 - a+2
-    g.add_edge(a + 1, a + 2)
-    g.add_edge(b, b + 1)          # star at b
-    g.add_edge(b, b + 2)
-    center = np.array([0, 0, 0, 3, 3, 3])
-    res = _clustering(g, center, flat_adjacency_np(g))
-    _forest(g, res)
-    assert _diameter_outcomes(res, [3]) == {(True, first_exact)}
-    assert res.max_diameter == 2
