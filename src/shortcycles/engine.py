@@ -363,7 +363,8 @@ def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:
     While more than 20n edges remain: take the 20n lowest active edge ids,
     reduce to a bounded-degree graph on exactly 2n vertices, run the
     recursive engine, map its cycles back through the vertex splitting
-    (splitting circuits into simple cycles), and delete those edges.
+    (splitting a circuit that revisits a vertex into simple cycles), and
+    delete those edges.
     Leftover is whatever remains, at most 20n edges.
     """
     work = g.copy()
@@ -394,9 +395,13 @@ def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:
             for hc in found.cycles:
                 walk_vs = [rmap.origin_vertex[v] for v in hc.vertices]
                 walk_es = [chosen[rmap.origin_edge[e]] for e in hc.edges]
-                for simple in split_circuit(walk_vs, walk_es):
-                    cycles.append(simple)
-                    removed.extend(simple.edges)
+                # A walk through distinct vertices is already simple; the
+                # split of any other covers the same edges.
+                if len(set(walk_vs)) == len(walk_vs):
+                    cycles.append(Cycle(edges=walk_es, vertices=walk_vs))
+                else:
+                    cycles.extend(split_circuit(walk_vs, walk_es))
+                removed.extend(walk_es)
             if not removed:
                 raise EngineFailure("driver made no progress", partial=None)
             work.delete_edges(removed)

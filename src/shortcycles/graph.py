@@ -21,11 +21,13 @@ class MultiGraph:
     every edge id, built on the first query that needs it and cached;
     deletions only clear `eactive`, and every query reads the CSR through
     that mask. Growing the graph drops the cache. Vertices are deleted in
-    batches (`delete_vertices`), each with its edges.
+    batches (`delete_vertices`), each with its edges. A vertex partition
+    that no active edge crosses (`_partition`) is cached and dropped the
+    same way.
     """
 
     __slots__ = ("eu", "ev", "eactive", "vactive", "deg",
-                 "n_active", "m_active", "_csr")
+                 "n_active", "m_active", "_csr", "_groups")
 
     def __init__(self, n: int = 0):
         self.eu = array("i")
@@ -36,6 +38,7 @@ class MultiGraph:
         self.n_active = n
         self.m_active = 0
         self._csr = None
+        self._groups = None
 
     # -- construction ------------------------------------------------------
 
@@ -54,6 +57,7 @@ class MultiGraph:
         self.deg.frombytes(bytes(4 * count))
         self.n_active += count
         self._csr = None
+        self._groups = None
 
     def add_edge(self, u: int, v: int) -> int:
         if not (self.vactive[u] and self.vactive[v]):
@@ -67,6 +71,7 @@ class MultiGraph:
             self.deg[v] += 1
         self.m_active += 1
         self._csr = None
+        self._groups = None
         return e
 
     @classmethod
@@ -88,6 +93,7 @@ class MultiGraph:
         deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
         g.deg = array("i", deg.astype(np.int32).tobytes())
         g._csr = None
+        g._groups = None
         return g
 
     def copy(self) -> "MultiGraph":
@@ -100,6 +106,7 @@ class MultiGraph:
         g.n_active = self.n_active
         g.m_active = self.m_active
         g._csr = self._csr   # never written in place, so safe to share
+        g._groups = self._groups   # likewise
         return g
 
     def _incidence(self):
@@ -122,6 +129,19 @@ class MultiGraph:
                 ([0], np.cumsum(np.bincount(heads, minlength=self.n_total))))
             self._csr = (starts, tails, eids)
         return self._csr
+
+    def _partition(self) -> np.ndarray:
+        """The cached vertex partition: per vertex slot, a group id in
+        [0, n_total) such that no active edge joins two groups. Built on
+        first use as the components of the active edges; deletions keep
+        it valid, only coarser, and the owner of a clustering may store
+        a finer valid one in `_groups`. Callers must not write to it."""
+        if self._groups is None:
+            act = np.frombuffer(self.eactive, dtype=bool)
+            self._groups = label_components(
+                self.n_total, np.frombuffer(self.eu, dtype=np.int32)[act],
+                np.frombuffer(self.ev, dtype=np.int32)[act])
+        return self._groups
 
     # -- deletion ----------------------------------------------------------
 
@@ -222,6 +242,26 @@ def flat_adjacency_np(g: MultiGraph):
     kept = np.flatnonzero(np.frombuffer(g.eactive, dtype=bool)[eids])
     # A row's new start is the number of kept entries before its old one.
     return np.searchsorted(kept, starts), tails[kept], eids[kept]
+
+
+def label_components(k: int, a, b) -> np.ndarray:
+    """Per item 0 .. k-1 (k < 2**31), the lowest item of its component
+    under the pairs (a[i], b[i]), as int32: min-label hooking with pointer
+    jumping. Each round hooks every root joined to a lower root onto the
+    lowest such root, then flattens the labels."""
+    lab = np.arange(k, dtype=np.int32)
+    a = np.asarray(a, dtype=np.int32)
+    b = np.asarray(b, dtype=np.int32)
+    la, lb = a, b   # every item starts as its own label
+    while not (la == lb).all():
+        np.minimum.at(lab, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = lab[lab]
+            if (up == lab).all():
+                break
+            lab = up
+        la, lb = lab[a], lab[b]
+    return lab
 
 
 def _gather_rows(starts, tails, eids, frontier):

@@ -5,7 +5,10 @@ has small strong diameter. The diameter cap holds by construction: every
 vertex is within shift(center) <= (2/beta) ln(n+1) hops of its center
 inside its own cluster (Miller-Peng-Xu). The cut bound is enforced by
 check-and-retry: an attempt is accepted only if both the cut bound and the
-diameter cap hold, resampling shifts otherwise.
+diameter cap hold, resampling shifts otherwise. Exact ties go to the lowest
+center id, so the layered search needs no queue order, and every component
+of the graph runs its own bucket clock, read from a partition the graph
+caches and each accepted clustering narrows to the exact components.
 """
 from __future__ import annotations
 
@@ -17,19 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import (GraphError, MultiGraph, _first_of, _gather_rows,
-                    bfs_forest, flat_adjacency_np)
+from .graph import (GraphError, MultiGraph, bfs_forest, flat_adjacency_np,
+                    label_components)
 from .rng import exponentials, mix64
 
 MAX_RETRIES = 20
 
 
 class LddError(GraphError):
-    """All retry attempts failed; `best` carries the last attempt."""
-
-    def __init__(self, msg, best=None):
-        super().__init__(msg)
-        self.best = best
+    """All retry attempts failed."""
 
 
 @dataclass
@@ -95,14 +94,17 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
 
     Each active vertex v draws an exponential shift with rate beta (capped
     at (2/beta) ln(n+1)) and joins the center c minimizing
-    dist(c, v) - shift(c). Vertices start at max_shift - shift; the search
-    settles them a unit layer at a time, relaxing every edge of a layer at
-    once, in the order a Dijkstra bucket queue would (`_shifted_search`).
-    A vertex's hop count to its center is dist(v) - dist(center), at most
+    dist(c, v) - shift(c), the lowest center id on exact ties. Vertices
+    start at max_shift - shift; the search settles them a unit layer at a
+    time, relaxing every edge of a layer at once, with one bucket clock
+    per group of the graph's cached partition (`_shifted_search`). A
+    vertex's hop count to its center is dist(v) - dist(center), at most
     shift(center) - shift(v), and `max_diameter` is twice the largest one.
     `crossing` holds the inter-cluster edges; |crossing| <= beta * m is
     checked exactly on the rational beta, and an attempt that fails it or
-    the diameter cap is redrawn, up to MAX_RETRIES times.
+    the diameter cap is redrawn, up to MAX_RETRIES times. An accepted
+    clustering narrows the cached partition to the graph's components:
+    the cluster labels joined by `crossing`.
     """
     if g.n_active == 0:
         raise GraphError("low_diam_decomp on empty graph")
@@ -112,8 +114,8 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
     m = g.m_active
     shift_cap = _shift_cap(beta, n)
     cap = diameter_cap(beta, n)
-    best = None
     adj = flat_adjacency_np(g)   # static across attempts
+    groups = g._partition()
     starts = adj[0]
     active = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
     # Vertices without an active edge stay their own centers.
@@ -123,7 +125,7 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
         shifts = exponentials(rng, float(beta), n)
         truncated = int(np.count_nonzero(shifts > shift_cap))
         np.minimum(shifts, shift_cap, out=shifts)
-        center, dist = _shifted_search(adj, active, live, shifts)
+        center, dist = _shifted_search(adj, active, live, shifts, groups)
         result = _clustering(g, center, adj, truncated)
         result.retries = attempt
         hops = np.rint(dist[active] - dist[center[active]])
@@ -131,11 +133,11 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
         if (len(result.crossing) * beta.denominator <= beta.numerator * m
                 and result.max_diameter <= cap):
             _forest(g, result)
+            g._groups = _components(g, result)
             return result
-        best = result
     raise LddError(
         f"low-diameter decomposition failed after {MAX_RETRIES} attempts "
-        f"(cap {cap}, beta {beta})", best=best)
+        f"(cap {cap}, beta {beta})")
 
 
 def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
@@ -151,60 +153,76 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     return result
 
 
-def _shifted_search(adj, active, live, shifts):
+def _shifted_search(adj, active, live, shifts, groups):
     """(center, dist): each vertex's center (-1 when inactive) and final
     distance under the shifts of the `active` vertices, from the Dijkstra
-    with unit edges and start distances max_shift - shift, run one bucket
-    of the queue at a time.
+    with unit edges and start distances max_shift - shift in which a
+    vertex joins the lowest center id among the offers at its distance.
+    `live` are the active vertices with an edge; `groups` gives each
+    vertex a group id in [0, n_total) such that no edge of `adj` joins
+    two groups.
 
     A vertex settles in bucket int(dist). Relaxing from bucket b only
-    reaches b + 1 or later, so bucket b's vertices are settled together,
-    in queue order: initial starts by id, then vertices in the order they
-    first entered bucket b. Each relaxed vertex takes its minimum offer,
-    the first in gather order among equal ones, as the queue's strict `<`
-    does. `key` holds each vertex's place in its current bucket.
+    reaches b + 1 or later, so a bucket's vertices settle together, and
+    the outcome needs no order inside a bucket: every offer to a vertex
+    of bucket b is made before b settles, and the vertex keeps the least
+    (distance, center) among them and its own start. Groups exchange no
+    offers, so each layer settles, in every group, the pending vertices
+    of that group's lowest bucket: one clock per group, and as many
+    layers as the group with the most distinct buckets needs.
 
     A vertex's final (dist, center) come from one settled offer, one edge
     closer and with the same center, so dist(v) - dist(center) is the
     length of a path inside v's cluster; and dist(v) is at most v's own
     start, so that length is at most shift(center) - shift(v).
     """
-    starts, tails, eids = adj
+    starts, tails, _ = adj
     n_total = len(starts) - 1
+    deg = np.diff(starts)
     max_shift = max(0.0, float(shifts.max()))
     dist = np.full(n_total, np.inf)
     dist[active] = max_shift - shifts
     center = np.full(n_total, -1, dtype=np.int64)
     center[active] = active
-    key = np.arange(n_total, dtype=np.int64)
-    stamp = n_total
+    low = np.full(n_total, np.inf)   # per group: its lowest pending bucket
     pending = live
     while pending.size:
         fl = np.floor(dist[pending])
-        now = fl == fl.min()
+        gp = groups[pending]
+        np.minimum.at(low, gp, fl)
+        now = fl == low[gp]
+        low[gp] = np.inf
         layer = pending[now]
         pending = pending[~now]
-        layer = layer[np.argsort(key[layer])]
-        src, w, _ = _gather_rows(starts, tails, eids, layer)
+        cnt = deg[layer]
+        src = np.repeat(layer, cnt)
+        w = tails[np.repeat(starts[layer] - np.cumsum(cnt) + cnt, cnt)
+                  + np.arange(len(src))]
         nd = dist[src] + 1.0
+        cs = center[src]
         old = dist[w]
-        better = nd < old
+        better = (nd < old) | ((nd == old) & (cs < center[w]))
         if not better.any():
             continue
-        src, w, nd, old = src[better], w[better], nd[better], old[better]
+        w, nd, cs, old = w[better], nd[better], cs[better], old[better]
         np.minimum.at(dist, w, nd)
         new = dist[w]
-        pos = np.arange(len(w))
-        # The offer that set each vertex's distance: its first minimum.
-        win = _first_of(w, pos, nd == new, n_total)
-        center[w[win]] = center[src[win]]
-        # A vertex that changed bucket is filed at its first offer there.
-        fresh = np.floor(new) != np.floor(old)
-        filed = _first_of(w, pos, fresh & (np.floor(nd) == np.floor(new)),
-                          n_total)
-        key[w[filed]] = stamp + pos[filed]
-        stamp += len(w)
+        center[w[new < old]] = n_total   # above every center id
+        hit = nd == new
+        np.minimum.at(center, w[hit], cs[hit])
     return center, dist
+
+
+def _components(g: MultiGraph, result: LddResult) -> np.ndarray:
+    """The components of g's active edges as a vertex partition: the
+    cluster labels joined by the crossing edges, each cluster being
+    connected. A vertex off the clusters is inactive and takes any group
+    (that of label -1, the last cluster's)."""
+    lab = result.labels
+    cu = np.frombuffer(g.eu, dtype=np.int32)[result.crossing]
+    cv = np.frombuffer(g.ev, dtype=np.int32)[result.crossing]
+    return label_components(len(result.member_starts) - 1, lab[cu],
+                            lab[cv])[lab]
 
 
 def _clustering(g: MultiGraph, center: np.ndarray, adj,

@@ -22,14 +22,17 @@ def dial_centers(g, rate: float, rng, shift_cap: float):
             s = shift_cap
             truncated += 1
         shifts[v] = s
-    return dial_search(g, shifts), truncated
+    return dial_search(g, shifts)[0], truncated
 
 
 def dial_search(g, shifts):
-    """Each vertex's center (-1 when inactive) given the shift of every
-    active vertex (a dict): Dijkstra with unit edges from start distances
-    max_shift - shift. Keys in bucket b never relax into bucket b, so a
-    Dial bucket queue processed in ascending order is exact."""
+    """Each vertex's center (-1 when inactive) and distance (inf when
+    inactive) given the shift of every active vertex (a dict): Dijkstra
+    with unit edges from start distances max_shift - shift, relaxing w
+    from v when (dist, center) drops, so an exact tie goes to the lowest
+    center id. Keys in bucket b never relax into bucket b, so a Dial
+    bucket queue processed in ascending order is exact, and the order
+    inside a bucket does not matter."""
     n_total = g.n_total
     starts, tails, _ = (a.tolist() for a in flat_adjacency_np(g))
     max_shift = 0.0
@@ -61,12 +64,12 @@ def dial_search(g, shifts):
                 buckets.append([])
             for i in range(starts[v], starts[v + 1]):
                 w = tails[i]
-                if nd < dist[w]:
+                if (nd, center[v]) < (dist[w], center[w]):
                     dist[w] = nd
                     center[w] = center[v]
                     buckets[nb].append(w)
         b += 1
-    return center
+    return center, dist
 
 
 def dict_clusters(center):

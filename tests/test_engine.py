@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shortcycles import (EngineConfig, GraphError, LddResult, MultiGraph,
@@ -11,6 +12,7 @@ from shortcycles import (EngineConfig, GraphError, LddResult, MultiGraph,
                          verify_decomposition)
 from shortcycles.engine import (_introot, _isqrt_ceil, _one_rounds,
                                 _pair_loop_greedy)
+from shortcycles.graph import label_components
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 from shortcycles.io import d_regular, gnm, parallel_gadgets, torus
 
@@ -321,6 +323,41 @@ def test_scd_small_clusters_take_the_naive_peel(monkeypatch):
     assert dec.cycles
     rep = verify_decomposition(g, dec, 20 * g.n_active, 10 ** 9)
     assert rep.valid, rep.violations
+
+
+@pytest.mark.parametrize("make,c", [
+    (lambda: gnm(256, 7680, seed=5), 1),
+    (lambda: gnm(256, 7680, seed=5), 2),
+    (lambda: parallel_gadgets(100, 120), 1),
+    (lambda: parallel_gadgets(64, 60, seed=1), 2)],
+    ids=["gnm-c1", "gnm-c2", "gadgets-c1", "gadgets-c2"])
+def test_ldd_partition_stays_valid_in_decompose(monkeypatch, make, c):
+    """Every LDD of a decompose finds no active edge joining two groups of
+    the graph's cached partition, and leaves the partition equal, on the
+    active vertices, to the components of the active edges."""
+    real_ldd = engine.low_diam_decomp
+    calls = []
+
+    def checked_ldd(g, beta, seed):
+        ea = np.frombuffer(g.eactive, dtype=bool)
+        eu = np.frombuffer(g.eu, dtype=np.int32)[ea]
+        ev = np.frombuffer(g.ev, dtype=np.int32)[ea]
+        groups = g._partition()
+        assert (groups[eu] == groups[ev]).all()
+        res = real_ldd(g, beta, seed)
+        groups = g._partition()
+        assert (groups[eu] == groups[ev]).all()
+        act = np.flatnonzero(np.frombuffer(g.vactive, dtype=bool))
+        exact = label_components(g.n_total, eu, ev)[act]
+        pairs = set(zip(groups[act].tolist(), exact.tolist()))
+        assert len(pairs) == len(set(exact.tolist())) == len(
+            set(groups[act].tolist()))
+        calls.append(len(pairs))
+        return res
+
+    monkeypatch.setattr(engine, "low_diam_decomp", checked_ldd)
+    decompose(make(), EngineConfig(c=c, seed=1))
+    assert len(calls) >= 5 and max(calls) > 1
 
 
 # -- decompose --------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shortcycles import GraphError, MultiGraph, contract, tree_path
-from shortcycles.graph import bfs_forest, flat_adjacency_np
+from shortcycles.graph import bfs_forest, flat_adjacency_np, label_components
 from shortcycles.ldd import low_diam_decomp, single_cluster
 from shortcycles.verify import measure_diameter
 
@@ -282,6 +282,73 @@ def test_components_after_deletion():
     g.delete_edge(0)
     comps = [sorted(c) for c in connected_components(g)]
     assert sorted(comps) == [[0], [1, 2]]
+
+
+def _union_find_lowest(k, pairs):
+    """Per item, the lowest item of its component, by a scalar union-find
+    that always keeps the lower root."""
+    root = list(range(k))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        root[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(k)]
+
+
+def test_label_components_matches_union_find(rng):
+    """Random multigraphs with loops and parallel pairs, sparse to dense,
+    plus long paths numbered in random order (many hooking rounds)."""
+    cases = []
+    for _ in range(200):
+        k = rng.randrange(1, 60)
+        cases.append((k, [(rng.randrange(k), rng.randrange(k))
+                          for _ in range(rng.randrange(3 * k))]))
+    for k in (2, 50, 500):
+        perm = rng.sample(range(k), k)
+        cases.append((k, [(perm[i], perm[i + 1]) for i in range(k - 1)]))
+    cases.append((0, []))
+    for k, pairs in cases:
+        a = [p[0] for p in pairs]
+        b = [p[1] for p in pairs]
+        got = label_components(k, np.array(a, dtype=np.int32),
+                               np.array(b, dtype=np.int32))
+        assert got.tolist() == _union_find_lowest(k, pairs)
+
+
+def test_partition_cache_follows_mutation(rng):
+    """The cached partition is the components of the active edges when
+    built, stays valid under deletions, is dropped by add_edge and
+    add_vertices, and is shared by copy()."""
+    for trial in range(30):
+        g = random_multigraph(rng, rng.randrange(1, 30), rng.randrange(40))
+        assert g._partition().tolist() == _union_find_lowest(
+            g.n_total, [(g.eu[e], g.ev[e]) for e in g.active_edges()])
+        for step in range(10):
+            op = rng.randrange(5)
+            alive = g.active_vertices()
+            live = g.active_edges()
+            if op == 0 and alive:
+                g.add_edge(rng.choice(alive), rng.choice(alive))
+                assert g._groups is None
+            elif op == 1:
+                g.add_vertices(rng.randrange(1, 3))
+                assert g._groups is None
+            elif op == 2 and live:
+                g.delete_edges(rng.sample(live, rng.randrange(len(live)) + 1))
+            elif op == 3 and alive:
+                g.delete_vertices(rng.sample(alive, 1 + len(alive) // 4))
+            elif op == 4:
+                assert g.copy()._groups is g._partition()
+            groups = g._partition()
+            assert ((groups >= 0) & (groups < g.n_total)).all()
+            for e in g.active_edges():   # no active edge joins two groups
+                assert groups[g.eu[e]] == groups[g.ev[e]]
 
 
 def test_components_partition_vertices(rng):

@@ -260,8 +260,8 @@ def test_shifted_search_matches_dial_queue(rng):
 
 def test_shifted_search_ties_match_dial_queue():
     """On tiny graphs with beta 1 and 1/2 the shift cap is small, so
-    several shifts are truncated to the same value and tie; the queue's
-    order decides those ties."""
+    several shifts are truncated to the same value and tie; the lowest
+    center id takes those ties."""
     ties = 0
     for seed in range(3000):
         local = random.Random(seed)
@@ -289,54 +289,76 @@ def _assert_hop_bound(g, center, dist, shifts):
             assert d <= hops[v] <= shifts[c] - shifts[v] + 1e-9
 
 
+def _search(g, shifts, groups):
+    """_shifted_search on g's active edges and a dict of shifts."""
+    adj = flat_adjacency_np(g)
+    active = np.asarray(g.active_vertices(), dtype=np.int64)
+    live = active[adj[0][active + 1] > adj[0][active]]
+    return _shifted_search(adj, active, live,
+                           np.array([shifts[v] for v in active.tolist()]),
+                           np.asarray(groups, dtype=np.int64))
+
+
 def test_shifted_search_matches_dial_queue_on_coarse_shifts(rng):
     """Shifts on a coarse grid make offers from different centers tie, so
-    the settle order and the first-minimum rule decide centers; the
-    filing cases below pin where an improved vertex is filed. The hop
-    counts bound every vertex's depth from its center."""
+    the lowest-center rule decides; the tie cases below pin it by hand.
+    On disjoint unions of small random multigraphs (loops, isolated and
+    deleted vertices), one bucket clock per component, per group of a
+    random coarsening of the components, and one clock for all give the
+    scalar queue's centers and distances; the components' buckets differ,
+    so one clock per vertex would not. The hop counts bound every
+    vertex's depth from its center."""
+    unions = 0
     for trial in range(300):
-        g = random_multigraph(rng, rng.randrange(2, 40), rng.randrange(1, 80))
+        g = MultiGraph(0)
+        for _ in range(rng.randrange(1, 5)):
+            base = g.n_total
+            n = rng.randrange(1, 25)
+            g.add_vertices(n)
+            for _ in range(rng.randrange(0, 2 * n)):
+                g.add_edge(base + rng.randrange(n), base + rng.randrange(n))
+        g.add_vertices(rng.randrange(3))            # isolated
         for v in rng.sample(range(g.n_total), g.n_total // 8):
             g.delete_vertex(v)
-        adj = flat_adjacency_np(g)
-        active = np.asarray(g.active_vertices(), dtype=np.int64)
-        live = active[adj[0][active + 1] > adj[0][active]]
         grid = rng.choice((0.5, 0.25, 1.5))
-        shifts = {v: grid * rng.randrange(6) for v in active.tolist()}
-        got, dist = _shifted_search(
-            adj, active, live, np.array([shifts[v] for v in active.tolist()]))
-        assert got.tolist() == dial_search(g, shifts)
+        shifts = {v: grid * rng.randrange(6) for v in g.active_vertices()}
+        want, want_dist = dial_search(g, shifts)
+        exact = g._partition()
+        merge = [rng.randrange(min(3, g.n_total)) for _ in range(g.n_total)]
+        coarse = [merge[c] for c in exact.tolist()]
+        for groups in (exact, coarse, np.zeros(g.n_total)):
+            got, dist = _search(g, shifts, groups)
+            assert got.tolist() == want and dist.tolist() == want_dist
         _assert_hop_bound(g, got, dist, shifts)
+        unions += len(set(exact[g.active_vertices()].tolist())) > 1
+    assert unions > 200
 
 
 # Vertices s1=0, sx=1, s2=2, w=3, x=4, y=5 and an isolated z=6 carrying
 # the largest shift. sx and s2 start at equal distances, so w (reached
-# from s2) and x (from sx) tie at y, and the queue order of w and x in
-# their bucket decides y's center. w's first offer comes from s1.
-_FILING_EDGES = [(0, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
-_FILING_CASES = [
-    # s1's offer to w is worse but in the same bucket: w keeps the place
-    # of that first offer, ahead of x, so y joins s2.
-    ({0: 2.25, 1: 2.75, 2: 2.75, 3: 0.0, 4: 0.0, 5: 0.0, 6: 3.0}, 2),
+# from s2) and x (from sx) make offers to y at equal distances, and y
+# joins sx = 1, the lower of the two centers, whatever order w and x
+# settle in. w also gets an offer from s1.
+_TIE_EDGES = [(0, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
+_TIE_SHIFTS = [
+    # s1's offer to w is worse than s2's but in the same bucket.
+    {0: 2.25, 1: 2.75, 2: 2.75, 3: 0.0, 4: 0.0, 5: 0.0, 6: 3.0},
     # s1 starts at 2 - 2**-52, so its offer rounds up to 3.0, a bucket
-    # later than the final 2.25: w is filed at s2's offer, after x, and y
-    # joins sx.
-    ({0: 1.5 + 2.0 ** -52, 1: 2.25, 2: 2.25, 3: 0.0, 4: 0.0, 5: 0.0,
-      6: 3.5}, 1),
+    # later than s2's final 2.25.
+    {0: 1.5 + 2.0 ** -52, 1: 2.25, 2: 2.25, 3: 0.0, 4: 0.0, 5: 0.0,
+     6: 3.5},
 ]
 
 
-@pytest.mark.parametrize("shifts,y_center", _FILING_CASES)
-def test_shifted_search_files_at_first_offer_in_bucket(shifts, y_center):
+@pytest.mark.parametrize("shifts", _TIE_SHIFTS)
+def test_shifted_search_ties_go_to_lowest_center(shifts):
     g = MultiGraph(7)
-    for u, v in _FILING_EDGES:
+    for u, v in _TIE_EDGES:
         g.add_edge(u, v)
-    adj = flat_adjacency_np(g)
-    active = np.arange(7)
-    got, dist = _shifted_search(adj, active, active[:6],
-                                np.array([shifts[v] for v in range(7)]))
-    assert got.tolist() == dial_search(g, shifts)
-    assert got[5] == y_center
+    got, dist = _search(g, shifts, np.zeros(7))
+    want, want_dist = dial_search(g, shifts)
+    assert got.tolist() == want and dist.tolist() == want_dist
+    assert got[3] == 2 and got[4] == 1 and got[5] == 1
     _assert_hop_bound(g, got, dist, shifts)
 
 
