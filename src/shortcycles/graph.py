@@ -435,16 +435,26 @@ def contract(g: MultiGraph, part, exclude, edges=None) -> ContractionMap:
     self-loop when both endpoints share a part), in ascending source id,
     and f maps it back to its source edge; edges with an endpoint outside
     all parts are skipped. `edges` restricts the scan to a candidate edge
-    list (each id considered once).
+    list (each id considered once). GraphError if `part` is not one
+    entry per vertex slot or `exclude` or `edges` holds an id outside
+    [0, m_total).
     """
     pmap = np.asarray(part, dtype=np.int32)
+    if pmap.shape != (g.n_total,):
+        raise GraphError(f"part must have one entry per vertex slot "
+                         f"({g.n_total}), got shape {pmap.shape}")
+    exclude = np.asarray(exclude, dtype=np.int64)
+    if ((exclude < 0) | (exclude >= g.m_total)).any():
+        raise GraphError(f"exclude holds an id outside [0, {g.m_total})")
     ex = np.zeros(g.m_total, dtype=bool)
-    ex[np.asarray(exclude, dtype=np.int64)] = True
+    ex[exclude] = True
     if edges is None:
         ids = np.arange(g.m_total)
     else:
         # Sort plus neighbour compare: np.unique may hash instead of sort.
         ids = np.sort(np.asarray(edges, dtype=np.int64))
+        if len(ids) and (ids[0] < 0 or ids[-1] >= g.m_total):
+            raise GraphError(f"edges holds an id outside [0, {g.m_total})")
         first = np.ones(len(ids), dtype=bool)
         first[1:] = ids[1:] != ids[:-1]
         ids = ids[first]

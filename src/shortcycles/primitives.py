@@ -289,41 +289,83 @@ def tree_split(ldd, weights, threshold) -> np.ndarray:
     """Partition every tree of a clustering's forest (an LddResult) into
     connected subtrees whose label sums lie in [t, D*t + X], for the
     tree's threshold t, maximum degree D and largest label X; `weights`
-    holds every vertex's non-negative label.
+    holds every vertex slot's non-negative label.
 
-    `threshold` is one int or one per cluster, each at least 1. Each tree
-    is re-rooted at its first leaf in BFS order. Walking up a layer at a
-    time from the deepest, a vertex whose accumulated label sum reaches t
-    is cut from its parent; otherwise the sum is added to its parent's.
-    A root component lighter than t merges into its shallowest adjacent
-    cut, the first in the re-rooted BFS order (tree edges scanned in id
-    order). A tree whose label sum is below t has no cut and stays one
-    part.
+    `threshold` is one int or one int per cluster, each at least 1
+    (GraphError otherwise, and on `weights` of another length). Each
+    tree is re-rooted at its first leaf in the forest's order by flipping
+    the parents on the path from that leaf to the old root. Walking up a
+    layer at a time from the deepest, a vertex whose accumulated label
+    sum reaches t is cut from its parent; otherwise the sum is added to
+    its parent's. A root component lighter than t merges into its
+    shallowest adjacent cut, the first in the re-rooted BFS order (tree
+    edges scanned in id order). A tree whose label sum is below t has no
+    cut and stays one part.
 
     Returns every vertex's part, -1 off the forest. Parts are numbered by
     cluster, then by the re-rooted BFS order of their shallowest vertex.
     """
-    lab = ldd.labels
+    lab, fv, depth = ldd.labels, ldd.tree_order, ldd.depth
+    parent, pedge = ldd.parent, ldd.parent_edge
     n_total = len(lab)
-    thr = np.asarray(threshold, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.int64)
+    if weights.shape != (n_total,):
+        raise GraphError(f"weights must have one entry per vertex slot "
+                         f"({n_total}), got shape {weights.shape}")
+    thr = np.asarray(threshold)
+    if thr.dtype.kind not in "iu":
+        raise GraphError("threshold must be an integer")
+    if thr.ndim > 1 or (thr.ndim == 1
+                        and len(thr) != len(ldd.tree_starts) - 1):
+        raise GraphError("threshold must be one int or one per cluster")
+    thr = thr.astype(np.int64)
     if (thr < 1).any():
         raise GraphError("threshold must be positive")
-    fv, parent = ldd.tree_order, ldd.parent
-    child = np.flatnonzero(parent >= 0)
-    child = child[np.argsort(ldd.parent_edge[child])]
-    tdeg = np.bincount(parent[child], minlength=n_total) + (parent >= 0)
+    tdeg = np.bincount(parent[parent >= 0], minlength=n_total) + (parent >= 0)
     # Each tree's first vertex of tree degree <= 1: a leaf, or a lone root.
     cand = fv[tdeg[fv] <= 1]
     first = np.ones(len(cand), dtype=bool)
     first[1:] = lab[cand[1:]] != lab[cand[:-1]]
-    tree_adj = flat_adjacency_np(
-        MultiGraph.from_edges(n_total, child, parent[child]))
-    order, up, _, layers = bfs_forest(tree_adj, cand[first], lab)
-    size, n_roots = len(order), layers[1]
+    leaf = cand[first]
+    # Flip the parents on every leaf-to-root path: a path vertex's new
+    # parent is its old child c there, joined by c's parent edge, the key
+    # that orders it among its new siblings, and its new depth is its
+    # distance to the leaf.
+    up, key = parent.copy(), pedge.copy()
+    new_depth = np.zeros(n_total, dtype=np.int64)
+    on_path = np.zeros(n_total, dtype=bool)
+    on_path[leaf] = True
+    up[leaf] = -1
+    cur, step = leaf[parent[leaf] >= 0], 1
+    while len(cur):
+        p = parent[cur]
+        up[p], key[p], on_path[p], new_depth[p] = cur, pedge[cur], True, step
+        cur, step = p[parent[p] >= 0], step + 1
+    # Off the path, one more than the parent's, top-down over the old
+    # layers.
+    off = fv[~on_path[fv]]
+    off = off[np.argsort(depth[off])]
+    a = 0
+    for b in np.cumsum(np.bincount(depth[off])).tolist():
+        v = off[a:b]
+        new_depth[v] = new_depth[parent[v]] + 1
+        a = b
+    # The BFS order from the leaves: each vertex is reached only from its
+    # new parent, so a layer sorts by (parent's position, key).
+    d = new_depth[fv]
+    order = fv[np.argsort(d, kind="stable")]   # roots in cluster order
+    layers = [0] + np.cumsum(np.bincount(d, minlength=1)).tolist()
     pos = np.empty(n_total, dtype=np.int64)
-    pos[order] = np.arange(size)
-    up = pos[up]                       # parent positions; junk at the roots
-    label = np.asarray(weights, dtype=np.int64)[order]
+    pos[order[:layers[1]]] = np.arange(layers[1])
+    m = int(pedge.max(initial=0)) + 1
+    for a, b in zip(layers[1:-1], layers[2:]):
+        v = order[a:b]
+        v = v[np.argsort(pos[up[v]] * m + key[v])]
+        order[a:b] = v
+        pos[v] = np.arange(a, b)
+    size, n_roots = len(order), layers[1]
+    up = pos[up[order]]                # parent positions; junk at the roots
+    label = weights[order]
     t = thr[lab[order]] if thr.ndim else np.full(size, thr)
     extra = label.copy()
     cut = np.zeros(size, dtype=bool)
@@ -411,19 +453,24 @@ def pull_up(cm: ContractionMap, parent, edge, depth,
 def sparsify(g: MultiGraph, k: int) -> MultiGraph:
     """Subgraph with exactly k edges and max degree <= (2k + 4n) * D / m.
 
-    Repeats rounds of: per-component spanning tree, bottom-up removal of
-    the parent edge at every odd-degree vertex, then an Euler tour per
-    component deleting every other edge starting from the first -- until
-    fewer than 2k + 2n edges remain. Finally trims highest edge ids down
-    to exactly k. Returns a tombstoned copy; edge ids are preserved.
+    Runs the fewest rounds r with 2^r * (2k + 4n) >= m, each of:
+    per-component spanning tree, bottom-up removal of the parent edge at
+    every odd-degree vertex, then an Euler tour per component deleting
+    every other edge starting from the first. A round at least halves
+    every degree, which gives the bound, and keeps at least m'/2 - n of
+    its m' edges, so each round starts above 2k + 2n edges and at least
+    k remain. Finally trims highest edge ids down to exactly k. Returns
+    a tombstoned copy; edge ids are preserved.
     """
     m = g.m_active
     n = g.n_active
     if not (1 <= k <= m):
         raise GraphError(f"sparsify needs 1 <= k <= m, got k={k} m={m}")
     out = g.copy()
-    while out.m_active >= 2 * k + 2 * n:
+    bound = 2 * k + 4 * n
+    while bound < m:
         _halving_round(out)
+        bound *= 2
     if out.m_active > k:
         act = np.nonzero(np.frombuffer(out.eactive, dtype=np.uint8))[0]
         out.delete_edges(act[k - out.m_active:].tolist())

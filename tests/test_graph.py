@@ -507,6 +507,25 @@ def test_contract_skips_outside_by_default():
     assert cm.outside_edges == 1
 
 
+@pytest.mark.parametrize("ids", [[-1], [3], [0, 7]])
+@pytest.mark.parametrize("arg", ["exclude", "edges"])
+def test_contract_rejects_edge_id_out_of_range(arg, ids):
+    """An excluded or candidate id must name an edge: -1 would wrap to
+    the last edge and an id past m_total would index out of range."""
+    g = path_graph(4)
+    kwargs = {"exclude": [], arg: ids}
+    with pytest.raises(GraphError):
+        contract(g, [0, 0, 1, 1], **kwargs)
+
+
+@pytest.mark.parametrize("part", [[0, 0, 1], [0, 0, 1, 1, 2], [[0, 0, 1, 1]]])
+def test_contract_rejects_part_of_wrong_shape(part):
+    """`part` holds one entry per vertex slot, no more and no fewer."""
+    g = path_graph(4)
+    with pytest.raises(GraphError):
+        contract(g, part, [])
+
+
 def _reference_contract(g, parts, exclude, edges=None):
     """Straight-line re-implementation used as a cross-check: returns
     (hu, hv, f, excluded, outside)."""

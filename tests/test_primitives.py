@@ -12,7 +12,7 @@ from shortcycles import (GraphError, MultiGraph, contract,
 from shortcycles.engine import _naive_round
 from shortcycles.graph import euler_tours, flat_adjacency_np
 from shortcycles.io import d_regular, gnm, parallel_gadgets
-from shortcycles.ldd import single_cluster
+from shortcycles.ldd import _clustering, _forest, single_cluster
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
 import naive_reference
@@ -576,6 +576,96 @@ def test_tree_split_matches_reference_on_ldd_forests(make):
     assert light and singles
 
 
+def _component_forest(g):
+    """The clustering of g whose clusters are its components, with its
+    forest: each tree is the BFS tree of its component from its lowest
+    vertex."""
+    center = np.full(g.n_total, -1, dtype=np.int64)
+    for comp in connected_components(g):
+        center[comp] = min(comp)
+    ldd = _clustering(g, center, flat_adjacency_np(g))
+    _forest(g, ldd)
+    return ldd
+
+
+def _tree(n, edges):
+    return MultiGraph.from_edges(n, *zip(*edges))
+
+
+def _lone_root_forest():
+    """Trees of 1, 3, 1 and 4 vertices: lone roots 0 and 4 between the
+    path 1-2-3 and the star 5-6-{7, 8}."""
+    return _component_forest(_tree(9, [(1, 2), (2, 3), (5, 6), (6, 7),
+                                       (6, 8)]))
+
+
+def test_tree_split_root_leaf_flips_nothing():
+    """Root 0 has tree degree 1, so it is its tree's first leaf and the
+    re-rooted tree is the forest's own. The last vertex, 7, sits at
+    depth 4: flipping a vertex past the root would move it."""
+    g = _tree(8, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7)])
+    ldd = single_cluster(g, list(range(8)))
+    assert ldd.tree_order[0] == 0 and ldd.depth[7] == 4
+    weights = np.array([1, 0, 2, 1, 3, 1, 2, 2])
+    for t in range(1, 14):
+        _assert_split_matches_reference(ldd, weights, t)
+
+
+def test_tree_split_lone_roots_in_a_forest():
+    """Lone roots (isolated vertices) between larger trees: each is its
+    own leaf, one part at any threshold, and the trees around them are
+    numbered in cluster order."""
+    ldd = _lone_root_forest()
+    assert np.diff(ldd.tree_starts).tolist() == [1, 3, 1, 4]
+    weights = np.array([0, 2, 1, 2, 5, 1, 1, 2, 1])
+    for t in range(1, 7):
+        _assert_split_matches_reference(ldd, weights, t)
+    _assert_split_matches_reference(ldd, weights, np.array([4, 1, 9, 2]))
+
+
+def test_tree_split_deep_first_leaf_orders_flipped_siblings():
+    """The first leaf, 6, is at depth 3 (path 6-3-1-0). Re-rooted at 6,
+    the flipped 1 and the unflipped 7 are both children of 3, ordered by
+    their edges to it (3-7 is edge 2, 1-3 edge 3, so 7 comes first);
+    next, the flipped 0 and the unflipped 4 are children of 1, in one
+    layer with 7's child 10."""
+    g = _tree(11, [(0, 1), (3, 6), (3, 7), (1, 3), (1, 4), (0, 2), (2, 5),
+                   (4, 8), (5, 9), (7, 10)])
+    ldd = single_cluster(g, list(range(11)))
+    assert ldd.tree_order.tolist() == list(range(11))
+    assert ldd.depth[6] == 3
+    rng = random.Random(3)
+    for _ in range(40):
+        weights = np.array([rng.randrange(0, 4) for _ in range(11)])
+        for t in (1, 2, 3, 5, 8):
+            _assert_split_matches_reference(ldd, weights, t)
+
+
+@pytest.mark.parametrize("weights", [np.ones(8, dtype=np.int64),
+                                     np.ones(10, dtype=np.int64),
+                                     np.ones((1, 9), dtype=np.int64)],
+                         ids=["short", "long", "2d"])
+def test_tree_split_rejects_weights_of_wrong_shape(weights):
+    """`weights` holds one label per vertex slot (9 here)."""
+    ldd = _lone_root_forest()
+    with pytest.raises(GraphError):
+        tree_split(ldd, weights, 2)
+
+
+@pytest.mark.parametrize("threshold", [
+    np.array([2, 2, 2]), np.array([2, 2, 2, 2, 2]), np.array([], dtype=int),
+    np.array([[2, 2, 2, 2]]), 2.5, 3.0, np.array([2, 2.5, 2, 2])],
+    ids=["short", "long", "empty", "2d", "float", "integral-float",
+         "float-array"])
+def test_tree_split_rejects_bad_threshold(threshold):
+    """`threshold` is one int or one int per cluster (4 here)."""
+    ldd = _lone_root_forest()
+    weights = np.ones(9, dtype=np.int64)
+    tree_split(ldd, weights, np.array([2, 2, 2, 2]))
+    with pytest.raises(GraphError):
+        tree_split(ldd, weights, threshold)
+
+
 # -- pull_up ----------------------------------------------------------------
 
 def test_pull_up_identity():
@@ -694,6 +784,50 @@ def test_sparsify_parallel_block():
     out = sparsify(g, 2)
     assert out.m_active == 2
     assert max(out.deg) <= (2 * 2 + 4 * 2) * 128 // 64
+
+
+def test_sparsify_trims_only_when_bound_allows():
+    """With m <= 2k + 4n no halving round is needed, even at 2k + 2n <= m:
+    the output is the k lowest edge ids."""
+    g = d_regular(40, 20, seed=3)
+    n, m = g.n_active, g.m_active   # 400 edges
+    for k in (120, 140, 160):
+        assert 2 * k + 2 * n <= m <= 2 * k + 4 * n
+        out = sparsify(g, k)
+        assert out.active_edges() == g.active_edges()[:k]
+
+
+def test_sparsify_many_rounds_keep_k_edges(rng):
+    """Dense inputs need several halving rounds; each must start above
+    2k + 2n edges, so exactly k survive under the degree bound."""
+    for trial in range(40):
+        n = rng.randrange(2, 8)
+        m = rng.randrange(50 * n, 120 * n)
+        g = random_multigraph(rng, n, m)
+        k = rng.randrange(1, 4)
+        assert 4 * (2 * k + 4 * n) < m   # at least three rounds
+        out = sparsify(g, k)
+        assert out.m_active == k
+        assert max(out.deg) * m <= (2 * k + 4 * n) * g.max_degree()
+        assert list(out.deg) == recomputed_degrees(out)
+
+
+def test_sparsify_degree_bound_needs_every_round():
+    """Ten vertices of degree about 1000, vertex 0's edges first: the trim
+    keeps its surviving edges, so only the fifth round (2^5 * (2k + 4n)
+    >= m for k = 100) brings it under (2k + 4n) * D / m = 48."""
+    g = MultiGraph(10)
+    for i in range(1, 10):
+        for _ in range(112 if i == 9 else 111):
+            g.add_edge(0, i)
+    for i in range(1, 10):
+        for _ in range(444):
+            g.add_edge(i, i % 9 + 1)
+    k, n, m, delta = 100, g.n_active, g.m_active, g.max_degree()
+    assert 16 * (2 * k + 4 * n) < m <= 32 * (2 * k + 4 * n)
+    out = sparsify(g, k)
+    assert out.m_active == k
+    assert max(out.deg) * m <= (2 * k + 4 * n) * delta
 
 
 def test_sparsify_rejects_bad_k():
