@@ -173,9 +173,9 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.graph, "rb") as fh:
             g = parse_edge_list(fh.read())
-        with open(args.decomposition) as fh:
+        with open(args.decomposition, encoding="utf-8") as fh:
             dec = decomposition_from_dict(json.load(fh), g)
-    except (OSError, ParseError, json.JSONDecodeError) as exc:
+    except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import GraphError, MultiGraph, contract
+from .graph import GraphError, MultiGraph, contract, contracted_edges
 from .ldd import LddError, low_diam_decomp, single_cluster
 from .primitives import (Cycle, VertexDisjointCycleSet, graph_reduce,
                          naive_short_cycle, pull_up, sparsify, split_circuit,
@@ -143,16 +143,16 @@ def one_round_short_cycle(g: MultiGraph, cfg: EngineConfig,
     return out
 
 
-def _contract_parts(g: MultiGraph, ldd, part, edges=None):
-    """Contract the parts of a split of ldd's forest, without the tree
-    edges inside a part."""
+def _part_tree_edges(ldd, part) -> np.ndarray:
+    """The forest edges inside the parts of a split of ldd's forest."""
     parent = ldd.parent
     inside = (parent >= 0) & (part >= 0) & (part[parent] == part)
-    return contract(g, part, ldd.parent_edge[inside], edges)
+    return ldd.parent_edge[inside]
 
 
-def _pair_loop_greedy(h: MultiGraph) -> VertexDisjointCycleSet:
-    """Maximal vertex-disjoint 2-cycles of parallel pairs, then self-loops.
+def _pair_loop_greedy(pu, pv, k: int) -> VertexDisjointCycleSet:
+    """Maximal vertex-disjoint 2-cycles of parallel pairs, then self-loops,
+    of the graph on vertices 0 .. k-1 whose edge i joins pu[i] and pv[i].
 
     The pairs are taken greedily in edge-id order, each made of the first
     two edges joining its endpoints and taken at the second when both
@@ -160,28 +160,33 @@ def _pair_loop_greedy(h: MultiGraph) -> VertexDisjointCycleSet:
     used vertices stay used. Then every free vertex, in id order, takes
     its lowest-id loop.
     """
-    hu = np.frombuffer(h.eu, dtype=np.int32).astype(np.int64)
-    hv = np.frombuffer(h.ev, dtype=np.int32).astype(np.int64)
-    lo = np.minimum(hu, hv)
-    hi = np.maximum(hu, hv)
+    lo = np.minimum(pu, pv, dtype=np.int64)
+    hi = np.maximum(pu, pv, dtype=np.int64)
+    m = len(lo)
     out = VertexDisjointCycleSet()
     used = out.used_vertices
-    pairs = np.nonzero(lo != hi)[0]
-    key = lo[pairs] * h.n_total + hi[pairs]
-    order = np.argsort(key, kind="stable")
-    by_key, key = pairs[order], key[order]
-    second = np.zeros(len(key), dtype=bool)
-    second[1:] = key[1:] == key[:-1]
-    second[2:] &= key[2:] != key[:-2]
-    at = np.nonzero(second)[0]
-    at = at[np.argsort(by_key[at])]
-    for e1, e2, a, b in zip(by_key[at - 1].tolist(), by_key[at].tolist(),
-                            lo[by_key[at]].tolist(), hi[by_key[at]].tolist()):
+    pairs = np.flatnonzero(lo != hi)
+    key = lo[pairs] * k + hi[pairs]
+    order = np.argsort(key)
+    key, by_key = key[order], pairs[order]
+    head = np.flatnonzero(np.diff(key, prepend=-1))
+    # Each key's lowest edge id, then its next lowest (m if none).
+    e1 = np.minimum.reduceat(by_key, head)
+    rest = np.where(by_key == np.repeat(e1, np.diff(head, append=len(key))),
+                    m, by_key)
+    e2 = np.minimum.reduceat(rest, head)
+    e1, e2 = e1[e2 < m], e2[e2 < m]
+    at = np.argsort(e2)
+    e1, e2 = e1[at], e2[at]
+    for x, y, a, b in zip(e1.tolist(), e2.tolist(), lo[e2].tolist(),
+                          hi[e2].tolist()):
         if a not in used and b not in used:
-            out.add(Cycle(edges=[e1, e2], vertices=[a, b]))
-    loops = np.nonzero(lo == hi)[0]
-    vs, first = np.unique(lo[loops], return_index=True)
-    for a, e in zip(vs.tolist(), loops[first].tolist()):
+            out.add(Cycle(edges=[x, y], vertices=[a, b]))
+    loops = np.flatnonzero(lo == hi)
+    low = np.full(k, m)
+    np.minimum.at(low, lo[loops], loops)
+    vs = np.flatnonzero(low < m)
+    for a, e in zip(vs.tolist(), low[vs].tolist()):
         if a not in used:
             out.add(Cycle(edges=[e], vertices=[a]))
     return out
@@ -258,19 +263,22 @@ def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
     m_i internal edges, and only internal edges are contracted, so each
     component of H lies in one cluster. The cycles are listed in cluster
     order, as one round per cluster would give them."""
-    m_i = np.diff(ldd.edge_starts)
+    m_i = np.bincount(ldd.edge_label, minlength=len(ldd.tree_starts) - 1)
     # ceil(sqrt(m_i)), exact below 2^52: IEEE sqrt is correctly rounded.
     # A cluster without internal edges yields nothing at any threshold.
     root = np.ceil(np.sqrt(m_i)).astype(np.int64)
     part = tree_split(ldd, ldd.degrees, np.maximum(4 * root, 1))
-    cm = _contract_parts(g, ldd, part, ldd.edges)
-    cycles = _pair_loop_greedy(cm.h)
+    ids, pu, pv, _, _ = contracted_edges(g, part, _part_tree_edges(ldd, part),
+                                         ldd.edges)
+    n_parts = int(part.max()) + 1
+    cycles = _pair_loop_greedy(pu, pv, n_parts)
     in_part = part >= 0
-    cluster_of = np.empty(cm.h.n_total, dtype=np.int64)
+    cluster_of = np.empty(n_parts, dtype=np.int64)
     cluster_of[part[in_part]] = ldd.labels[in_part]
     cluster_of = cluster_of.tolist()
     cycles.cycles.sort(key=lambda c: cluster_of[c.vertices[0]])
-    acc.extend(pull_up(cm, ldd.parent, ldd.parent_edge, ldd.depth, cycles))
+    acc.extend(pull_up(g, part, ids, ldd.parent, ldd.parent_edge, ldd.depth,
+                       cycles))
 
 
 def _naive_round(g: MultiGraph, ldd, small: np.ndarray,
@@ -280,7 +288,7 @@ def _naive_round(g: MultiGraph, ldd, small: np.ndarray,
     alone; they are listed in cluster order."""
     cs = naive_short_cycle(
         g, ldd.tree_order[np.repeat(small, np.diff(ldd.tree_starts))],
-        ldd.edges[np.repeat(small, np.diff(ldd.edge_starts))])
+        ldd.edges[small[ldd.edge_label]])
     label = ldd.labels.tolist()
     cs.cycles.sort(key=lambda c: label[c.vertices[0]])
     acc.extend(cs)
@@ -323,7 +331,7 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
 
     def extract(g, cfg, ldd, acc):
         big = np.diff(ldd.tree_starts) > k   # each tree spans its cluster
-        small_edges = int(np.diff(ldd.edge_starts)[~big].sum())
+        small_edges = int(np.count_nonzero(~big[ldd.edge_label]))
         if 4 * small_edges >= m0:
             _naive_round(g, ldd, ~big, acc)
             return
@@ -340,7 +348,7 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
         kept = np.zeros(int(part.max()) + 1, dtype=np.int64)
         kept[part[ids]] = 1
         part[ids] = np.cumsum(kept)[part[ids]] - 1
-        cm = _contract_parts(g, ldd, part)
+        cm = contract(g, part, _part_tree_edges(ldd, part))
         n_target = max(n_min, cm.h.n_total)
         m_target = 10 * n_target
         if m_target > cm.h.m_active:   # too many parts to shrink
@@ -350,8 +358,8 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
         h_sub = sparsify(cm.h, m_target)
         assert h_sub.m_active == 10 * h_sub.n_active
         inner = short_cycle_decomp(h_sub, d + 1, cfg, k, _ctx=ctx)
-        acc.extend(pull_up(cm, ldd.parent, ldd.parent_edge, ldd.depth,
-                           inner))
+        acc.extend(pull_up(g, part, cm.f, ldd.parent, ldd.parent_edge,
+                           ldd.depth, inner))
 
     return _round_loop(g, cfg, ctx, d, "short_cycle_decomp", 100 * k,
                        extract)

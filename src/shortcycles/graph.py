@@ -190,8 +190,8 @@ class MultiGraph:
                 raise GraphError(f"vertex {v} already deleted")
         if len(set(vs)) != len(vs):
             raise GraphError("vertex repeated in batch")
-        _, _, ids = _gather_rows(*self._incidence(),
-                                 np.asarray(vs, dtype=np.int64))
+        starts, _, eids = self._incidence()
+        ids = eids[row_entries(starts, np.asarray(vs, dtype=np.int64))[0]]
         ids = np.sort(ids[np.frombuffer(self.eactive, np.uint8)[ids] != 0])
         # An edge between two of them is listed twice.
         self.delete_edges(ids[np.diff(ids, prepend=-1) != 0])
@@ -218,16 +218,14 @@ class MultiGraph:
         return self.deg[v]
 
     def max_degree(self) -> int:
-        va = self.vactive
-        return max((d for v, d in enumerate(self.deg) if va[v]), default=0)
+        va = np.frombuffer(self.vactive, dtype=bool)
+        return int(np.frombuffer(self.deg, dtype=np.int32)[va].max(initial=0))
 
     def active_vertices(self) -> list[int]:
-        va = self.vactive
-        return [v for v in range(len(va)) if va[v]]
+        return np.flatnonzero(np.frombuffer(self.vactive, np.uint8)).tolist()
 
     def active_edges(self) -> list[int]:
-        ea = self.eactive
-        return [e for e in range(len(ea)) if ea[e]]
+        return np.flatnonzero(np.frombuffer(self.eactive, np.uint8)).tolist()
 
 
 def flat_adjacency_np(g: MultiGraph):
@@ -264,25 +262,14 @@ def label_components(k: int, a, b) -> np.ndarray:
     return lab
 
 
-def _gather_rows(starts, tails, eids, frontier):
-    """All adjacency entries of `frontier`, concatenated in (frontier
-    order, row order): returns (sources, neighbor, edge) arrays."""
-    cnt = starts[frontier + 1] - starts[frontier]
-    total = int(cnt.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    base = np.repeat(starts[frontier], cnt)
-    pos = base + np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return np.repeat(frontier, cnt), tails[pos], eids[pos]
-
-
-def _first_of(w, pos, mask, n_total) -> np.ndarray:
-    """Mask of the entries that are, for their vertex w, the first entry
-    (lowest pos) with `mask` set."""
-    first = np.full(n_total, len(pos), dtype=np.int64)
-    np.minimum.at(first, w[mask], pos[mask])
-    return mask & (first[w] == pos)
+def row_entries(starts, rows):
+    """(pos, cnt): the snapshot positions of every entry of `rows`,
+    concatenated in (rows order, row order), and each row's entry count,
+    so np.repeat(rows, cnt)[j] is entry j's row."""
+    cnt = starts[rows + 1] - starts[rows]
+    ends = np.cumsum(cnt)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts[rows] - ends + cnt, cnt) + np.arange(total), cnt
 
 
 def bfs_forest(adj, roots, labels, visited=None):
@@ -307,19 +294,27 @@ def bfs_forest(adj, roots, labels, visited=None):
     none = np.full(len(frontier), -1, dtype=np.int64)
     order, parent, edge = [frontier], [none], [none]
     layers = [0, len(frontier)]
+    # Per vertex, its first entry in the layer that reaches it; a reached
+    # vertex is visited, so no later layer reads its slot again.
+    first = np.full(n_total, np.iinfo(np.int64).max)
     while True:
-        src, w, e = _gather_rows(starts, tails, eids, frontier)
-        ok = (labels[w] == labels[src]) & ~visited[w]
-        if not ok.any():
+        pos, cnt = row_entries(starts, frontier)
+        w = tails[pos]
+        at = np.flatnonzero(~visited[w])
+        w = w[at]
+        src = np.repeat(frontier, cnt)[at]
+        ok = np.flatnonzero(labels[w] == labels[src])
+        if not len(ok):
             break
-        src, w, e = src[ok], w[ok], e[ok]
-        first = _first_of(w, np.arange(len(w)), np.ones(len(w), dtype=bool),
-                          n_total)
-        frontier = w[first]
+        w, src, pos = w[ok], src[ok], pos[at[ok]]
+        at = np.arange(len(w))
+        np.minimum.at(first, w, at)
+        new = first[w] == at
+        frontier = w[new]
         visited[frontier] = True
         order.append(frontier)
-        parent.append(src[first])
-        edge.append(e[first])
+        parent.append(src[new])
+        edge.append(eids[pos[new]])
         layers.append(layers[-1] + len(frontier))
     return (np.concatenate(order), np.concatenate(parent),
             np.concatenate(edge), layers)
@@ -415,15 +410,34 @@ class ContractionMap:
     """Result of contracting disjoint vertex parts of a graph.
 
     `h` has one vertex per part; `f[h_edge]` is the originating edge id in
-    the source graph. Edges of the source with an endpoint outside all
-    parts are skipped and counted in `outside_edges`.
+    the source graph (an int array). Edges of the source with an endpoint
+    outside all parts are skipped and counted in `outside_edges`.
     """
     part_of: array              # source vertex -> part index, -1 if none
     h: MultiGraph
-    f: list[int]
+    f: np.ndarray
     source: MultiGraph
     excluded: int
     outside_edges: int
+
+
+def contracted_edges(g: MultiGraph, part: np.ndarray, exclude, ids):
+    """The edges a contraction by `part` (an int array, one entry per
+    vertex slot, -1 off the parts) keeps, out of the ascending distinct
+    edge ids `ids`: the active ones not in `exclude` with both ends in
+    parts, ascending. Returns (kept ids, their ends' parts pu and pv, the
+    number of active ids excluded, the number with an end off the parts).
+    """
+    ids = ids[np.frombuffer(g.eactive, dtype=np.uint8)[ids] != 0]
+    ex = np.zeros(g.m_total, dtype=bool)
+    ex[exclude] = True
+    hit = ex[ids]
+    ids = ids[~hit]
+    pu = part[np.frombuffer(g.eu, dtype=np.int32)[ids]]
+    pv = part[np.frombuffer(g.ev, dtype=np.int32)[ids]]
+    inside = (pu >= 0) & (pv >= 0)
+    return (ids[inside], pu[inside], pv[inside], int(np.count_nonzero(hit)),
+            len(ids) - int(np.count_nonzero(inside)))
 
 
 def contract(g: MultiGraph, part, exclude, edges=None) -> ContractionMap:
@@ -446,8 +460,6 @@ def contract(g: MultiGraph, part, exclude, edges=None) -> ContractionMap:
     exclude = np.asarray(exclude, dtype=np.int64)
     if ((exclude < 0) | (exclude >= g.m_total)).any():
         raise GraphError(f"exclude holds an id outside [0, {g.m_total})")
-    ex = np.zeros(g.m_total, dtype=bool)
-    ex[exclude] = True
     if edges is None:
         ids = np.arange(g.m_total)
     else:
@@ -458,15 +470,8 @@ def contract(g: MultiGraph, part, exclude, edges=None) -> ContractionMap:
         first = np.ones(len(ids), dtype=bool)
         first[1:] = ids[1:] != ids[:-1]
         ids = ids[first]
-    ids = ids[np.frombuffer(g.eactive, dtype=np.uint8)[ids] != 0]
-    excluded = int(np.count_nonzero(ex[ids]))
-    ids = ids[~ex[ids]]
-    pu = pmap[np.frombuffer(g.eu, dtype=np.int32)[ids]]
-    pv = pmap[np.frombuffer(g.ev, dtype=np.int32)[ids]]
-    inside = (pu >= 0) & (pv >= 0)
-    outside = int(len(ids) - np.count_nonzero(inside))
-    h = MultiGraph.from_edges(int(pmap.max(initial=-1)) + 1, pu[inside],
-                              pv[inside])
-    return ContractionMap(part_of=array("i", pmap.tobytes()), h=h,
-                          f=ids[inside].tolist(), source=g,
-                          excluded=excluded, outside_edges=outside)
+    ids, pu, pv, excluded, outside = contracted_edges(g, pmap, exclude, ids)
+    h = MultiGraph.from_edges(int(pmap.max(initial=-1)) + 1, pu, pv)
+    return ContractionMap(part_of=array("i", pmap.tobytes()), h=h, f=ids,
+                          source=g, excluded=excluded,
+                          outside_edges=outside)

@@ -22,9 +22,19 @@ class ParseError(ValueError):
 # Edge-list files: "p scd <n> <m>" header, then one "<u> <v>" line per edge.
 # Edge ids are assigned by line order; '#' lines are ignored.
 
+def _decimal(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
 def parse_edge_list(data) -> MultiGraph:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from None
+    # int() also reads signs, "_" and other scripts' digits, which ids may
+    # not hold; only a text holding one of them needs a check per line.
+    check = not data.isascii() or any(c in data for c in "+-_")
     g = None
     n = m = 0
     edge_lines = 0
@@ -34,9 +44,10 @@ def parse_edge_list(data) -> MultiGraph:
             continue
         if g is None:
             parts = line.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "scd":
+            if (len(parts) != 4 or parts[:2] != ["p", "scd"]
+                    or not all(map(_decimal, parts[2:]))):
                 raise ParseError(f"malformed header {line!r}", lineno)
-            try:
+            try:   # int() refuses strings of more than 4300 digits
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", lineno)
@@ -47,7 +58,7 @@ def parse_edge_list(data) -> MultiGraph:
             g = MultiGraph(n)
             continue
         parts = line.split()
-        if len(parts) != 2:
+        if len(parts) != 2 or (check and not _decimal(parts[0] + parts[1])):
             raise ParseError(f"malformed edge line {line!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graph import (GraphError, MultiGraph, bfs_forest, flat_adjacency_np,
-                    label_components)
+                    label_components, row_entries)
 from .rng import exponentials, mix64
 
 MAX_RETRIES = 20
@@ -58,11 +58,11 @@ class LddResult:
     parent: np.ndarray | None = None
     parent_edge: np.ndarray | None = None
     depth: np.ndarray | None = None
-    # Cluster i's internal active edges are edges[edge_starts[i]:
-    # edge_starts[i + 1]] in (eu, id) order; `degrees` is the per-vertex
+    # `edges` holds the clusters' internal active edges, ascending, and
+    # `edge_label` each one's cluster; `degrees` is the per-vertex
     # internal degree, loops counted twice.
     edges: np.ndarray | None = None
-    edge_starts: np.ndarray | None = None
+    edge_label: np.ndarray | None = None
     degrees: np.ndarray | None = None
 
     @cached_property
@@ -178,7 +178,6 @@ def _shifted_search(adj, active, live, shifts, groups):
     """
     starts, tails, _ = adj
     n_total = len(starts) - 1
-    deg = np.diff(starts)
     max_shift = max(0.0, float(shifts.max()))
     dist = np.full(n_total, np.inf)
     dist[active] = max_shift - shifts
@@ -194,14 +193,16 @@ def _shifted_search(adj, active, live, shifts, groups):
         low[gp] = np.inf
         layer = pending[now]
         pending = pending[~now]
-        cnt = deg[layer]
-        src = np.repeat(layer, cnt)
-        w = tails[np.repeat(starts[layer] - np.cumsum(cnt) + cnt, cnt)
-                  + np.arange(len(src))]
-        nd = dist[src] + 1.0
-        cs = center[src]
+        # Drop the offers that lose on distance before reading the
+        # survivors' centers.
+        pos, cnt = row_entries(starts, layer)
+        w = tails[pos]
+        nd = np.repeat(dist[layer] + 1.0, cnt)
         old = dist[w]
-        better = (nd < old) | ((nd == old) & (cs < center[w]))
+        at = np.flatnonzero(nd <= old)
+        w, nd, old = w[at], nd[at], old[at]
+        cs = np.repeat(center[layer], cnt)[at]
+        better = (nd < old) | (cs < center[w])
         if not better.any():
             continue
         w, nd, cs, old = w[better], nd[better], cs[better], old[better]
@@ -282,13 +283,8 @@ def _forest(g: MultiGraph, result: LddResult) -> None:
     ev = np.frombuffer(g.ev, dtype=np.int32)
     ea = np.frombuffer(g.eactive, dtype=np.uint8)
     lu = lab[eu]
-    ids = np.nonzero((ea != 0) & (lu == lab[ev]) & (lu >= 0))[0]
-    iu = eu[ids]
-    # (cluster, eu, id) order: members are in (cluster, vertex) order.
-    place = np.empty(n_total, dtype=np.int64)
-    place[members] = np.arange(len(members))
-    result.edges = ids[np.argsort(place[iu] * g.m_total + ids)]
-    result.edge_starts = np.concatenate(
-        ([0], np.cumsum(np.bincount(lu[ids], minlength=k))))
-    result.degrees = (np.bincount(iu, minlength=n_total)
+    ids = np.flatnonzero((ea != 0) & (lu == lab[ev]) & (lu >= 0))
+    result.edges = ids
+    result.edge_label = lu[ids]
+    result.degrees = (np.bincount(eu[ids], minlength=n_total)
                       + np.bincount(ev[ids], minlength=n_total))

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import (ContractionMap, GraphError, MultiGraph, bfs_forest,
-                    euler_tours, flat_adjacency_np, tree_path)
+from .graph import (GraphError, MultiGraph, bfs_forest, euler_tours,
+                    flat_adjacency_np, tree_path)
 
 
 @dataclass
@@ -398,38 +398,37 @@ def tree_split(ldd, weights, threshold) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # PullUp: lift vertex-disjoint cycles of a contracted graph to the source.
 
-def pull_up(cm: ContractionMap, parent, edge, depth,
+def pull_up(g: MultiGraph, part, f, parent, edge, depth,
             cycles_h: VertexDisjointCycleSet) -> VertexDisjointCycleSet:
-    """Lift cycles on the contracted graph H back to the source graph.
+    """Lift cycles on the contracted graph H back to the source graph g.
 
-    Each H-edge of a cycle maps through the injection f to a source edge;
-    consecutive images are joined by the unique tree path inside the part,
+    H's vertices are the parts of g's vertices given by `part` (-1: none)
+    and its edge i is g's edge f[i] (an int array). Consecutive images of
+    a cycle's H-edges are joined by the unique tree path inside the part,
     read from per-vertex `parent`, `edge` and `depth` arrays (-1 off the
     forest) of a forest in which every part is connected. Output cycles
     are vertex-disjoint and cover at least one source vertex per H-vertex
-    covered.
-    """
-    g = cm.source
-    part_of = cm.part_of
+    covered."""
     out = VertexDisjointCycleSet()
     if not cycles_h.cycles:
         return out
     parent, edge, depth = (np.asarray(a).tolist()
                            for a in (parent, edge, depth))
+    f = np.asarray(f)
     for hc in cycles_h.cycles:
         k = len(hc.edges)
+        src = f[hc.edges].tolist()
         # exits[i]: source vertex where the cycle leaves part hc.vertices[i]
         # along the image of hc.edges[i]; entries[i]: where it arrived.
         exits = [0] * k
         entries = [0] * k
-        for i in range(k):
-            e = cm.f[hc.edges[i]]
+        for i, e in enumerate(src):
             pu = hc.vertices[i]
             pv = hc.vertices[(i + 1) % k]
             gu, gv = g.endpoints(e)
-            if part_of[gu] == pu and part_of[gv] == pv:
+            if part[gu] == pu and part[gv] == pv:
                 a, b = gu, gv
-            elif part_of[gv] == pu and part_of[gu] == pv:
+            elif part[gv] == pu and part[gu] == pv:
                 a, b = gv, gu
             else:
                 raise GraphError(f"edge {e} endpoints not in parts "
@@ -442,7 +441,7 @@ def pull_up(cm: ContractionMap, parent, edge, depth,
             pv_, pe_ = tree_path(parent, edge, depth, entries[i], exits[i])
             verts.extend(pv_)
             edges.extend(pe_)
-            edges.append(cm.f[hc.edges[i]])
+            edges.append(src[i])
         out.add(Cycle(edges=edges, vertices=verts))
     return out
 

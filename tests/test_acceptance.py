@@ -265,7 +265,7 @@ def test_criterion_2_pull_up_disjoint_and_covering(capsys):
             continue
         trials += 1
         g, cm, trees, cyc = built
-        out = pull_up(cm, *trees, cyc)
+        out = pull_up(g, cm.part_of, cm.f, *trees, cyc)
         seen = set()
         good = len(out.cycles) == len(cyc.cycles)
         for c in out.cycles:

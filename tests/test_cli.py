@@ -134,6 +134,37 @@ def test_verify_rejects_non_integer_ids(graph_file, tmp_path, capsys,
     assert "integer ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["input", "graph", "decomposition"])
+def test_non_utf8_files_exit_1(graph_file, tmp_path, capsys, which):
+    """A file holding the byte 0xff ends in an error line, not a
+    traceback, wherever the CLI reads it."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"p scd 2 1\n0 1\n\xff\n" if which != "decomposition"
+                    else b'{"cycles": [], "leftover": [\xff]}')
+    if which == "input":
+        code = cli_main(["decompose", "--input", str(bad)])
+    else:
+        d, _ = _decomposition_doc(graph_file, tmp_path)
+        files = {"graph": graph_file, "decomposition": d, which: bad}
+        code = _verify(files["graph"], files["decomposition"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "p scd 20 1\n1_0 1\n", "p scd 2 1\n+0 1\n", "p scd 2 1\n\u0661 0\n",
+    "p scd 2 1\n-0 1\n", "p scd 1_0 0\n", "p scd +2 0\n",
+    "p scd \u0662 0\n"])
+def test_ids_must_be_ascii_digits(tmp_path, capsys, text):
+    """Ids and header counts that int() reads but the format does not
+    allow: underscores, signs and other scripts' digits."""
+    g = tmp_path / "g.txt"
+    g.write_text(text, encoding="utf-8")
+    assert cli_main(["decompose", "--input", str(g)]) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
 def test_missing_input_file(tmp_path, capsys):
     assert cli_main(["decompose", "--input", str(tmp_path / "nope")]) == 1
     assert "error" in capsys.readouterr().err

@@ -12,7 +12,9 @@ from shortcycles import (EngineConfig, GraphError, LddResult, MultiGraph,
                          verify_decomposition)
 from shortcycles.engine import (_introot, _isqrt_ceil, _one_rounds,
                                 _pair_loop_greedy)
-from shortcycles.graph import label_components
+from shortcycles.graph import contract, contracted_edges, label_components
+from shortcycles.ldd import single_cluster
+from shortcycles.primitives import tree_split
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 from shortcycles.io import d_regular, gnm, parallel_gadgets, torus
 
@@ -142,13 +144,64 @@ def test_pair_loop_greedy_matches_dict_loop():
         for _ in range(rng.randrange(0, 4 * n)):
             h.add_edge(rng.randrange(n), rng.randrange(n))
         want = _reference_greedy(h)
-        got = _pair_loop_greedy(h)
+        got = _pair_loop_greedy(h.eu, h.ev, h.n_total)
         assert [(c.edges, c.vertices) for c in got.cycles] == \
             [(c.edges, c.vertices) for c in want.cycles]
         assert got.used_vertices == want.used_vertices
         pairs += sum(len(c) == 2 for c in want.cycles)
         loops += sum(len(c) == 1 for c in want.cycles)
     assert pairs > 100 and loops > 100
+
+
+def _same_greedy(pu, pv, k):
+    want = _reference_greedy(MultiGraph.from_edges(k, pu, pv))
+    got = _pair_loop_greedy(np.asarray(pu, dtype=np.int64),
+                            np.asarray(pv, dtype=np.int64), k)
+    assert [(c.edges, c.vertices) for c in got.cycles] == \
+        [(c.edges, c.vertices) for c in want.cycles]
+    assert got.used_vertices == want.used_vertices
+    return got
+
+
+def test_pair_loop_greedy_on_few_parts_many_edges():
+    """The deepest round's shape: a few parts joined by thousands of
+    parallel edges and loops, and the edge cases of no edges, loops only
+    and pairs only."""
+    rng = np.random.default_rng(3)
+    for k in (2, 3, 5, 9):
+        pu = rng.integers(0, k, 4000)
+        pv = np.where(rng.random(4000) < 0.3, pu, rng.integers(0, k, 4000))
+        got = _same_greedy(pu, pv, k)
+        assert any(len(c) == 2 for c in got.cycles)
+        assert any(len(c) == 1 for c in got.cycles) or k < 3
+    assert not _same_greedy([], [], 0).cycles
+    assert not _same_greedy([], [], 4).cycles
+    loops = _same_greedy([3, 1, 3, 1, 0], [3, 1, 3, 1, 0], 5)
+    assert [c.edges for c in loops.cycles] == [[4], [1], [0]]
+    pairs = _same_greedy([0, 2, 1, 0, 2, 1, 0], [1, 0, 2, 1, 0, 0, 2], 3)
+    assert [c.edges for c in pairs.cycles] == [[0, 3]]
+
+
+def test_pair_loop_greedy_on_contracted_edges():
+    """On a d_regular graph split into a few parts, the edges the deepest
+    round keeps are contract's H edges, ascending and non-contiguous
+    source ids, and the greedy on their part arrays is the reference's on
+    H."""
+    for seed in range(3):
+        g = d_regular(400, 12, seed=seed)
+        ldd = single_cluster(g, g.active_vertices())
+        part = tree_split(ldd, ldd.degrees, 800)
+        exclude = engine._part_tree_edges(ldd, part)
+        ids, pu, pv, excluded, outside = contracted_edges(
+            g, part, exclude, ldd.edges)
+        cm = contract(g, part, exclude)
+        assert ids.tolist() == cm.f.tolist()
+        assert (excluded, outside) == (cm.excluded, cm.outside_edges)
+        assert (np.diff(ids) > 1).any() and (np.diff(ids) > 0).all()
+        k = cm.h.n_total
+        assert 2 <= k <= 10 and len(ids) > 2000
+        got = _same_greedy(pu, pv, k)
+        assert got.cycles
 
 
 def test_one_rounds_matches_one_round_per_cluster():

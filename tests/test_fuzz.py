@@ -6,6 +6,8 @@ only the documented exit codes (0 valid, 1 invalid input or I/O error,
 Generated headers keep n <= 64, apart from explicit counts at and above
 2^31, which the parser must refuse before it allocates anything.
 """
+import contextlib
+import io
 import json
 import os
 from unittest import mock
@@ -190,6 +192,38 @@ def _exit_code(args, files):
 @given(data=st.data())
 def test_cli_main_returns_only_documented_codes(files, command, data):
     _exit_code(data.draw(argv(command)), files)
+
+
+# Raw file bytes: noise, and edge lists or decompositions with a few
+# arbitrary bytes (invalid UTF-8 among them) appended.
+RAW = st.one_of(
+    st.binary(max_size=48),
+    st.tuples(EDGE_LIST, st.binary(max_size=4)).map(
+        lambda t: t[0].encode() + t[1]),
+    st.tuples(st.sampled_from([b'{"cycles": [[0, 1]], "leftover": [',
+                               b'{"cycles": [], "m": 1, "n": 1, "left']),
+              st.binary(max_size=8)).map(b"".join))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graph=RAW, doc=RAW)
+def test_cli_main_on_raw_file_bytes(files, graph, doc):
+    """Edge-list and decomposition files of arbitrary bytes reach only the
+    documented exit codes, with no traceback on stderr."""
+    root = files["dir"]
+    with open(os.path.join(root, "raw_graph"), "wb") as fh:
+        fh.write(graph)
+    with open(os.path.join(root, "raw_dec"), "wb") as fh:
+        fh.write(doc)
+    for args in (["decompose", "--input", "raw_graph", "--output", "out"],
+                 ["verify", "--graph", "raw_graph", "--decomposition", "dec"],
+                 ["verify", "--graph", "graph", "--decomposition",
+                  "raw_dec"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            _exit_code(args, files)
+        assert "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=50, deadline=None)

@@ -557,7 +557,7 @@ def _assert_contract_matches(g, parts, exclude, edges=None):
                                                        edges)
     assert list(cm.h.eu) == hu
     assert list(cm.h.ev) == hv
-    assert cm.f == f
+    assert cm.f.tolist() == f
     assert (cm.excluded, cm.outside_edges) == (excluded, outside)
     assert cm.h.n_total == len(parts) and cm.h.m_active == len(f)
     assert list(cm.h.deg) == recomputed_degrees(cm.h)
@@ -646,14 +646,15 @@ def test_flat_adjacency_empty():
     assert len(tails) == 0 and len(eids) == 0
 
 
-def _scalar_forest(g, roots, labels):
+def _scalar_forest(g, roots, labels, seen=()):
     """Multi-root BFS with one FIFO queue, rows in incidence order, a
-    vertex entered only from its own label: (order, parent, edge, depth)."""
+    vertex entered only from its own label and never if in `seen`:
+    (order, parent, edge, depth)."""
     order = list(roots)
     parent = [-1] * len(roots)
     edge = [-1] * len(roots)
     depth = [0] * len(roots)
-    seen = set(roots)
+    seen = set(roots) | set(seen)
     for head, v in enumerate(order):
         for e in g.incident(v):
             w = g.other_end(e, v)
@@ -696,3 +697,37 @@ def test_bfs_forest_matches_scalar(rng):
             again = bfs_forest(adj, rest[:1], labels, visited)[0].tolist()
             assert not set(again) & set(first)
             assert again == _scalar_forest(g, rest[:1], labels)[0]
+
+
+def test_bfs_forest_shared_visited_across_labels(rng):
+    """Calls sharing one visited array, as sparsify's halving round makes
+    them, one label class at a time: rows reaching vertices already
+    visited, of their own label or of another, skip them, and each tree
+    is the scalar BFS over the vertices left."""
+    skipped = 0
+    for trial in range(30):
+        n = 40
+        g = random_multigraph(rng, n, rng.randrange(40, 160))
+        adj = flat_adjacency_np(g)
+        labels = np.array([rng.randrange(3) for _ in range(n)])
+        visited = np.zeros(n, dtype=bool)
+        seen = set(rng.sample(range(n), 4))   # visited before any call
+        visited[list(seen)] = True
+        for c in (0, 1, 2, 0):
+            roots = [v for v in range(n)
+                     if labels[v] == c and v not in seen][:2]
+            if not roots:
+                continue
+            order, parent, edge, layers = bfs_forest(adj, roots, labels,
+                                                     visited)
+            want = _scalar_forest(g, roots, labels, seen)
+            depth = np.repeat(np.arange(len(layers) - 1), np.diff(layers))
+            assert (order.tolist(), parent.tolist(), edge.tolist(),
+                    depth.tolist()) == want
+            skipped += any(visited[w] and labels[w] == c
+                           for v in order.tolist() for e in g.incident(v)
+                           for w in [g.other_end(e, v)]
+                           if w not in want[0])
+            seen.update(want[0])
+            assert np.flatnonzero(visited).tolist() == sorted(seen)
+    assert skipped

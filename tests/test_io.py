@@ -51,6 +51,15 @@ def test_parse_bad_header():
         parse_edge_list("0 1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "p scd 20 1\n1_0 1\n", "p scd 2 1\n+0 1\n", "p scd 2 1\n\u0661 0\n",
+    "p scd 2_0 0\n", "p scd 2 +0\n", "p scd \u0662 0\n",
+    b"p scd 2 1\n0 1\n# \xff\n"])
+def test_parse_refuses_non_ascii_digit_ids(text):
+    with pytest.raises(ParseError):
+        parse_edge_list(text)
+
+
 def test_parse_endpoint_out_of_range():
     with pytest.raises(ParseError):
         parse_edge_list("p scd 2 1\n0 5\n")

@@ -177,9 +177,9 @@ def _row_scan(g, cluster):
 def _assert_forest_matches(g, res, i, cluster):
     """Cluster i of `res` against the scalar BFS and row scan."""
     assert (res.labels[cluster] == i).all()
-    ts, es = res.tree_starts, res.edge_starts
+    ts = res.tree_starts
     edges, degrees = _row_scan(g, cluster)
-    assert res.edges[es[i]:es[i + 1]].tolist() == edges
+    assert res.edges[res.edge_label == i].tolist() == sorted(edges)
     assert res.degrees[cluster].tolist() == [degrees[v] for v in cluster]
     order, parent, pedge, depth = _scalar_tree(g, cluster)
     a, b = ts[i], ts[i + 1]

@@ -370,9 +370,8 @@ def test_naive_on_ldd_clusters_matches_reference(make, beta):
     g = make()
     for seed in range(3):
         ldd = low_diam_decomp(g, beta, seed)
-        starts = ldd.edge_starts.tolist()
         for i, cluster in enumerate(ldd.clusters):
-            edges = ldd.edges[starts[i]:starts[i + 1]]
+            edges = ldd.edges[ldd.edge_label == i]
             _same_cycles(naive_short_cycle(g, cluster, edges),
                          naive_reference.naive_short_cycle(g, cluster))
 
@@ -568,7 +567,7 @@ def test_tree_split_matches_reference_on_ldd_forests(make):
         for beta in (Fraction(1, 12), Fraction(1, 2), Fraction(1)):
             ldd = low_diam_decomp(g, beta, seed)
             singles += sum(len(c) == 1 for c in ldd.clusters)
-            m_i = np.diff(ldd.edge_starts)
+            m_i = np.bincount(ldd.edge_label, minlength=len(ldd.clusters))
             _assert_split_matches_reference(ldd, ldd.degrees, 5)
             per = np.array([rng.randrange(1, 2 * m + 3) for m in m_i])
             light += _assert_split_matches_reference(ldd, ldd.degrees,
@@ -674,7 +673,7 @@ def test_pull_up_identity():
     cm = contract(g, part_array(3, parts), [])
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0, 1, 2], vertices=[0, 1, 2]))
-    out = pull_up(cm, *part_trees(g, parts), cyc)
+    out = pull_up(g, cm.part_of, cm.f, *part_trees(g, parts), cyc)
     assert len(out.cycles) == 1
     assert sorted(out.cycles[0].edges) == [cm.f[0], cm.f[1], cm.f[2]]
     assert sorted(out.cycles[0].vertices) == [0, 1, 2]
@@ -688,7 +687,7 @@ def test_pull_up_two_parts_triangle():
     cm = contract(g, [0, 0, 1], [ab])
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0, 1], vertices=[cm.h.eu[0], cm.h.ev[0]]))
-    out = pull_up(cm, *part_trees(g, [[0, 1], [2]]), cyc)
+    out = pull_up(g, cm.part_of, cm.f, *part_trees(g, [[0, 1], [2]]), cyc)
     assert len(out.cycles) == 1
     assert sorted(out.cycles[0].edges) == [0, 1, 2]
     assert len(out.cycles[0].vertices) == 3
@@ -701,7 +700,7 @@ def test_pull_up_loop_in_part():
     cm = contract(g, [0, 0], [t_edge])
     cyc = VertexDisjointCycleSet()
     cyc.add(Cycle(edges=[0], vertices=[0]))
-    out = pull_up(cm, *part_trees(g, [[0, 1]]), cyc)
+    out = pull_up(g, cm.part_of, cm.f, *part_trees(g, [[0, 1]]), cyc)
     assert len(out.cycles) == 1
     assert sorted(out.cycles[0].edges) == [t_edge, par]
 
@@ -721,7 +720,7 @@ def test_pull_up_random_rounds(rng):
         exclude = forest[1][forest[1] >= 0]
         cm = contract(g, part, exclude)
         cyc = _greedy_pairs(cm.h)
-        out = pull_up(cm, *forest, cyc)
+        out = pull_up(g, cm.part_of, cm.f, *forest, cyc)
         assert out.total_edges >= cyc.total_edges
         assert len(out.cycles) == len(cyc.cycles)
         seen = set()

@@ -162,7 +162,7 @@ def test_verify_imports_no_engine_traversal():
     """The oracle keeps its own traversal: verify.py imports none of the
     engine's traversal helpers."""
     banned = {"bfs_forest", "flat_adjacency_np", "euler_tours",
-              "_gather_rows", "tree_path", "label_components"}
+              "row_entries", "tree_path", "label_components"}
     path = (Path(__file__).resolve().parents[1]
             / "src" / "shortcycles" / "verify.py")
     imported = set()

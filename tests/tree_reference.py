@@ -190,7 +190,7 @@ def one_round(g, ldd, i: int) -> VertexDisjointCycleSet:
     """One contraction round on cluster i of an LddResult: split at
     4*ceil(sqrt(m_i)), part trees, contraction over the cluster's edges,
     the pair/loop greedy and the lift."""
-    edges = ldd.edges[ldd.edge_starts[i]:ldd.edge_starts[i + 1]]
+    edges = ldd.edges[ldd.edge_label == i]
     if len(edges) == 0:
         return VertexDisjointCycleSet()
     tree = dict_tree(ldd, i)
@@ -200,4 +200,5 @@ def one_round(g, ldd, i: int) -> VertexDisjointCycleSet:
     trees = [subtree(tree, p) for p in parts]
     exclude = [e for st in trees for (_, e) in st.parent.values()]
     cm = contract(g, part_array(g.n_total, parts), exclude, edges)
-    return pull_up(cm, trees, _pair_loop_greedy(cm.h))
+    return pull_up(cm, trees,
+                   _pair_loop_greedy(cm.h.eu, cm.h.ev, cm.h.n_total))
