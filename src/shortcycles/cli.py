@@ -52,6 +52,9 @@ def _parse_count(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"counts must be >= 0, got {n}")
+    # Vertex and edge ids are stored as int32.
+    if n >= 2 ** 31:
+        raise argparse.ArgumentTypeError(f"counts must be below 2^31, got {n}")
     return n
 
 

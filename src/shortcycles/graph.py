@@ -17,10 +17,12 @@ class MultiGraph:
 
     Parallel edges and self-loops are allowed; a self-loop contributes 2 to
     the degree of its endpoint. Deletion is by tombstone: ids stay valid
-    forever, the entity is only marked inactive. Incidence is one CSR over
-    every edge id, built on the first query that needs it and cached;
-    deletions only clear `eactive`, and every query reads the CSR through
-    that mask. Growing the graph drops the cache. Vertices are deleted in
+    forever, the entity is only marked inactive. Incidence is one cached
+    CSR over a superset of the active edges, built over every edge id on
+    the first query that needs it; deletions only clear `eactive`, every
+    query reads the CSR through that mask, and each snapshot
+    (`flat_adjacency_np`) replaces the cache with its own, smaller CSR.
+    Growing the graph drops the cache. Vertices are deleted in
     batches (`delete_vertices`), each with its edges. A vertex partition
     that no active edge crosses (`_partition`) is cached and dropped the
     same way.
@@ -90,8 +92,13 @@ class MultiGraph:
                      else bytearray(vactive))
         g.n_active = g.vactive.count(1)
         g.m_active = m
-        deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
-        g.deg = array("i", deg.astype(np.int32).tobytes())
+        # n may far exceed the edge count, so the int64 counts stop at the
+        # highest end, and only the int32 degrees span every slot.
+        cnt = np.bincount(np.concatenate((eu, ev)))
+        deg = np.zeros(n, dtype=np.int32)
+        deg[:len(cnt)] = cnt
+        g.deg = array("i")
+        g.deg.frombytes(deg.view(np.uint8))
         g._csr = None
         g._groups = None
         return g
@@ -105,15 +112,18 @@ class MultiGraph:
         g.deg = array("i", self.deg)
         g.n_active = self.n_active
         g.m_active = self.m_active
-        g._csr = self._csr   # never written in place, so safe to share
+        g._csr = self._csr   # only ever replaced, never written in place
         g._groups = self._groups   # likewise
         return g
 
     def _incidence(self):
-        """The cached CSR incidence (starts, tails, eids) over every edge
-        id, deleted ones included: vertex v's entries [starts[v],
+        """The cached CSR incidence (starts, tails, eids) over a superset
+        of the active edges: every edge id when built, the active ones of
+        the last snapshot after one (deleted edges never return, and
+        growth drops the cache). Vertex v's entries [starts[v],
         starts[v+1]) hold its edges in ascending id, a loop once, and each
-        one's other end (a loop's own). Callers must not write to it."""
+        one's other end (a loop's own). Readers mask it through `eactive`
+        and must not write to it."""
         if self._csr is None:
             eu = np.frombuffer(self.eu, dtype=np.int32)
             ev = np.frombuffer(self.ev, dtype=np.int32)
@@ -234,12 +244,17 @@ def flat_adjacency_np(g: MultiGraph):
     Vertex v's entries occupy [starts[v], starts[v+1]) with ascending edge
     ids; loops appear once. A snapshot: the graph's cached incidence with
     the deleted edges masked out, so deletions after the call are not
-    reflected.
+    reflected. It becomes the graph's cached incidence, so the next
+    snapshot reads only the entries this one kept. Callers must not
+    write to it.
     """
     starts, tails, eids = g._incidence()
     kept = np.flatnonzero(np.frombuffer(g.eactive, dtype=bool)[eids])
-    # A row's new start is the number of kept entries before its old one.
-    return np.searchsorted(kept, starts), tails[kept], eids[kept]
+    if len(kept) < len(eids):
+        # A row's new start is the number of kept entries before its old
+        # one.
+        g._csr = np.searchsorted(kept, starts), tails[kept], eids[kept]
+    return g._csr
 
 
 def label_components(k: int, a, b) -> np.ndarray:

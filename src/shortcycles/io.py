@@ -5,6 +5,8 @@ import json
 import math
 import random
 
+import numpy as np
+
 from .engine import CycleDecomposition, LevelStats
 from .graph import GraphError, MultiGraph
 from .primitives import Cycle
@@ -22,59 +24,112 @@ class ParseError(ValueError):
 # Edge-list files: "p scd <n> <m>" header, then one "<u> <v>" line per edge.
 # Edge ids are assigned by line order; '#' lines are ignored.
 
+# Edge lines converted at a time. It bounds the transient token lists
+# (16 bytes of pointers per line, besides the strings), which keeps the
+# parse's peak memory, and the process's after it, near a per-line read.
+_BLOCK = 1 << 14
+
+
 def _decimal(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _id_value(token: str) -> int:
+    """int(token) capped at 2^31, above every id, or -1 when token is not
+    an ASCII decimal that int() reads (it refuses over-long ones)."""
+    if not _decimal(token):
+        return -1
+    try:
+        return min(int(token), 2 ** 31)
+    except ValueError:
+        return -1
+
+
 def parse_edge_list(data) -> MultiGraph:
+    """The graph an edge-list text (str, or UTF-8 bytes) describes.
+
+    Lines split as str.splitlines and tokens as str.split; blank lines and
+    lines whose first token starts with '#' are skipped. The first other
+    line is the header "p scd <n> <m>", each later one an edge "<u> <v>";
+    counts and ids are ASCII decimals, counts in [0, 2^31) and ids below
+    n, and there must be exactly m edge lines. ParseError names the first
+    bad line, checking each for shape, then digits, then range, and the
+    (m+1)-th edge line for the count.
+
+    The edge lines are read in bulk: one token count per line, then per
+    block of _BLOCK edge lines one split, one digit check over the joined
+    tokens and one int conversion. Only a block holding a bad token reads
+    its tokens one by one, to find the first.
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc}") from None
-    # int() also reads signs, "_" and other scripts' digits, which ids may
-    # not hold; only a text holding one of them needs a check per line.
-    check = not data.isascii() or any(c in data for c in "+-_")
-    g = None
-    n = m = 0
-    edge_lines = 0
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if g is None:
-            parts = line.split()
-            if (len(parts) != 4 or parts[:2] != ["p", "scd"]
-                    or not all(map(_decimal, parts[2:]))):
-                raise ParseError(f"malformed header {line!r}", lineno)
-            try:   # int() refuses strings of more than 4300 digits
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", lineno)
-            # Ids are stored as int32; refuse before allocating n slots.
-            if not (0 <= n < 2 ** 31 and 0 <= m < 2 ** 31):
-                raise ParseError("header counts must lie in [0, 2^31)",
-                                 lineno)
-            g = MultiGraph(n)
-            continue
-        parts = line.split()
-        if len(parts) != 2 or (check and not _decimal(parts[0] + parts[1])):
-            raise ParseError(f"malformed edge line {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed edge line {line!r}", lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"endpoint out of range in {line!r}", lineno)
-        edge_lines += 1
-        if edge_lines > m:
-            raise ParseError(f"more than {m} edge lines", lineno)
-        g.add_edge(u, v)
-    if g is None:
+    lines = data.splitlines()
+    if "#" in data:   # blank the comment lines, keeping line numbers
+        lines = ["" if line.lstrip().startswith("#") else line
+                 for line in lines]
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.int32,
+                         count=len(lines))
+    rows = np.flatnonzero(counts)   # the header and the edge lines
+    if not len(rows):
         raise ParseError("missing header")
-    if edge_lines != m:
-        raise ParseError(f"header says m={m}, file has {edge_lines} edges")
-    return g
+    head = int(rows[0])
+    line = lines[head].strip()
+    parts = line.split()
+    if (len(parts) != 4 or parts[:2] != ["p", "scd"]
+            or not all(map(_decimal, parts[2:]))):
+        raise ParseError(f"malformed header {line!r}", head + 1)
+    try:   # int() refuses strings of more than 4300 digits
+        n, m = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError(f"malformed header {line!r}", head + 1)
+    # Ids are stored as int32; refuse before allocating n slots.
+    if not (0 <= n < 2 ** 31 and 0 <= m < 2 ** 31):
+        raise ParseError("header counts must lie in [0, 2^31)", head + 1)
+    rows = rows[1:]
+
+    def bad_line(i: int, what: str):
+        row = int(rows[i])
+        return ParseError(what.format(repr(lines[row].strip())), row + 1)
+
+    # Only the edge lines before the first misshapen one, and at most m + 1
+    # of them, can hold the first bad line; each of those has two tokens.
+    shape = np.flatnonzero(counts[rows] != 2)
+    checked = min(int(shape[0]) if len(shape) else len(rows), m + 1)
+    eu = np.empty(checked, dtype=np.int32)
+    ev = np.empty(checked, dtype=np.int32)
+    for lo in range(0, checked, _BLOCK):
+        hi = min(lo + _BLOCK, checked)
+        # Skipped lines between the block's edge lines hold no tokens.
+        tokens = " ".join(lines[rows[lo]:rows[hi - 1] + 1]).split()
+        ids = None
+        joined = "".join(tokens)
+        if joined.isascii() and joined.isdigit():
+            try:   # a digit string past int64 or int()'s digit limit
+                ids = np.array(tokens, dtype=np.int64)
+            except (ValueError, OverflowError):
+                pass
+        if ids is None:
+            ids = np.fromiter(map(_id_value, tokens), dtype=np.int64,
+                              count=len(tokens))
+        ids = ids.reshape(-1, 2)
+        bad = np.flatnonzero(((ids < 0) | (ids >= n)).any(axis=1))
+        if len(bad):
+            i = int(bad[0])
+            if (ids[i] < 0).any():
+                raise bad_line(lo + i, "malformed edge line {}")
+            raise bad_line(lo + i, "endpoint out of range in {}")
+        eu[lo:hi] = ids[:, 0]
+        ev[lo:hi] = ids[:, 1]
+    if checked < min(len(rows), m + 1):
+        raise bad_line(checked, "malformed edge line {}")
+    if len(rows) > m:
+        raise ParseError(f"more than {m} edge lines", int(rows[m]) + 1)
+    if len(rows) != m:
+        raise ParseError(f"header says m={m}, file has {len(rows)} edges")
+    return MultiGraph.from_edges(n, eu, ev)
 
 
 def serialize_edge_list(g: MultiGraph) -> str:

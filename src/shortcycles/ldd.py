@@ -115,6 +115,7 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
     shift_cap = _shift_cap(beta, n)
     cap = diameter_cap(beta, n)
     adj = flat_adjacency_np(g)   # static across attempts
+    edges = _active_edges(g)
     groups = g._partition()
     starts = adj[0]
     active = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
@@ -126,13 +127,13 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
         truncated = int(np.count_nonzero(shifts > shift_cap))
         np.minimum(shifts, shift_cap, out=shifts)
         center, dist = _shifted_search(adj, active, live, shifts, groups)
-        result = _clustering(g, center, adj, truncated)
+        result = _clustering(center, adj, edges, truncated)
         result.retries = attempt
         hops = np.rint(dist[active] - dist[center[active]])
         result.max_diameter = 2 * int(hops.max())
         if (len(result.crossing) * beta.denominator <= beta.numerator * m
                 and result.max_diameter <= cap):
-            _forest(g, result)
+            _forest(result)
             g._groups = _components(g, result)
             return result
     raise LddError(
@@ -148,9 +149,16 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     GraphError if it is not connected."""
     center = np.full(g.n_total, -1, dtype=np.int64)
     center[component] = component[0]
-    result = _clustering(g, center, flat_adjacency_np(g))
-    _forest(g, result)
+    result = _clustering(center, flat_adjacency_np(g), _active_edges(g))
+    _forest(result)
     return result
+
+
+def _active_edges(g: MultiGraph):
+    """(ids, eu, ev): the active edge ids, ascending, and their ends."""
+    ids = np.flatnonzero(np.frombuffer(g.eactive, dtype=np.uint8))
+    return (ids, np.frombuffer(g.eu, dtype=np.int32)[ids],
+            np.frombuffer(g.ev, dtype=np.int32)[ids])
 
 
 def _shifted_search(adj, active, live, shifts, groups):
@@ -226,11 +234,14 @@ def _components(g: MultiGraph, result: LddResult) -> np.ndarray:
                             lab[cv])[lab]
 
 
-def _clustering(g: MultiGraph, center: np.ndarray, adj,
+def _clustering(center: np.ndarray, adj, edges,
                 truncated: int = 0) -> LddResult:
     """The clustering given by per-vertex centers `center` (-1: none) over
-    the snapshot `adj`: its label classes, ordered by first vertex with
-    ascending members, and the edges crossing them."""
+    the snapshot `adj` and the active edges `edges` (ids, eu, ev), ids
+    ascending: its label classes, ordered by first vertex with ascending
+    members, the edges crossing them, and each class's internal edges
+    with the internal degrees. An edge between two unlabeled vertices is
+    neither."""
     n_total = len(center)
     vs = np.nonzero(center >= 0)[0]
     cv = center[vs]
@@ -241,19 +252,23 @@ def _clustering(g: MultiGraph, center: np.ndarray, adj,
     rank[vs] = np.cumsum(head == vs) - 1
     labels = np.full(n_total, -1, dtype=np.int64)
     labels[vs] = rank[head]
-    eu = np.frombuffer(g.eu, dtype=np.int32)
-    ev = np.frombuffer(g.ev, dtype=np.int32)
-    ea = np.frombuffer(g.eactive, dtype=np.uint8)
+    ids, eu, ev = edges
+    lu = labels[eu]
+    same = lu == labels[ev]
+    inner = same & (lu >= 0)
+    eu, ev = eu[inner], ev[inner]
     return LddResult(
         max_diameter=0, retries=0, truncated_shifts=truncated, adj=adj,
         labels=labels, members=vs[np.argsort(labels[vs] * n_total + vs)],
         member_starts=np.concatenate(([0], np.cumsum(np.bincount(
             labels[vs])))),
-        crossing=np.nonzero((ea != 0) & (labels[eu] != labels[ev]))[0])
+        crossing=ids[~same], edges=ids[inner], edge_label=lu[inner],
+        degrees=(np.bincount(eu, minlength=n_total)
+                 + np.bincount(ev, minlength=n_total)))
 
 
-def _forest(g: MultiGraph, result: LddResult) -> None:
-    """Fill in the cluster forest, internal edges and degrees of `result`.
+def _forest(result: LddResult) -> None:
+    """Fill in the cluster forest of `result`.
 
     One `bfs_forest` from every cluster's first vertex, confined to its
     own label: each label class holds one root, so every cluster's tree is
@@ -279,12 +294,3 @@ def _forest(g: MultiGraph, result: LddResult) -> None:
     result.parent_edge[order] = pe
     result.depth[order] = np.repeat(np.arange(len(layers) - 1),
                                     np.diff(layers))
-    eu = np.frombuffer(g.eu, dtype=np.int32)
-    ev = np.frombuffer(g.ev, dtype=np.int32)
-    ea = np.frombuffer(g.eactive, dtype=np.uint8)
-    lu = lab[eu]
-    ids = np.flatnonzero((ea != 0) & (lu == lab[ev]) & (lu >= 0))
-    result.edges = ids
-    result.edge_label = lu[ids]
-    result.degrees = (np.bincount(eu[ids], minlength=n_total)
-                      + np.bincount(ev[ids], minlength=n_total))

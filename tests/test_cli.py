@@ -189,6 +189,20 @@ def test_gen_rejects_negative_counts(tmp_path, capsys, flags):
     assert "counts must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--model", "gnm", "--n", str(2 ** 31), "--m", "0"],
+    ["--model", "torus", "--n", str(2 ** 32)],
+    ["--model", "d_regular", "--n", "4", "--d", str(2 ** 31)],
+    ["--model", "parallel_gadgets", "--n", "4", "--d", str(10 ** 30)],
+    ["--model", "gnm", "--n", "4", "--m", str(2 ** 31)]])
+def test_gen_rejects_counts_past_int32(tmp_path, capsys, flags):
+    """Ids are int32: a count at or above 2^31 is a usage error, refused
+    before anything is allocated."""
+    assert cli_main(["gen", *flags, "--output", str(tmp_path / "o")]) == 64
+    assert "counts must be below 2^31" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bench_csv(tmp_path, monkeypatch):
     monkeypatch.setenv("SCD_THREADS", "1")
     out = tmp_path / "b.csv"

@@ -15,7 +15,7 @@ from shortcycles.engine import (_introot, _isqrt_ceil, _one_rounds,
 from shortcycles.graph import contract, contracted_edges, label_components
 from shortcycles.ldd import single_cluster
 from shortcycles.primitives import tree_split
-from shortcycles.primitives import Cycle, VertexDisjointCycleSet
+from shortcycles.primitives import VertexDisjointCycleSet
 from shortcycles.io import d_regular, gnm, parallel_gadgets, torus
 
 import naive_reference
@@ -104,36 +104,6 @@ def test_one_round_loop_only_vertex():
     assert len(out.cycles) == 1 and len(out.cycles[0]) == 1
 
 
-def _reference_greedy(h):
-    """The dict loop the array greedy replaced: 2-cycles of parallel pairs
-    in edge order, then the lowest loop of every free vertex."""
-    pair_first = {}
-    loops = {}
-    out = VertexDisjointCycleSet()
-    used = set()
-    for he in range(h.m_total):
-        a, b = h.endpoints(he)
-        if a == b:
-            if a not in loops:
-                loops[a] = he
-            continue
-        key = (a, b) if a < b else (b, a)
-        if key in pair_first:
-            first = pair_first[key]
-            if first >= 0 and a not in used and b not in used:
-                out.add(Cycle(edges=[first, he], vertices=[key[0], key[1]]))
-                used.add(a)
-                used.add(b)
-                pair_first[key] = -1
-        else:
-            pair_first[key] = he
-    for a in sorted(loops):
-        if a not in used:
-            out.add(Cycle(edges=[loops[a]], vertices=[a]))
-            used.add(a)
-    return out
-
-
 def test_pair_loop_greedy_matches_dict_loop():
     import random
     rng = random.Random(7)
@@ -143,7 +113,7 @@ def test_pair_loop_greedy_matches_dict_loop():
         h = MultiGraph(n)
         for _ in range(rng.randrange(0, 4 * n)):
             h.add_edge(rng.randrange(n), rng.randrange(n))
-        want = _reference_greedy(h)
+        want = tree_reference.reference_greedy(h)
         got = _pair_loop_greedy(h.eu, h.ev, h.n_total)
         assert [(c.edges, c.vertices) for c in got.cycles] == \
             [(c.edges, c.vertices) for c in want.cycles]
@@ -154,7 +124,7 @@ def test_pair_loop_greedy_matches_dict_loop():
 
 
 def _same_greedy(pu, pv, k):
-    want = _reference_greedy(MultiGraph.from_edges(k, pu, pv))
+    want = tree_reference.reference_greedy(MultiGraph.from_edges(k, pu, pv))
     got = _pair_loop_greedy(np.asarray(pu, dtype=np.int64),
                             np.asarray(pv, dtype=np.int64), k)
     assert [(c.edges, c.vertices) for c in got.cycles] == \
@@ -317,16 +287,34 @@ def test_scd_c1_equals_improved():
         [(c.edges, c.vertices) for c in b.cycles]
 
 
-def test_scd_c2_yield_and_validity():
-    for seed in range(3):
-        g = d_regular(600, 20, seed=seed)
-        cfg = EngineConfig(c=2, seed=seed)
-        k = max(2, _introot(2 * 600, 3))
-        m, delta = g.m_active, g.max_degree()
-        out = short_cycle_decomp(g.copy(), 0, cfg, k)
-        _cycles_valid(g, out)
-        covered = len(_vertex_disjoint(out))
-        assert covered * 10 * delta >= m
+def test_scd_c2_yield_and_validity(monkeypatch):
+    """Valid, vertex-disjoint cycles covering m/(10*max_degree) vertices,
+    on a level that falls back (n=600 at the driver's k) and on levels
+    that recurse: an explicit k >= 21 makes the big clusters contract and
+    sparsify, at c=3 down to a level-2 round loop."""
+    contracts = []
+
+    def counted_contract(*args, **kwargs):
+        contracts.append(1)
+        return real_contract(*args, **kwargs)
+
+    real_contract = engine.contract
+    monkeypatch.setattr(engine, "contract", counted_contract)
+    for n, c, k in [(600, 2, _introot(2 * 600, 3)), (2000, 2, 30),
+                    (1000, 3, 24)]:
+        for seed in range(3):
+            g = d_regular(n, 20, seed=seed)
+            cfg = EngineConfig(c=c, seed=seed)
+            ctx = engine._Ctx(cfg)
+            m, delta = g.m_active, g.max_degree()
+            contracts.clear()
+            out = short_cycle_decomp(g.copy(), 0, cfg, k, _ctx=ctx)
+            _cycles_valid(g, out)
+            covered = len(_vertex_disjoint(out))
+            assert covered * 10 * delta >= m
+            if k >= 21:
+                assert contracts
+                assert max(ctx.levels) == c - 1
 
 
 def test_scd_small_clusters_take_the_naive_peel(monkeypatch):

@@ -231,6 +231,56 @@ def test_incidence_cache_follows_mutation(rng):
         check(g, eu, ev, ea)
 
 
+def _fresh_snapshot(g):
+    """The snapshot of a graph built anew with g's edges, eactive and
+    vactive, whose cache has never been narrowed."""
+    fresh = MultiGraph.from_edges(g.n_total, list(g.eu), list(g.ev))
+    fresh.delete_edges([e for e in range(g.m_total) if not g.eactive[e]])
+    fresh.vactive = bytearray(g.vactive)
+    return [a.tolist() for a in flat_adjacency_np(fresh)]
+
+
+def test_snapshots_narrow_the_cache_safely(rng):
+    """Snapshots store their CSR as the cache. Interleaved with vertex and
+    edge deletions on a graph and its copies, every snapshot equals a
+    fresh graph's, every incident() list and delete_vertices still read
+    right, and snapshots taken on a copy leave the original's alone."""
+    def snap(g):
+        got = [a.tolist() for a in flat_adjacency_np(g)]
+        assert got == _fresh_snapshot(g)
+        return got
+
+    for trial in range(40):
+        n = rng.randrange(2, 16)
+        g = random_multigraph(rng, n, rng.randrange(0, 6 * n))
+        graphs = [g]
+        for step in range(12):
+            h = rng.choice(graphs)
+            op = rng.randrange(4)
+            alive = [v for v in range(h.n_total) if h.vactive[v]]
+            live = [e for e in range(h.m_total) if h.eactive[e]]
+            if op == 0 and alive:
+                h.delete_vertices(rng.sample(alive,
+                                             rng.randrange(len(alive)) + 1))
+            elif op == 1 and live:
+                h.delete_edges(rng.sample(live, rng.randrange(len(live)) + 1))
+            elif op == 2:
+                before = [snap(x) for x in graphs if x is not h]
+                snap(h)
+                assert [snap(x) for x in graphs if x is not h] == before
+            else:
+                graphs.append(h.copy())
+            for x in graphs:
+                want = _fresh_snapshot(x)
+                for v in range(x.n_total):
+                    row = slice(want[0][v], want[0][v + 1])
+                    assert x.incident(v) == want[2][row]
+                assert x.m_active == sum(x.eactive)
+                assert all(x.vactive[x.eu[e]] and x.vactive[x.ev[e]]
+                           for e in range(x.m_total) if x.eactive[e])
+                assert list(x.deg) == recomputed_degrees(x)
+
+
 def test_from_edges_matches_add_edge(rng):
     for trial in range(20):
         n = rng.randrange(1, 20)

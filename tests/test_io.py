@@ -2,15 +2,21 @@
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import shortcycles.io
 from shortcycles import EngineConfig, GraphError, decompose
 from shortcycles.io import (ParseError, d_regular, decomposition_from_dict,
                             decomposition_to_dict, decomposition_to_json,
                             generate, gnm, parallel_gadgets, parse_edge_list,
                             serialize_edge_list, torus)
 from shortcycles.rng import exponential, mix64
+
+import io_reference
 
 
 # -- edge-list parsing ------------------------------------------------------
@@ -63,6 +69,69 @@ def test_parse_refuses_non_ascii_digit_ids(text):
 def test_parse_endpoint_out_of_range():
     with pytest.raises(ParseError):
         parse_edge_list("p scd 2 1\n0 5\n")
+
+
+# Edge-list texts near the accepted language: valid edge lines mixed with
+# comments, blank lines, every line break str.splitlines knows, unusual
+# whitespace, signs, "_", Arabic-Indic digits, ids out of range, over-long
+# digit strings and the wrong number of edge lines or tokens.
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+_SPACES = [" ", "\t", "  ", "\x1f", "\xa0", "\u3000"]
+_ODD_IDS = ["+1", "-0", "1_0", "\u0661", "0" * 25 + "1", "9" * 30,
+            "0" * 4301, "4" * 4300, str(2 ** 31), str(2 ** 63), "1.0", "x",
+            "#2"]
+
+
+@st.composite
+def _edge_texts(draw):
+    n = draw(st.integers(0, 6))
+    ident = st.one_of(st.integers(0, max(n - 1, 0)).map(str),
+                      st.integers(n, n + 2).map(str),
+                      st.sampled_from(_ODD_IDS))
+    sep = st.sampled_from(_SPACES)
+    good = st.tuples(st.integers(0, max(n - 1, 0)).map(str), sep,
+                     st.integers(0, max(n - 1, 0)).map(str)).map("".join)
+    other = st.one_of(
+        st.tuples(ident, sep, ident).map("".join),
+        st.tuples(sep, good, sep).map("".join),
+        st.just(""), sep,
+        st.sampled_from(["# note", "  #", "#1 2", "\t# x y z"]),
+        st.lists(ident, min_size=1, max_size=3).map(" ".join))
+    # Mostly valid edge lines, so a bad one may sit after several good
+    # ones, in any block.
+    body = draw(st.lists(good, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), draw(other))
+    m = draw(st.sampled_from([len(body), len(body), max(len(body) - 1, 0),
+                              len(body) + 1, 0]))
+    header = draw(st.sampled_from([f"p scd {n} {m}", f"p scd {n} {m}",
+                                   f"p  scd\t{n} {m} ", f"p scd {n}",
+                                   f"p scd {n} {2 ** 31}", "# lead"]))
+    lines = draw(st.lists(st.sampled_from(["", "# c", " "]), max_size=2))
+    lines += [header] + body
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, breaks))
+    return text.encode() if draw(st.booleans()) else text
+
+
+def _parsed(parse, text):
+    try:
+        g = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return g.n_total, list(g.eu), list(g.ev), list(g.deg), g.m_active
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_texts(), st.sampled_from([1, 2, 3, shortcycles.io._BLOCK]))
+def test_bulk_parse_matches_per_line_reference(text, block):
+    """The same graph (n, eu, ev, degrees), or the same ParseError message
+    and line, as the per-line parser it replaced, whether the edge lines
+    are converted in one block or in several."""
+    with mock.patch.object(shortcycles.io, "_BLOCK", block):
+        got = _parsed(parse_edge_list, text)
+    assert got == _parsed(io_reference.parse_edge_list, text)
 
 
 def test_round_trip_preserves_edge_ids():

@@ -12,7 +12,8 @@ from shortcycles import (GraphError, MultiGraph, contract,
 from shortcycles.engine import _naive_round
 from shortcycles.graph import euler_tours, flat_adjacency_np
 from shortcycles.io import d_regular, gnm, parallel_gadgets
-from shortcycles.ldd import _clustering, _forest, single_cluster
+from shortcycles.ldd import (_active_edges, _clustering, _forest,
+                             single_cluster)
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
 import naive_reference
@@ -582,8 +583,8 @@ def _component_forest(g):
     center = np.full(g.n_total, -1, dtype=np.int64)
     for comp in connected_components(g):
         center[comp] = min(comp)
-    ldd = _clustering(g, center, flat_adjacency_np(g))
-    _forest(g, ldd)
+    ldd = _clustering(center, flat_adjacency_np(g), _active_edges(g))
+    _forest(ldd)
     return ldd
 
 

@@ -9,13 +9,13 @@ from the leaf scanning tree edges in id order), a tree below threshold
 stays one part, and parts are ordered by the BFS position of their
 shallowest vertex, as `shortcycles.tree_split` numbers them. `subtree`,
 `tree_path` and `pull_up` are the dict part trees and the lifting along
-them; `one_round` is one contraction round on one cluster built from them.
+them, and `reference_greedy` is the dict loop for the pair/loop greedy;
+`one_round` is one contraction round on one cluster built from them.
 """
 import math
 from dataclasses import dataclass
 
 from shortcycles import GraphError, contract
-from shortcycles.engine import _pair_loop_greedy
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
 from conftest import part_array
@@ -186,6 +186,36 @@ def pull_up(cm, trees: list[DictTree], cycles_h) -> VertexDisjointCycleSet:
     return out
 
 
+def reference_greedy(h):
+    """The dict loop the array greedy replaced: 2-cycles of parallel pairs
+    in edge order, then the lowest loop of every free vertex."""
+    pair_first = {}
+    loops = {}
+    out = VertexDisjointCycleSet()
+    used = set()
+    for he in range(h.m_total):
+        a, b = h.endpoints(he)
+        if a == b:
+            if a not in loops:
+                loops[a] = he
+            continue
+        key = (a, b) if a < b else (b, a)
+        if key in pair_first:
+            first = pair_first[key]
+            if first >= 0 and a not in used and b not in used:
+                out.add(Cycle(edges=[first, he], vertices=[key[0], key[1]]))
+                used.add(a)
+                used.add(b)
+                pair_first[key] = -1
+        else:
+            pair_first[key] = he
+    for a in sorted(loops):
+        if a not in used:
+            out.add(Cycle(edges=[loops[a]], vertices=[a]))
+            used.add(a)
+    return out
+
+
 def one_round(g, ldd, i: int) -> VertexDisjointCycleSet:
     """One contraction round on cluster i of an LddResult: split at
     4*ceil(sqrt(m_i)), part trees, contraction over the cluster's edges,
@@ -200,5 +230,4 @@ def one_round(g, ldd, i: int) -> VertexDisjointCycleSet:
     trees = [subtree(tree, p) for p in parts]
     exclude = [e for st in trees for (_, e) in st.parent.values()]
     cm = contract(g, part_array(g.n_total, parts), exclude, edges)
-    return pull_up(cm, trees,
-                   _pair_loop_greedy(cm.h.eu, cm.h.ev, cm.h.n_total))
+    return pull_up(cm, trees, reference_greedy(cm.h))
