@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -195,7 +196,8 @@ def _pair_loop_greedy(pu, pv, k: int) -> VertexDisjointCycleSet:
 def _delete_used(g: MultiGraph, cs: VertexDisjointCycleSet, since: int) -> int:
     """Delete vertices of cycles added at index `since` onward; returns the
     number of vertices covered by those cycles."""
-    vs = [v for cyc in cs.cycles[since:] for v in cyc.vertices]
+    vs = np.fromiter(chain.from_iterable(c.vertices for c in cs.cycles[since:]),
+                     dtype=np.int64)
     g.delete_vertices(vs)
     return len(vs)
 
@@ -397,22 +399,32 @@ def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:
             if h.n_total > 2 * n:
                 raise GraphError("reduction produced more than 2n vertices")
             h.add_vertices(2 * n - h.n_total)
-            found = short_cycle_decomp(h, 0, cfg, k, _ctx=ctx)
-            chosen = chosen.tolist()
-            removed: list[int] = []
-            for hc in found.cycles:
-                walk_vs = [rmap.origin_vertex[v] for v in hc.vertices]
-                walk_es = [chosen[rmap.origin_edge[e]] for e in hc.edges]
-                # A walk through distinct vertices is already simple; the
-                # split of any other covers the same edges.
-                if len(set(walk_vs)) == len(walk_vs):
-                    cycles.append(Cycle(edges=walk_es, vertices=walk_vs))
-                else:
-                    cycles.extend(split_circuit(walk_vs, walk_es))
-                removed.extend(walk_es)
-            if not removed:
+            found = short_cycle_decomp(h, 0, cfg, k, _ctx=ctx).cycles
+            if not found:
                 raise EngineFailure("driver made no progress", partial=None)
-            work.delete_edges(removed)
+            # Every walk at once, mapped back through the reduction.
+            size = np.fromiter(map(len, found), dtype=np.int64,
+                               count=len(found))
+            walk_vs = rmap.origin_vertex[np.fromiter(
+                chain.from_iterable(c.vertices for c in found),
+                dtype=np.int64, count=int(size.sum()))]
+            walk_es = chosen[rmap.origin_edge[np.fromiter(
+                chain.from_iterable(c.edges for c in found),
+                dtype=np.int64, count=len(walk_vs))]]
+            # A walk through distinct vertices is already simple; the
+            # split of any other covers the same edges.
+            key = np.sort(np.repeat(np.arange(len(found)), size) * work.n_total
+                          + walk_vs)
+            split = np.zeros(len(found), dtype=bool)
+            split[key[1:][key[1:] == key[:-1]] // work.n_total] = True
+            vs, es = walk_vs.tolist(), walk_es.tolist()
+            ends = np.cumsum(size).tolist()
+            for a, b, revisits in zip([0] + ends[:-1], ends, split.tolist()):
+                if revisits:
+                    cycles.extend(split_circuit(vs[a:b], es[a:b]))
+                else:
+                    cycles.append(Cycle(edges=es[a:b], vertices=vs[a:b]))
+            work.delete_edges(walk_es)
     except (EngineFailure, LddError) as exc:
         partial = CycleDecomposition(
             cycles=cycles, leftover=set(work.active_edges()),

@@ -92,13 +92,12 @@ class MultiGraph:
                      else bytearray(vactive))
         g.n_active = g.vactive.count(1)
         g.m_active = m
-        # n may far exceed the edge count, so the int64 counts stop at the
-        # highest end, and only the int32 degrees span every slot.
-        cnt = np.bincount(np.concatenate((eu, ev)))
-        deg = np.zeros(n, dtype=np.int32)
-        deg[:len(cnt)] = cnt
-        g.deg = array("i")
-        g.deg.frombytes(deg.view(np.uint8))
+        # n may far exceed the edge count, so the ends are counted straight
+        # into the int32 degrees: no other array spans every slot.
+        g.deg = array("i", [0]) * n
+        deg = np.frombuffer(g.deg, dtype=np.int32)
+        np.add.at(deg, eu, np.int32(1))
+        np.add.at(deg, ev, np.int32(1))
         g._csr = None
         g._groups = None
         return g
@@ -193,20 +192,20 @@ class MultiGraph:
         """Delete distinct active vertices and every active edge touching
         them, edges between two of them included. An inactive or repeated
         vertex raises GraphError before anything changes."""
-        vs = list(vs)
-        va = self.vactive
-        for v in vs:
-            if not va[v]:
-                raise GraphError(f"vertex {v} already deleted")
-        if len(set(vs)) != len(vs):
+        vs = np.asarray(vs, dtype=np.int64)
+        # Checked on copies, as in delete_edges.
+        dead = np.frombuffer(self.vactive, dtype=np.uint8)[vs] == 0
+        if dead.any():
+            raise GraphError(f"vertex {vs[dead.argmax()]} already deleted")
+        s = np.sort(vs)
+        if (s[1:] == s[:-1]).any():
             raise GraphError("vertex repeated in batch")
         starts, _, eids = self._incidence()
-        ids = eids[row_entries(starts, np.asarray(vs, dtype=np.int64))[0]]
+        ids = eids[row_entries(starts, vs)[0]]
         ids = np.sort(ids[np.frombuffer(self.eactive, np.uint8)[ids] != 0])
         # An edge between two of them is listed twice.
         self.delete_edges(ids[np.diff(ids, prepend=-1) != 0])
-        for v in vs:
-            va[v] = 0
+        np.frombuffer(self.vactive, dtype=np.uint8)[vs] = 0
         self.n_active -= len(vs)
 
     # -- queries -----------------------------------------------------------
@@ -281,13 +280,14 @@ def row_entries(starts, rows):
     """(pos, cnt): the snapshot positions of every entry of `rows`,
     concatenated in (rows order, row order), and each row's entry count,
     so np.repeat(rows, cnt)[j] is entry j's row."""
-    cnt = starts[rows + 1] - starts[rows]
-    ends = np.cumsum(cnt)
+    first = starts[rows]
+    cnt = starts[rows + 1] - first
+    ends = cnt.cumsum()
     total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts[rows] - ends + cnt, cnt) + np.arange(total), cnt
+    return (first - ends + cnt).repeat(cnt) + np.arange(total), cnt
 
 
-def bfs_forest(adj, roots, labels, visited=None):
+def bfs_forest(adj, roots, labels, visited=None, size=None):
     """BFS from every root at once over a flat adjacency snapshot, a layer
     at a time, each vertex reached only from a vertex of its own label.
 
@@ -298,7 +298,9 @@ def bfs_forest(adj, roots, labels, visited=None):
     a root whose label class holds no other root gets the tree a scalar
     BFS scanning rows in edge-id order builds inside that class. A caller
     traversing many components of one graph may pass a shared boolean
-    `visited` array; it is not reset.
+    `visited` array; it is not reset. A caller that knows how many
+    vertices the forest spans passes that `size`, and the search stops
+    once it has reached them all.
     """
     starts, tails, eids = adj
     n_total = len(starts) - 1
@@ -312,7 +314,7 @@ def bfs_forest(adj, roots, labels, visited=None):
     # Per vertex, its first entry in the layer that reaches it; a reached
     # vertex is visited, so no later layer reads its slot again.
     first = np.full(n_total, np.iinfo(np.int64).max)
-    while True:
+    while layers[-1] != size:
         pos, cnt = row_entries(starts, frontier)
         w = tails[pos]
         at = np.flatnonzero(~visited[w])

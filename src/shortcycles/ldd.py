@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import (GraphError, MultiGraph, bfs_forest, flat_adjacency_np,
                     label_components, row_entries)
-from .rng import exponentials, mix64
+from .rng import mix64, neg_logs, uniforms
 
 MAX_RETRIES = 20
 
@@ -120,19 +120,22 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
     starts = adj[0]
     active = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
     # Vertices without an active edge stay their own centers.
-    live = active[starts[active + 1] > starts[active]]
+    has_edge = starts[active + 1] > starts[active]
+    live = active[has_edge]
     for attempt in range(MAX_RETRIES):
         rng = random.Random(mix64(seed, attempt))
-        shifts = exponentials(rng, float(beta), n)
-        truncated = int(np.count_nonzero(shifts > shift_cap))
-        np.minimum(shifts, shift_cap, out=shifts)
+        shifts, truncated = _shifts(rng, float(beta), shift_cap, has_edge)
         center, dist = _shifted_search(adj, active, live, shifts, groups)
-        result = _clustering(center, adj, edges, truncated)
-        result.retries = attempt
+        # An active edge crosses iff its ends have different centers, so
+        # both checks come before the clustering is built.
+        crossing = int(np.count_nonzero(center[edges[1]] != center[edges[2]]))
         hops = np.rint(dist[active] - dist[center[active]])
-        result.max_diameter = 2 * int(hops.max())
-        if (len(result.crossing) * beta.denominator <= beta.numerator * m
-                and result.max_diameter <= cap):
+        max_diameter = 2 * int(hops.max())
+        if (crossing * beta.denominator <= beta.numerator * m
+                and max_diameter <= cap):
+            result = _clustering(center, adj, edges, truncated)
+            result.retries = attempt
+            result.max_diameter = max_diameter
             _forest(result)
             g._groups = _components(g, result)
             return result
@@ -152,6 +155,25 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     result = _clustering(center, flat_adjacency_np(g), _active_edges(g))
     _forest(result)
     return result
+
+
+def _shifts(rng: random.Random, rate: float, cap: float, has_edge):
+    """(shifts, truncated): one attempt's shifts, one per active vertex
+    and capped at `cap`, and how many the cap cut. They are
+    `rng.exponentials(rng, rate, n)`, bit for bit, where they are read:
+    at the vertices with an edge (`has_edge`), at those whose uniform
+    could give the largest shift, and at those whose shift could pass the
+    cap; both found from the uniforms with a relative margin of 1e-9.
+    Every other vertex, edgeless, gets 0, which sets no maximum and gives
+    it a finite start."""
+    u = uniforms(rng, len(has_edge))
+    read = (has_edge | (u <= u.min(initial=1.0) * (1 + 1e-9))
+            | (u < math.exp(-cap * rate) * (1 + 1e-9))).nonzero()[0]
+    shifts = np.zeros(len(u))
+    shifts[read] = neg_logs(u[read], rate)
+    truncated = int(np.count_nonzero(shifts > cap))
+    np.minimum(shifts, cap, out=shifts)
+    return shifts, truncated
 
 
 def _active_edges(g: MultiGraph):
@@ -201,6 +223,10 @@ def _shifted_search(adj, active, live, shifts, groups):
         low[gp] = np.inf
         layer = pending[now]
         pending = pending[~now]
+        if not pending.size:
+            # The layer's offers, at least its bucket + 1, reach only
+            # settled vertices, which all lie below that.
+            break
         # Drop the offers that lose on distance before reading the
         # survivors' centers.
         pos, cnt = row_entries(starts, layer)
@@ -279,7 +305,8 @@ def _forest(result: LddResult) -> None:
     n_total = len(lab)
     k = len(result.member_starts) - 1
     order, par, pe, layers = bfs_forest(
-        result.adj, members[result.member_starts[:-1]], lab)
+        result.adj, members[result.member_starts[:-1]], lab,
+        size=len(members))
     size = len(order)
     result.tree_order = order[np.argsort(lab[order] * size
                                          + np.arange(size))]

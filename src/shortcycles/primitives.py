@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (GraphError, MultiGraph, bfs_forest, euler_tours,
-                    flat_adjacency_np, tree_path)
+                    flat_adjacency_np, label_components, row_entries,
+                    tree_path)
 
 
 @dataclass
@@ -53,8 +54,8 @@ class VertexDisjointCycleSet:
 @dataclass
 class ReductionMap:
     h: MultiGraph
-    origin_vertex: list[int]   # H vertex -> source vertex
-    origin_edge: list[int]     # H edge -> source edge (bijection)
+    origin_vertex: np.ndarray   # H vertex -> source vertex
+    origin_edge: np.ndarray     # H edge -> source edge (bijection)
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +99,8 @@ def graph_reduce(g: MultiGraph, n_override: int | None = None) -> ReductionMap:
     ids = np.nonzero(np.frombuffer(g.eactive, dtype=np.uint8))[0]
     h = MultiGraph.from_edges(int(copies.sum()), copy_u[ids], copy_v[ids])
     return ReductionMap(h=h,
-                        origin_vertex=np.repeat(np.arange(g.n_total),
-                                                copies).tolist(),
-                        origin_edge=ids.tolist())
+                        origin_vertex=np.repeat(np.arange(g.n_total), copies),
+                        origin_edge=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -155,52 +155,6 @@ def split_circuit(vertices: list[int], edges: list[int],
 # ---------------------------------------------------------------------------
 # NaiveShortCycle: peel low degree, BFS to the first non-tree edge, repeat.
 
-class _Scratch:
-    """Private adjacency mirror used by naive_short_cycle: a CSR over the
-    slots of the sorted `vertices` whose rows list the edges inside them
-    in ascending id (other end's slot, edge), loops once, and every slot's
-    live degree (loops twice) and alive flag. Removing a vertex only marks
-    it dead and lowers its live neighbours' degrees; rows keep their
-    entries, and readers skip those whose other end is dead."""
-
-    __slots__ = ("vs", "starts", "tails", "eids", "deg", "alive")
-
-    def __init__(self, g: MultiGraph, vertices, edges):
-        vs = np.unique(np.asarray(vertices, dtype=np.int64))
-        n = len(vs)
-        if edges is None:
-            edges = np.flatnonzero(np.frombuffer(g.eactive, dtype=np.uint8))
-        edges = np.asarray(edges, dtype=np.int64)
-        ends = np.stack([np.frombuffer(a, dtype=np.int32)[edges]
-                         for a in (g.eu, g.ev)])
-        slot = np.minimum(np.searchsorted(vs, ends), n - 1)
-        inside = (vs[slot] == ends).all(axis=0)   # both ends in `vertices`
-        edges, (su, sv) = edges[inside], slot[:, inside]
-        two = su != sv
-        head = np.concatenate((su, sv[two]))
-        eids = np.concatenate((edges, edges[two]))
-        order = np.argsort(head * g.m_total + eids)
-        self.vs = vs.tolist()
-        self.starts = np.concatenate(
-            ([0], np.cumsum(np.bincount(head, minlength=n)))).tolist()
-        self.tails = np.concatenate((sv, su[two]))[order].tolist()
-        self.eids = eids[order].tolist()
-        self.deg = (np.bincount(su, minlength=n)
-                    + np.bincount(sv, minlength=n)).tolist()
-        self.alive = bytearray(b"\x01") * n
-
-    def remove_vertex(self, x: int, peel: list[int]) -> None:
-        """Mark slot x dead and lower its live neighbours' degrees, once
-        per edge, appending each that drops to 2 or less to `peel`."""
-        alive, deg = self.alive, self.deg
-        alive[x] = 0
-        for w in self.tails[self.starts[x]:self.starts[x + 1]]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] <= 2:
-                    peel.append(w)
-
-
 def naive_short_cycle(g: MultiGraph, vertices=None,
                       edges=None) -> VertexDisjointCycleSet:
     """Vertex-disjoint cycles of length <= 2 log2 n with total vertex count
@@ -209,76 +163,227 @@ def naive_short_cycle(g: MultiGraph, vertices=None,
     Repeatedly peels degree <= 2 vertices, then runs BFS from the lowest
     alive vertex until the first non-tree edge closes a cycle; the cycle's
     vertices are removed and the process repeats until nothing is left.
-    The peel and the removals take time linear in the edges. Does not
-    modify `g`; it runs on the subgraph of `edges` (active edge ids in any
-    order, default all active edges) with both ends in `vertices`. Each
-    of its components yields the cycles it would alone: no BFS leaves it,
-    and the peel's fixpoint does not depend on the order of removals.
+    Does not modify `g`; it runs on the subgraph of `edges` (active edge
+    ids in any order, default all active edges) with both ends in
+    `vertices` (any order, repeats allowed). Each of its components
+    yields the cycles it would alone: no BFS leaves it, and the peel's
+    fixpoint does not depend on the order of removals.
+
+    So every component takes its next step in the same array pass. The
+    peel runs to its fixpoint in rounds; one layer-synchronous BFS runs
+    from each component's lowest live vertex to its first non-tree edge;
+    one lockstep climb builds every tree path (`_tree_cycles`). The
+    cycles are listed by (root, step), the order of a sweep that always
+    steps from the lowest live vertex of all, since a root only rises.
+    A step costs in proportion to its frontiers and the rows it kills,
+    plus some tens of numpy calls, so one large component, which takes
+    one step per cycle, pays more per cycle than many small ones.
     """
-    if vertices is None:
-        vertices = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
     out = VertexDisjointCycleSet()
-    if len(vertices) == 0:
+    if vertices is None:
+        vs = np.flatnonzero(np.frombuffer(g.vactive, dtype=np.uint8))
+    else:
+        vs = np.zeros(g.n_total, dtype=bool)
+        vs[np.asarray(vertices, dtype=np.int64)] = True
+        vs = np.flatnonzero(vs)
+    n = len(vs)
+    if n == 0:
         return out
-    s = _Scratch(g, vertices, edges)
-    vs, deg, alive = s.vs, s.deg, s.alive
-    peel = [x for x in range(len(vs)) if deg[x] <= 2]
-    root = 0   # alive only shrinks, so the lowest live slot only rises
+    # One CSR over the slots of vs, cut from g's rows: each row lists the
+    # edges inside, ascending, a loop once, with the far end's slot.
+    slot = np.full(g.n_total, -1, dtype=np.int64)
+    slot[vs] = np.arange(n)
+    starts, tails, eids = flat_adjacency_np(g)
+    pos, cnt = row_entries(starts, vs)
+    far = slot[tails[pos]]
+    keep = far >= 0
+    if edges is not None:
+        inside = np.zeros(g.m_total, dtype=bool)
+        inside[np.asarray(edges, dtype=np.int64)] = True
+        keep &= inside[eids[pos]]
+    head = np.repeat(np.arange(n), cnt)[keep]
+    tails, eids = far[keep], eids[pos[keep]]
+    row = np.bincount(head, minlength=n)
+    starts = np.concatenate(([0], np.cumsum(row)))
+    deg = row + np.bincount(head[tails == head], minlength=n)  # loops twice
+    # Component c, numbered by lowest slot, has the slots members[
+    # cstart[c]:cstart[c+1]], ascending; members[ptr[c]] is its root, its
+    # lowest live slot, once advanced.
+    half = head < tails      # each edge once; loops join nothing
+    lab = label_components(n, head[half], tails[half])
+    cid = (np.cumsum(lab == np.arange(n)) - 1)[lab]
+    members = np.argsort(cid, kind="stable")
+    cstart = np.concatenate(([0], np.cumsum(np.bincount(cid))))
+    ptr = cstart[:-1].copy()
+    root = np.empty(len(ptr), dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    # BFS scratch; each step resets the entries it touched.
+    depth = np.full(n, -1, dtype=np.int64)
+    parent = np.empty(n, dtype=np.int64)
+    pedge = np.empty(n, dtype=np.int64)
+    first = np.full(n, _NONE)            # per slot: first entry in a layer
+    stamp = np.empty(n, dtype=np.int64)
+    jstar = np.full(len(ptr), _NONE)     # per component: its closing entry
+    found_in = np.zeros(len(ptr), dtype=bool)
+
+    def kill(x):
+        """Kill the distinct live slots x, lowering each live neighbour's
+        degree once per row entry; returns those now at 2 or less, with
+        repeats."""
+        alive[x] = False
+        w = tails[row_entries(starts, x)[0]]
+        w = w[alive[w]]
+        np.subtract.at(deg, w, 1)
+        return w[deg[w] <= 2]
+
+    def first_cycles(frontier, comps):
+        """BFS a layer at a time from the roots `frontier` of the
+        components `comps`, each up to its component's first non-tree
+        entry. A layer reads the live entries of its frontier in
+        (frontier order, row order), but for each vertex's parent-edge
+        entry. Entry j closes a cycle if its far end was reached in an
+        earlier layer (the vertex itself, for a loop) or first appears in
+        this layer before j; only the discoveries before a component's
+        first such entry count, and its search ends there. Returns the
+        closing entries' (v, w, e, comp), the components whose search
+        ran dry, and the slots reached. A root is its own parent."""
+        depth[frontier] = 0
+        parent[frontier] = frontier
+        pedge[frontier] = -1
+        reached, found, d = [frontier], [], 0
+        while len(frontier):
+            pos, cnt = row_entries(starts, frontier)
+            src = frontier.repeat(cnt)
+            w, e = tails[pos], eids[pos]
+            ok = (alive[w] & (e != pedge[src])).nonzero()[0]
+            src, w, e = src[ok], w[ok], e[ok]
+            j = np.arange(len(w))
+            np.minimum.at(first, w, j)
+            closing = ((depth[w] >= 0) | (first[w] < j)).nonzero()[0]
+            first[w] = _NONE
+            d += 1
+            if len(closing):
+                c = cid[src]
+                np.minimum.at(jstar, c[closing], closing)
+                end = jstar[c]
+                hit = closing[end[closing] == closing]
+                jstar[c[hit]] = _NONE
+                found.append((src[hit], w[hit], e[hit], c[hit]))
+                # A component's entries before its closing one discover.
+                new = (j < end).nonzero()[0]
+                src, w, e, end = src[new], w[new], e[new], end[new]
+                frontier = w[end == _NONE]
+            else:
+                frontier = w
+            depth[w] = d
+            parent[w] = src
+            pedge[w] = e
+            reached.append(w)
+        v, w, e, comp = ([np.concatenate(x) for x in zip(*found)] if found
+                         else [comps[:0]] * 4)
+        lost = comps[:0]
+        if len(comp) < len(comps):
+            found_in[comp] = True
+            lost = comps[~found_in[comps]]
+            found_in[comp] = False
+        return v, w, e, comp, lost, np.concatenate(reached)
+
+    keys, cyc_v, cyc_e, cyc_len = [], [], [], []
+    act = np.arange(len(ptr))
+    cand = (deg <= 2).nonzero()[0]
     while True:
-        while peel:
-            x = peel.pop()
-            if alive[x]:
-                s.remove_vertex(x, peel)
-        while root < len(vs) and not alive[root]:
-            root += 1
-        if root == len(vs):
-            return out
-        cycle = _bfs_first_cycle(s, root)
-        if cycle is None:  # cannot happen at min degree >= 3; guard anyway
-            s.remove_vertex(root, peel)
-            continue
-        slots, cyc_edges = cycle
-        out.add(Cycle(edges=cyc_edges, vertices=[vs[x] for x in slots]))
-        # The whole cycle dies first, so each removal lowers only the
-        # degrees of neighbours outside it.
-        for x in slots:
-            alive[x] = 0
-        for x in slots:
-            s.remove_vertex(x, peel)
+        while len(cand):   # peel rounds up to the fixpoint
+            idx = np.arange(len(cand))
+            stamp[cand] = idx
+            cand = kill(cand[stamp[cand] == idx])   # each slot once
+        act = _advance(members, cstart[1:], ptr, alive, act)
+        if not len(act):
+            break
+        root[act] = r = members[ptr[act]]
+        v, w, e, comp, lost, reached = first_cycles(r, act)
+        verts, edges, length = _tree_cycles(parent, pedge, depth, v, w, e)
+        depth[reached] = -1
+        keys.append(root[comp])
+        cyc_v.append(verts)
+        cyc_e.append(edges)
+        cyc_len.append(length)
+        # A cycle dies whole, so its kill lowers only outside degrees; a
+        # search that ran dry kills its root.
+        cand = kill(np.concatenate((verts, root[lost])))
+    if not keys:
+        return out
+    # A stable sort by root keeps each root's cycles in step order.
+    order = np.argsort(np.concatenate(keys), kind="stable")
+    length = np.concatenate(cyc_len)
+    pos, cnt = row_entries(np.concatenate(([0], np.cumsum(length))), order)
+    verts = vs[np.concatenate(cyc_v)[pos]].tolist()
+    edges = np.concatenate(cyc_e)[pos].tolist()
+    ends = np.cumsum(cnt).tolist()
+    out.cycles = [Cycle(edges=edges[a:b], vertices=verts[a:b])
+                  for a, b in zip([0] + ends[:-1], ends)]
+    out.used_vertices = set(verts)
+    return out
 
 
-def _bfs_first_cycle(s: _Scratch, root: int):
-    """BFS from slot root up to the first non-tree edge: the cycle it
-    closes as (slots, edges), or None."""
-    alive, starts, tails, eids = s.alive, s.starts, s.tails, s.eids
-    parent: dict[int, int] = {}
-    pedge: dict[int, int] = {}
-    depth = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            pe = pedge.get(v, -1)
-            skipped_parent = False
-            for j in range(starts[v], starts[v + 1]):
-                w = tails[j]
-                if not alive[w]:
-                    continue
-                e = eids[j]
-                if e == pe and not skipped_parent:
-                    skipped_parent = True
-                    continue
-                if w in depth:
-                    # v .. lca .. w along the tree, closed by e back to v.
-                    verts, edges = tree_path(parent, pedge, depth, v, w)
-                    edges.append(e)
-                    return verts, edges
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                pedge[w] = e
-                nxt.append(w)
-        frontier = nxt
-    return None
+_NONE = np.iinfo(np.int64).max
+
+
+def _advance(members, cend, ptr, alive, act) -> np.ndarray:
+    """Move ptr[c] of every component c in `act` to the first live slot of
+    members[ptr[c]:cend[c]], reading windows that double; returns the
+    components that have one."""
+    dead = act[~alive[members[ptr[act]]]]
+    if not len(dead):
+        return act
+    width = 8
+    while True:
+        last = cend[dead] - 1
+        keep = ptr[dead] < last         # the others have no live slot
+        dead, last = dead[keep], last[keep]
+        if not len(dead):
+            break
+        at = np.minimum(ptr[dead, None] + np.arange(1, width + 1),
+                        last[:, None])
+        ok = alive[members[at]]
+        ok[:, -1] = True                # the window's end when none lives
+        ptr[dead] = at[np.arange(len(dead)), ok.argmax(axis=1)]
+        dead = dead[~alive[members[ptr[dead]]]]
+        width *= 2
+    return act[alive[members[ptr[act]]]]
+
+
+def _tree_cycles(parent, edge, depth, v, w, e):
+    """The cycles that the non-tree edges e[i], joining v[i] and w[i],
+    close in a BFS forest given by per-vertex `parent` (a root is its own
+    parent), `edge` and `depth`: the tree path v[i] .. lca .. w[i], as
+    `tree_path` gives it, then e[i]. The ends of a non-tree edge lie at
+    most one layer apart, so once the deeper end steps up, both ends of
+    every path climb in lockstep until all have met. Returns the cycles'
+    vertices and edges as two flat arrays, cycle after cycle, and each
+    one's length."""
+    dv, dw = depth[v], depth[w]
+    sv, sw = dv > dw, dw > dv
+    a, b = np.where(sv, parent[v], v), np.where(sw, parent[w], w)
+    up, down = [v, a], [w, b]
+    while (a != b).any():
+        a, b = parent[a], parent[b]
+        up.append(a)
+        down.append(b)
+    # Column i: v's climb, then w's climb read downwards; row `meet` of
+    # v's climb is the lca.
+    down.reverse()
+    col = np.concatenate((up, down))
+    rows = len(col)
+    r = np.arange(rows)[:, None]
+    meet = (col[1:rows // 2] == col[rows - 2:rows // 2 - 1:-1]).argmax(axis=0)
+    meet += 1
+    take = (((r >= 1 - sv) & (r <= meet))
+            | ((r >= rows - meet) & (r <= rows - 2 + sw)))
+    verts = col.T[take.T]
+    take[meet, np.arange(len(v))] = False      # no edge above the lca
+    take = np.concatenate((take, np.ones((1, len(v)), dtype=bool)))
+    edges = np.concatenate((edge[col], e[None, :])).T[take.T]
+    return verts, edges, 2 * meet - 1 + sv + sw
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +517,8 @@ def pull_up(g: MultiGraph, part, f, parent, edge, depth,
     out = VertexDisjointCycleSet()
     if not cycles_h.cycles:
         return out
-    parent, edge, depth = (np.asarray(a).tolist()
+    # Read one visited slot at a time, as Python ints.
+    parent, edge, depth = (memoryview(np.ascontiguousarray(a, dtype=np.int64))
                            for a in (parent, edge, depth))
     f = np.asarray(f)
     for hc in cycles_h.cycles:

@@ -23,14 +23,24 @@ def exponential(rng: random.Random, rate: float) -> float:
     return -math.log(u) / rate
 
 
-def exponentials(rng: random.Random, rate: float, k: int) -> np.ndarray:
-    """k draws of `exponential(rng, rate)` in one call, bit for bit: the
-    64-bit words of one getrandbits(64 * k) are the k scalar words."""
+def uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """The uniforms u of k `exponential` draws in one call, bit for bit:
+    the 64-bit words of one getrandbits(64 * k) are the k scalar words."""
     x = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"),
                       dtype="<u8")
     # (x + 1) / 2**64; x + 1 wraps to 0 only at x = 2**64 - 1, where u = 1.
     u = (x + np.uint64(1)).astype(np.float64) * 2.0 ** -64
     u[x == np.uint64(_MASK)] = 1.0
-    # math.log, not np.log: they differ in the last bit on some inputs.
+    return u
+
+
+def neg_logs(u: np.ndarray, rate: float) -> np.ndarray:
+    """-log(u) / rate per entry, as `exponential` computes it: math.log,
+    not np.log, which differs in the last bit on some inputs."""
     return -np.fromiter(map(math.log, u.tolist()), dtype=np.float64,
-                        count=k) / rate
+                        count=len(u)) / rate
+
+
+def exponentials(rng: random.Random, rate: float, k: int) -> np.ndarray:
+    """k draws of `exponential(rng, rate)` in one call, bit for bit."""
+    return neg_logs(uniforms(rng, k), rate)

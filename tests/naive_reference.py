@@ -7,10 +7,13 @@ set, and removing a vertex rebuilds every live neighbour's row without
 the shared edges, so rows only ever hold live entries. The library's peel
 must give exactly its cycles, edges and vertices in order.
 
+It shares no traversal code with the library: the tree path of a cycle
+comes from its own walk up the two ancestor chains (`_tree_path`).
+
 `delete_vertex` deletes one vertex by a loop of `delete_edge` over its
 `incident()` list; `MultiGraph.delete_vertices` must leave the same state.
 """
-from shortcycles import GraphError, MultiGraph, tree_path
+from shortcycles import GraphError, MultiGraph
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
 
@@ -110,7 +113,7 @@ def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
                     skipped_parent = True
                     continue
                 if w in depth:
-                    verts, edges = tree_path(parent, pedge, depth, v, w)
+                    verts, edges = _tree_path(parent, pedge, v, w)
                     edges.append(e)
                     return Cycle(edges=edges, vertices=verts)
                 depth[w] = depth[v] + 1
@@ -119,3 +122,21 @@ def _bfs_first_cycle(s: _Scratch, root: int) -> Cycle | None:
                 nxt.append(w)
         frontier = nxt
     return None
+
+
+def _tree_path(parent: dict, pedge: dict, u: int, v: int):
+    """The tree path u .. lca .. v as (vertices, edges): u's whole chain
+    of ancestors up to the root (the one vertex without a parent), then
+    v's chain up to the first vertex on it, the lca."""
+    up = [u]
+    while up[-1] in parent:
+        up.append(parent[up[-1]])
+    at = {x: i for i, x in enumerate(up)}
+    down = [v]
+    while down[-1] not in at:
+        down.append(parent[down[-1]])
+    lca = down.pop()
+    up = up[:at[lca]]
+    down.reverse()
+    return (up + [lca] + down,
+            [pedge[x] for x in up] + [pedge[x] for x in down])

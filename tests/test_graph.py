@@ -1,5 +1,6 @@
 """Multigraph core: mutation bookkeeping, BFS trees, contraction."""
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -301,6 +302,21 @@ def test_from_edges_matches_add_edge(rng):
         assert all(np.array_equal(a, b) for a, b in
                    zip(flat_adjacency_np(g), flat_adjacency_np(ref)))
         assert (g.n_active, g.m_active) == (ref.n_active, ref.m_active)
+
+
+def test_from_edges_memory_with_a_sparse_header():
+    """A graph whose highest end sits far past its edge count costs about
+    the 4-byte degree and the 1-byte flag per slot, whichever slots the
+    ends use: no n-sized int64 count on the way."""
+    n = 10 ** 7
+    tracemalloc.start()
+    try:
+        g = MultiGraph.from_edges(n, [0, n - 1], [1, 5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.deg[0], g.deg[1], g.deg[5], g.deg[n - 1]) == (1, 1, 1, 1)
+    assert peak <= 10 * n, peak / n
 
 
 def test_add_vertices_bulk():

@@ -11,7 +11,8 @@ from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
                          measure_diameter)
 from shortcycles.io import d_regular, gnm
 from shortcycles.graph import flat_adjacency_np
-from shortcycles.ldd import _shifted_search, diameter_cap, single_cluster
+from shortcycles.ldd import (_shift_cap, _shifted_search, _shifts,
+                             diameter_cap, single_cluster)
 from shortcycles.rng import exponential, exponentials, mix64
 
 from conftest import cycle_graph, path_graph, random_multigraph, star_graph
@@ -362,6 +363,19 @@ def test_shifted_search_ties_go_to_lowest_center(shifts):
     _assert_hop_bound(g, got, dist, shifts)
 
 
+class _Words:
+    """An rng that draws the given 64-bit words: one per getrandbits(64),
+    or all of them as one getrandbits(64 * k)."""
+
+    def __init__(self, ws):
+        self.ws = list(ws)
+
+    def getrandbits(self, k):
+        if k == 64:
+            return self.ws.pop(0)
+        return sum(w << (64 * i) for i, w in enumerate(self.ws))
+
+
 def test_bulk_draw_matches_scalar_exponential():
     for seed, k in itertools.product(range(50), (1, 2, 3, 1000)):
         a, b = random.Random(seed), random.Random(seed)
@@ -376,17 +390,42 @@ def test_bulk_draw_extreme_words():
     rounding boundary of float64 round as the scalar division does."""
     words = [2 ** 64 - 1, 0, 2 ** 64 - 2, 2 ** 64 - 1025, 2 ** 64 - 2049,
              2 ** 53 + 1, 2 ** 63 + 1]
-
-    class Words:
-        def __init__(self, ws):
-            self.ws = list(ws)
-
-        def getrandbits(self, k):
-            if k == 64:
-                return self.ws.pop(0)
-            return sum(w << (64 * i) for i, w in enumerate(self.ws))
-
-    scalar = Words(words)
+    scalar = _Words(words)
     want = np.array([exponential(scalar, 1.0) for _ in words])
-    assert exponentials(Words(words), 1.0, len(words)).tobytes() == \
+    assert exponentials(_Words(words), 1.0, len(words)).tobytes() == \
         want.tobytes()
+
+
+def test_shift_logs_read_where_needed_match_the_bulk_draw():
+    """`_shifts` takes logs only where they are read, yet the shifts of
+    the vertices with an edge, the largest shift (as the search reads it)
+    and the truncation count equal `exponentials`' bit for bit: with the
+    all-ones word, ties for the smallest u, u on both sides of the cap
+    and the largest shift held by an edgeless vertex."""
+    n, rate = 12, 1 / 12
+    cap = _shift_cap(Fraction(1, 12), n)
+    x_cap = int(2 ** 64 * math.exp(-cap * rate))   # u at the cap
+    near_cap = [x_cap + d for d in (-2 ** 12, -1, 0, 1, 2 ** 12)]
+    rng = random.Random(5)
+    cases = [
+        [2 ** 64 - 1] * n,
+        [2 ** 64 - 1, 7, 7, 2 ** 63] + [2 ** 62] * (n - 4),
+        near_cap + [2 ** 40, 2 ** 40] + [2 ** 63] * (n - 7),
+        [3] + [2 ** 60 + i for i in range(n - 1)],
+    ] + [[rng.getrandbits(64) for _ in range(n)] for _ in range(30)]
+    checked = 0
+    for words in cases:
+        for mask in range(0, 2 ** n, 97):
+            has_edge = np.array([(mask >> i) & 1 for i in range(n)],
+                                dtype=bool)
+            want = exponentials(_Words(words), rate, n)
+            truncated = int(np.count_nonzero(want > cap))
+            np.minimum(want, cap, out=want)
+            got, got_truncated = _shifts(_Words(words), rate, cap, has_edge)
+            assert got_truncated == truncated
+            assert got[has_edge].tobytes() == want[has_edge].tobytes()
+            assert (np.float64(max(0.0, float(got.max()))).tobytes()
+                    == np.float64(max(0.0, float(want.max()))).tobytes())
+            assert np.isfinite(got).all()
+            checked += 1
+    assert checked > 1000

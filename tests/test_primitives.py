@@ -56,7 +56,7 @@ def test_reduce_splits_high_degree_vertex():
     assert rm.h.n_total <= 8
     assert rm.h.m_active == 8
     assert max(rm.h.deg) <= 4
-    assert rm.origin_vertex.count(0) == 2
+    assert rm.origin_vertex.tolist().count(0) == 2
 
 
 def test_reduce_bounds_random(rng):
@@ -136,8 +136,8 @@ def test_reduce_matches_per_slot_loop(rng):
                     == [h.incident(v) for v in range(h.n_total)])
             assert rm.h.n_active == h.n_active
             assert rm.h.m_active == h.m_active
-            assert rm.origin_vertex == origin_vertex
-            assert rm.origin_edge == origin_edge
+            assert rm.origin_vertex.tolist() == origin_vertex
+            assert rm.origin_edge.tolist() == origin_edge
             checked += 1
     assert checked > 60
 
@@ -348,6 +348,81 @@ def test_naive_matches_reference(rng):
         _same_cycles(naive_short_cycle(g, vs, g.active_edges()), want)
         found += len(want.cycles)
     assert found > 200
+
+
+def _hub_and_blobs():
+    """A hub joined three times to each of two K6 blobs: the first cycle
+    runs through the hub, whose death splits the component in two blobs
+    that still have cycles."""
+    g = MultiGraph(13)
+    for blob in (range(1, 7), range(7, 13)):
+        for u in blob:
+            for v in blob:
+                if u < v:
+                    g.add_edge(u, v)
+        for v in list(blob)[:3]:
+            g.add_edge(0, v)
+    return g
+
+
+def _interleaved_union(rng, pieces):
+    """The disjoint union of `pieces` with the vertex ids of all pieces
+    shuffled together and the edge ids shuffled."""
+    n = sum(p.n_total for p in pieces)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    ends, base = [], 0
+    for p in pieces:
+        ends += [(ids[base + u], ids[base + v])
+                 for u, v in zip(p.eu, p.ev)]
+        base += p.n_total
+    rng.shuffle(ends)
+    return MultiGraph.from_edges(n, [u for u, _ in ends],
+                                 [v for _, v in ends])
+
+
+def test_naive_lockstep_matches_reference_on_many_components(rng):
+    """Tens of components stepping together, vertex ids interleaved across
+    them, with loops, parallel edges and a component that splits when its
+    first cycle dies: the cycles, their order and the used vertices are
+    the reference's, for the whole graph and for a vertex subset passed
+    unsorted with repeats, its edges shuffled or every active edge."""
+    found = 0
+    for trial in range(8):
+        pieces = [_hub_and_blobs(), _hub_and_blobs()]
+        for i in range(rng.randrange(20, 30)):
+            kind = i % 4
+            if kind == 0:
+                n = 2 * rng.randrange(5, 15)
+                pieces.append(d_regular(n, rng.choice([3, 4, 5]),
+                                        seed=rng.randrange(10 ** 6)))
+            elif kind == 1:
+                n = rng.randrange(6, 25)
+                pieces.append(gnm(n, rng.randrange(n, 4 * n),
+                                  seed=rng.randrange(10 ** 6)))
+            elif kind == 2:
+                pieces.append(parallel_gadgets(2 * rng.randrange(1, 4),
+                                               rng.randrange(2, 5)))
+            else:
+                pieces.append(random_multigraph(rng, rng.randrange(4, 12),
+                                                rng.randrange(8, 40)))
+        g = _interleaved_union(rng, pieces)
+        assert g.n_total >= 200 and len(connected_components(g)) >= 20
+        want = naive_reference.naive_short_cycle(g)
+        _same_cycles(naive_short_cycle(g), want)
+        found += len(want.cycles)
+        vs = rng.sample(range(g.n_total), g.n_total * 4 // 5)
+        want = naive_reference.naive_short_cycle(g, vs)
+        member = set(vs)
+        edges = [e for e in g.active_edges()
+                 if g.eu[e] in member and g.ev[e] in member]
+        rng.shuffle(edges)
+        repeated = vs + rng.sample(vs, len(vs) // 4)
+        rng.shuffle(repeated)
+        _same_cycles(naive_short_cycle(g, repeated, edges), want)
+        _same_cycles(naive_short_cycle(g, repeated, g.active_edges()), want)
+        found += len(want.cycles)
+    assert found > 400
 
 
 def _engine_input(g, n):
