@@ -81,6 +81,8 @@ class MultiGraph:
         """Graph on n vertex slots whose edge i joins eu[i] and ev[i] (int
         arrays), the same as add_edge in id order. `vactive` (one byte per
         slot, default all active) must mark every endpoint active."""
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         eu = np.asarray(eu, dtype=np.int32)
         ev = np.asarray(ev, dtype=np.int32)
         m = len(eu)

@@ -4,12 +4,15 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 
 from .engine import CycleDecomposition, LevelStats
 from .graph import GraphError, MultiGraph
 from .primitives import Cycle
+from .rng import randbelows
 
 
 class ParseError(ValueError):
@@ -24,9 +27,10 @@ class ParseError(ValueError):
 # Edge-list files: "p scd <n> <m>" header, then one "<u> <v>" line per edge.
 # Edge ids are assigned by line order; '#' lines are ignored.
 
-# Edge lines converted at a time. It bounds the transient token lists
-# (16 bytes of pointers per line, besides the strings), which keeps the
-# parse's peak memory, and the process's after it, near a per-line read.
+# Edge lines parsed or formatted at a time. It bounds the transient token
+# and id lists (16 bytes of pointers per line, besides the objects), which
+# keeps the parse's and the writer's peak memory, and the process's after
+# them, near a per-line pass.
 _BLOCK = 1 << 14
 
 
@@ -133,12 +137,17 @@ def parse_edge_list(data) -> MultiGraph:
 
 
 def serialize_edge_list(g: MultiGraph) -> str:
+    """The edge-list text of a compacted graph, edges in id order. Each
+    block of _BLOCK edges is formatted by one %-format over its ends."""
     if g.m_active != g.m_total or g.n_active != g.n_total:
         raise GraphError("serialize requires a compacted graph")
-    lines = [f"p scd {g.n_total} {g.m_total}"]
-    for e in range(g.m_total):
-        lines.append(f"{g.eu[e]} {g.ev[e]}")
-    return "\n".join(lines) + "\n"
+    ends = np.column_stack((np.frombuffer(g.eu, dtype=np.int32),
+                            np.frombuffer(g.ev, dtype=np.int32)))
+    out = [f"p scd {g.n_total} {g.m_total}\n"]
+    for lo in range(0, g.m_total, _BLOCK):
+        block = ends[lo:lo + _BLOCK]
+        out.append("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -146,20 +155,19 @@ def serialize_edge_list(g: MultiGraph) -> str:
 
 def decomposition_to_dict(dec: CycleDecomposition, c: int, seed: int,
                           wall_ms: float | None = None) -> dict:
-    histogram: dict[int, int] = {}
-    for cyc in dec.cycles:
-        histogram[len(cyc)] = histogram.get(len(cyc), 0) + 1
+    cycles = [list(cyc.edges) for cyc in dec.cycles]
+    histogram = Counter(map(len, cycles))
     return {
         "n": dec.source_n,
         "m": dec.source_m,
         "c": c,
         "seed": seed,
-        "cycles": [list(cyc.edges) for cyc in dec.cycles],
+        "cycles": cycles,
         "cycle_vertices": [list(cyc.vertices) for cyc in dec.cycles],
         "leftover": sorted(dec.leftover),
         "stats": {
             "k_hat_observed": len(dec.leftover),
-            "max_cycle_length": dec.max_cycle_length(),
+            "max_cycle_length": max(histogram, default=0),
             "length_histogram": {str(k): histogram[k]
                                  for k in sorted(histogram)},
             "levels": [
@@ -180,9 +188,20 @@ def decomposition_to_json(dec, c, seed, wall_ms=None) -> str:
 
 def _ids(value, what: str) -> list[int]:
     """`value` if it is a list of integer ids; ParseError otherwise."""
-    if isinstance(value, list) and all(type(x) is int for x in value):
+    if isinstance(value, list) and set(map(type, value)) <= {int}:
         return value
     raise ParseError(f"{what} must be a list of integer ids")
+
+
+def _id_lists(value, what: str) -> list[list[int]]:
+    """The items of `value` as a list, if each is a list of integer ids;
+    ParseError otherwise. Both checks are passes over the types: of the
+    items, then of their chained ids."""
+    lists = list(value)
+    if (not all(issubclass(t, list) for t in set(map(type, lists)))
+            or not set(map(type, chain.from_iterable(lists))) <= {int}):
+        raise ParseError(f"{what} must be a list of integer ids")
+    return lists
 
 
 def _walk_vertices(g: MultiGraph, edges: list[int]) -> list[int]:
@@ -204,13 +223,17 @@ def decomposition_from_dict(d: dict, g: MultiGraph | None = None
                             ) -> CycleDecomposition:
     """The decomposition a JSON document describes. Edge ids are the
     authoritative encoding: without `cycle_vertices`, each cycle's vertices
-    are derived by walking its edges on `g`. Non-integer ids raise
+    are derived by walking its edges on `g`. Non-integer ids, and a
+    `cycle_vertices` whose length is not that of `cycles`, raise
     ParseError."""
     try:
-        edge_lists = [_ids(es, "each cycle") for es in d["cycles"]]
+        edge_lists = _id_lists(d["cycles"], "each cycle")
         if "cycle_vertices" in d:
-            vertex_lists = [_ids(vs, "each cycle's vertices")
-                            for vs in d["cycle_vertices"]]
+            vertex_lists = _id_lists(d["cycle_vertices"],
+                                     "each cycle's vertices")
+            if len(vertex_lists) != len(edge_lists):
+                raise ParseError(f"{len(edge_lists)} cycles but "
+                                 f"{len(vertex_lists)} vertex lists")
         elif g is not None:
             vertex_lists = [_walk_vertices(g, es) for es in edge_lists]
         else:
@@ -233,14 +256,12 @@ def decomposition_from_dict(d: dict, g: MultiGraph | None = None
 # Random graph models (all fully determined by their seed).
 
 def gnm(n: int, m: int, seed: int) -> MultiGraph:
-    """n vertices, m uniformly random endpoint pairs; loops allowed."""
+    """n vertices, m uniformly random endpoint pairs; loops allowed. The
+    ends are the 2m values of `rng.randrange(n)`, drawn in bulk."""
     if n < 1 and m > 0:
         raise GraphError("gnm with edges needs n >= 1")
-    rng = random.Random(seed)
-    g = MultiGraph(n)
-    for _ in range(m):
-        g.add_edge(rng.randrange(n), rng.randrange(n))
-    return g
+    ends = randbelows(random.Random(seed), n, 2 * max(m, 0))
+    return MultiGraph.from_edges(n, ends[0::2], ends[1::2])
 
 
 def d_regular(n: int, d: int, seed: int) -> MultiGraph:
@@ -248,38 +269,31 @@ def d_regular(n: int, d: int, seed: int) -> MultiGraph:
     Parallel edges and self-loops possible; requires d*n even."""
     if (d * n) % 2 != 0:
         raise GraphError("d_regular requires d*n even")
-    rng = random.Random(seed)
-    stubs = [v for v in range(n) for _ in range(d)]
-    rng.shuffle(stubs)
-    g = MultiGraph(n)
-    for i in range(0, len(stubs), 2):
-        g.add_edge(stubs[i], stubs[i + 1])
-    return g
+    stubs = np.repeat(np.arange(n), max(d, 0)).tolist()
+    random.Random(seed).shuffle(stubs)
+    ends = np.array(stubs, dtype=np.int64)
+    return MultiGraph.from_edges(n, ends[0::2], ends[1::2])
 
 
 def torus(n: int, seed: int = 0) -> MultiGraph:
-    """sqrt(n) x sqrt(n) grid with wraparound; 4-regular, m = 2n."""
+    """sqrt(n) x sqrt(n) grid with wraparound; 4-regular, m = 2n. Vertex
+    v = r*side + c has edges 2v, to its right, and 2v + 1, below it."""
     side = math.isqrt(n)
     if side * side != n:
         raise GraphError(f"torus needs a perfect-square n, got {n}")
-    g = MultiGraph(n)
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            g.add_edge(v, r * side + (c + 1) % side)
-            g.add_edge(v, ((r + 1) % side) * side + c)
-    return g
+    r, c = np.divmod(np.arange(n), side)
+    ends = np.column_stack((r * side + (c + 1) % side,
+                            (r + 1) % side * side + c))
+    return MultiGraph.from_edges(n, np.repeat(np.arange(n), 2),
+                                 ends.ravel())
 
 
 def parallel_gadgets(n: int, d: int, seed: int = 0) -> MultiGraph:
     """n/2 disjoint vertex pairs, each joined by d parallel edges."""
     if n % 2 != 0:
         raise GraphError("parallel_gadgets requires even n")
-    g = MultiGraph(n)
-    for i in range(0, n, 2):
-        for _ in range(d):
-            g.add_edge(i, i + 1)
-    return g
+    eu = np.repeat(np.arange(0, n, 2), max(d, 0))
+    return MultiGraph.from_edges(n, eu, eu + 1)
 
 
 MODELS = {

@@ -38,11 +38,13 @@ class LddResult:
     truncated_shifts: int
     # The clustering, valid while the graph is unchanged. `adj` is a CSR
     # snapshot (starts, tails, eids) of the active edges as numpy arrays and
-    # `labels` the per-vertex cluster index (-1 off the clusters), so each
-    # cluster is exactly one label class. Cluster i's vertices, ascending,
-    # are members[member_starts[i]:member_starts[i + 1]], and `crossing`
-    # holds the ids of the active edges between clusters, ascending;
-    # `clusters` and `removed` are their list and set views, built on use.
+    # `labels` the per-vertex cluster index, so each cluster is exactly one
+    # label class. The clusters partition the active vertices that have an
+    # active edge; every other vertex is off them, with label -1. Cluster
+    # i's vertices, ascending, are members[member_starts[i]:member_starts[i
+    # + 1]], and `crossing` holds the ids of the active edges between
+    # clusters, ascending; `clusters` and `removed` are their list and set
+    # views, built on use.
     adj: tuple = ()
     labels: np.ndarray | None = None
     members: np.ndarray | None = None
@@ -90,16 +92,19 @@ def diameter_cap(beta: Fraction, n: int) -> int:
 
 
 def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
-    """Partition active vertices into low-diameter clusters.
+    """Partition the active vertices that have an active edge into
+    low-diameter clusters; the others, which no cut can affect, get label
+    -1, no tree and no part.
 
     Each active vertex v draws an exponential shift with rate beta (capped
-    at (2/beta) ln(n+1)) and joins the center c minimizing
-    dist(c, v) - shift(c), the lowest center id on exact ties. Vertices
-    start at max_shift - shift; the search settles them a unit layer at a
-    time, relaxing every edge of a layer at once, with one bucket clock
-    per group of the graph's cached partition (`_shifted_search`). A
-    vertex's hop count to its center is dist(v) - dist(center), at most
-    shift(center) - shift(v), and `max_diameter` is twice the largest one.
+    at (2/beta) ln(n+1)), and each with an edge joins the center c
+    minimizing dist(c, v) - shift(c), the lowest center id on exact ties.
+    Vertices start at max_shift - shift; the search settles them a unit
+    layer at a time, relaxing every edge of a layer at once, with one
+    bucket clock per group of the graph's cached partition
+    (`_shifted_search`). A vertex's hop count to its center is
+    dist(v) - dist(center), at most shift(center) - shift(v), and
+    `max_diameter` is twice the largest one.
     `crossing` holds the inter-cluster edges; |crossing| <= beta * m is
     checked exactly on the rational beta, and an attempt that fails it or
     the diameter cap is redrawn, up to MAX_RETRIES times. An accepted
@@ -119,7 +124,7 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
     groups = g._partition()
     starts = adj[0]
     active = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
-    # Vertices without an active edge stay their own centers.
+    # Vertices without an active edge join no cluster.
     has_edge = starts[active + 1] > starts[active]
     live = active[has_edge]
     for attempt in range(MAX_RETRIES):
@@ -129,8 +134,8 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
         # An active edge crosses iff its ends have different centers, so
         # both checks come before the clustering is built.
         crossing = int(np.count_nonzero(center[edges[1]] != center[edges[2]]))
-        hops = np.rint(dist[active] - dist[center[active]])
-        max_diameter = 2 * int(hops.max())
+        hops = np.rint(dist[live] - dist[center[live]])
+        max_diameter = 2 * int(hops.max(initial=0))
         if (crossing * beta.denominator <= beta.numerator * m
                 and max_diameter <= cap):
             result = _clustering(center, adj, edges, truncated)
@@ -184,10 +189,11 @@ def _active_edges(g: MultiGraph):
 
 
 def _shifted_search(adj, active, live, shifts, groups):
-    """(center, dist): each vertex's center (-1 when inactive) and final
-    distance under the shifts of the `active` vertices, from the Dijkstra
-    with unit edges and start distances max_shift - shift in which a
-    vertex joins the lowest center id among the offers at its distance.
+    """(center, dist): each vertex's center (-1 when inactive or without
+    an edge) and final distance under the shifts of the `active`
+    vertices, from the Dijkstra with unit edges and start distances
+    max_shift - shift in which a vertex joins the lowest center id among
+    the offers at its distance.
     `live` are the active vertices with an edge; `groups` gives each
     vertex a group id in [0, n_total) such that no edge of `adj` joins
     two groups.
@@ -212,7 +218,7 @@ def _shifted_search(adj, active, live, shifts, groups):
     dist = np.full(n_total, np.inf)
     dist[active] = max_shift - shifts
     center = np.full(n_total, -1, dtype=np.int64)
-    center[active] = active
+    center[live] = live
     low = np.full(n_total, np.inf)   # per group: its lowest pending bucket
     pending = live
     while pending.size:
@@ -249,15 +255,19 @@ def _shifted_search(adj, active, live, shifts, groups):
 
 
 def _components(g: MultiGraph, result: LddResult) -> np.ndarray:
-    """The components of g's active edges as a vertex partition: the
-    cluster labels joined by the crossing edges, each cluster being
-    connected. A vertex off the clusters is inactive and takes any group
-    (that of label -1, the last cluster's)."""
+    """The components of g's active edges as a vertex partition, each
+    named by its lowest vertex: the cluster labels joined by the crossing
+    edges, each cluster being connected. A vertex off the clusters,
+    inactive or without an active edge, is a group of its own."""
     lab = result.labels
     cu = np.frombuffer(g.eu, dtype=np.int32)[result.crossing]
     cv = np.frombuffer(g.ev, dtype=np.int32)[result.crossing]
-    return label_components(len(result.member_starts) - 1, lab[cu],
-                            lab[cv])[lab]
+    lowest = label_components(len(result.member_starts) - 1, lab[cu],
+                              lab[cv])
+    groups = np.arange(len(lab))
+    on = lab >= 0
+    groups[on] = result.members[result.member_starts[lowest]][lab[on]]
+    return groups
 
 
 def _clustering(center: np.ndarray, adj, edges,

@@ -44,3 +44,28 @@ def neg_logs(u: np.ndarray, rate: float) -> np.ndarray:
 def exponentials(rng: random.Random, rate: float, k: int) -> np.ndarray:
     """k draws of `exponential(rng, rate)` in one call, bit for bit."""
     return neg_logs(uniforms(rng, k), rate)
+
+
+# 32-bit words drawn per getrandbits call in `randbelows`.
+_WORDS = 1 << 16
+
+
+def randbelows(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """`count` draws of `rng.randrange(n)` in bulk, bit for bit, for
+    0 < n < 2^32, leaving rng where the scalar calls would. Each scalar
+    try reads one 32-bit word, keeps its top n.bit_length() bits and
+    rejects a value >= n; getrandbits(32 * w) reads w words, least
+    significant first. A block draws no more words than values are still
+    needed, so no word past the last accepted one is drawn."""
+    out = np.empty(count, dtype=np.int64)
+    shift = 32 - n.bit_length()
+    filled = 0
+    while filled < count:
+        w = min(count - filled, _WORDS)
+        words = np.frombuffer(rng.getrandbits(32 * w).to_bytes(4 * w,
+                                                                "little"),
+                              dtype="<u4") >> shift
+        words = words[words < n]
+        out[filled:filled + len(words)] = words
+        filled += len(words)
+    return out

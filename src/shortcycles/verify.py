@@ -1,12 +1,18 @@
 """Independent validity oracle and brute-force references.
 
-Deliberately shares no traversal code with the engine: everything here is
-a direct scan over the graph arrays plus hash-set membership, so it can
-serve as a genuine second opinion on engine output.
+Deliberately shares no traversal code with the engine, so it can serve as
+a genuine second opinion on engine output: the decomposition check is
+array passes (gathers, sorts and one bincount) straight over the graph's
+edge arrays, and the diameter and packing references build their own
+adjacency and search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
+
+import numpy as np
 
 from .graph import GraphError, MultiGraph
 from .primitives import Cycle, VertexDisjointCycleSet
@@ -54,73 +60,124 @@ def verify_decomposition(g: MultiGraph, decomposition, k_hat: int,
     (c) every active edge is covered exactly once,
     (d) |leftover| <= k_hat,
     (e) every cycle length <= l_max.
+
+    A cycle with no edges, or with a vertex count other than its edge
+    count, is reported malformed and not read further. The other cycles'
+    edges and vertices are read as one flat array each: incidence is a
+    gather from g's edge arrays, repeated vertices come from one sort by
+    (cycle, vertex), repeated edges from one stable sort of the ids, and
+    coverage from one bincount. Violations are listed as a scan would
+    meet them: cycle by cycle and edge by edge, then leftover in its
+    iteration order, then the edge ids ascending. A dangling id (out of
+    range or inactive) raises GraphError, the first in that order.
     """
-    violations: list[Violation] = []
-    m_total = g.m_total
-    seen: set[int] = set()
-    histogram: dict[int, int] = {}
-    max_len = 0
-    cycle_edge_count = 0
+    # A copy: a view would pin g's edge flags while a raised GraphError
+    # keeps this frame alive.
+    alive = np.frombuffer(g.eactive, dtype=np.bool_).copy()
+    cycles = decomposition.cycles
+    edge_lists = list(map(attrgetter("edges"), cycles))
+    vert_lists = list(map(attrgetter("vertices"), cycles))
+    lens = np.fromiter(map(len, edge_lists), dtype=np.int64,
+                       count=len(cycles))
+    vlens = np.fromiter(map(len, vert_lists), dtype=np.int64,
+                        count=len(cycles))
+    ok = (lens > 0) & (lens == vlens)
+    well = ok.tolist()
+    flat_e = list(chain.from_iterable(compress(edge_lists, well)))
+    flat_v = list(chain.from_iterable(compress(vert_lists, well)))
+    e, v = _int64(flat_e), _int64(flat_v)
+    length = lens[ok]
+    cid = np.repeat(np.flatnonzero(ok), length)
+    bad = np.flatnonzero(_dangling(e, alive))
+    if len(bad):
+        p = int(bad[0])
+        raise GraphError(f"dangling edge id {flat_e[p]} in cycle {cid[p]}")
+    left = list(decomposition.leftover)
+    lo = _int64(left)
+    bad = np.flatnonzero(_dangling(lo, alive))
+    if len(bad):
+        raise GraphError(f"dangling edge id {left[bad[0]]} in leftover")
 
-    def structural(e: int, ci: int):
-        if not (0 <= e < m_total) or not g.eactive[e]:
-            raise GraphError(f"dangling edge id {e} in cycle {ci}")
+    found = []   # (scan position, Violation)
+    for ci in np.flatnonzero(~ok).tolist():
+        found.append(((ci, 0, 0), Violation(
+            "malformed", f"{lens[ci]} edges but {vlens[ci]} vertices", ci)))
+    for ci in np.flatnonzero(ok & (lens > l_max)).tolist():
+        found.append(((ci, 1, 0), Violation(
+            "length", f"cycle length {lens[ci]} exceeds {l_max}", ci)))
+    order = np.lexsort((v, cid))
+    same = ((v[order[1:]] == v[order[:-1]])
+            & (cid[order[1:]] == cid[order[:-1]]))
+    for ci in np.unique(cid[order[1:][same]]).tolist():
+        found.append(((ci, 2, 0), Violation(
+            "vertex-repeat", "cycle revisits a vertex", ci)))
+    # Each slot's next vertex, the last slot of a cycle wrapping to its
+    # first.
+    ends = np.cumsum(length)
+    nxt = np.arange(1, len(v) + 1)
+    nxt[ends - 1] = ends - length
+    a = np.frombuffer(g.eu, dtype=np.int32)[e]
+    b = np.frombuffer(g.ev, dtype=np.int32)[e]
+    w = v[nxt]
+    for p in np.flatnonzero(~(((v == a) & (w == b))
+                              | ((v == b) & (w == a)))).tolist():
+        ed = flat_e[p]
+        found.append(((int(cid[p]), 3, 2 * p), Violation(
+            "incidence", f"edge {ed}={a[p]}-{b[p]} does not join "
+            f"{flat_v[p]},{flat_v[nxt[p]]}", int(cid[p]), ed)))
+    order = np.argsort(e, kind="stable")
+    later = order[1:][e[order[1:]] == e[order[:-1]]]
+    for p in later.tolist():
+        found.append(((int(cid[p]), 3, 2 * p + 1), Violation(
+            "duplicate", f"edge {flat_e[p]} appears twice", int(cid[p]),
+            flat_e[p])))
+    found.sort(key=itemgetter(0))
+    violations = [viol for _, viol in found]
 
-    for ci, cyc in enumerate(decomposition.cycles):
-        edges, verts = cyc.edges, cyc.vertices
-        L = len(edges)
-        if L == 0 or len(verts) != L:
-            violations.append(Violation(
-                "malformed", f"{L} edges but {len(verts)} vertices", ci))
-            continue
-        histogram[L] = histogram.get(L, 0) + 1
-        if L > max_len:
-            max_len = L
-        if L > l_max:
-            violations.append(Violation(
-                "length", f"cycle length {L} exceeds {l_max}", ci))
-        if len(set(verts)) != L:
-            violations.append(Violation(
-                "vertex-repeat", "cycle revisits a vertex", ci))
-        for i in range(L):
-            e = edges[i]
-            structural(e, ci)
-            u, v = verts[i], verts[(i + 1) % L]
-            a, b = g.eu[e], g.ev[e]
-            if {a, b} != {u, v} and not (u == v == a == b):
-                violations.append(Violation(
-                    "incidence", f"edge {e}={a}-{b} does not join {u},{v}",
-                    ci, e))
-            if e in seen:
-                violations.append(Violation(
-                    "duplicate", f"edge {e} appears twice", ci, e))
-            seen.add(e)
-            cycle_edge_count += 1
-    leftover = decomposition.leftover
-    for e in leftover:
-        if not (0 <= e < m_total) or not g.eactive[e]:
-            raise GraphError(f"dangling edge id {e} in leftover")
-        if e in seen:
-            violations.append(Violation(
-                "duplicate", f"edge {e} in both a cycle and leftover",
-                edge=e))
-    for e in range(m_total):
-        if g.eactive[e] and e not in seen and e not in leftover:
-            violations.append(Violation(
-                "uncovered", f"active edge {e} in no cycle and not leftover",
-                edge=e))
-    if len(leftover) > k_hat:
+    in_cycle = np.zeros(len(alive), dtype=np.bool_)
+    in_cycle[e] = True
+    for p in np.flatnonzero(in_cycle[lo]).tolist():
         violations.append(Violation(
-            "leftover", f"{len(leftover)} leftover edges exceed k_hat={k_hat}"))
+            "duplicate", f"edge {left[p]} in both a cycle and leftover",
+            edge=left[p]))
+    cover = np.bincount(np.concatenate((e, lo)), minlength=len(alive))
+    for ed in np.flatnonzero(alive & (cover == 0)).tolist():
+        violations.append(Violation(
+            "uncovered", f"active edge {ed} in no cycle and not leftover",
+            edge=ed))
+    if len(left) > k_hat:
+        violations.append(Violation(
+            "leftover", f"{len(left)} leftover edges exceed k_hat={k_hat}"))
+    sizes = np.bincount(length)
     m_active = g.m_active
     return DecompositionReport(
         valid=not violations,
-        k_hat_observed=len(leftover),
-        max_cycle_length=max_len,
-        length_histogram=histogram,
-        coverage_fraction=(cycle_edge_count / m_active) if m_active else 0.0,
+        k_hat_observed=len(left),
+        max_cycle_length=max(len(sizes) - 1, 0),
+        length_histogram=dict(zip(np.flatnonzero(sizes).tolist(),
+                                  sizes[sizes > 0].tolist())),
+        coverage_fraction=(len(e) / m_active) if m_active else 0.0,
         violations=violations,
     )
+
+
+def _int64(values: list) -> np.ndarray:
+    """`values`, a list of ints, as int64. Past the int64 range, every
+    value outside [0, 2^62) takes the code -1 - (its rank among those):
+    equal values keep equal codes, and no code is an edge or vertex id."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        odd = sorted({x for x in values if not 0 <= x < 1 << 62})
+        code = {x: -1 - i for i, x in enumerate(odd)}
+        return np.array([code.get(x, x) for x in values], dtype=np.int64)
+
+
+def _dangling(ids: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Per edge id: out of range or inactive."""
+    out = (ids < 0) | (ids >= len(alive))
+    out[~out] = ~alive[ids[~out]]
+    return out
 
 
 def measure_diameter(g: MultiGraph, component) -> int:

@@ -10,8 +10,8 @@ from shortcycles.rng import exponential
 
 
 def dial_centers(g, rate: float, rng, shift_cap: float):
-    """One draw of shifts; returns each vertex's center (-1 when inactive)
-    and the number of truncated shifts."""
+    """One draw of shifts; returns each vertex's center (-1 when inactive
+    or without an active edge) and the number of truncated shifts."""
     truncated = 0
     shifts = {}
     for v in range(g.n_total):
@@ -26,13 +26,14 @@ def dial_centers(g, rate: float, rng, shift_cap: float):
 
 
 def dial_search(g, shifts):
-    """Each vertex's center (-1 when inactive) and distance (inf when
-    inactive) given the shift of every active vertex (a dict): Dijkstra
-    with unit edges from start distances max_shift - shift, relaxing w
-    from v when (dist, center) drops, so an exact tie goes to the lowest
-    center id. Keys in bucket b never relax into bucket b, so a Dial
-    bucket queue processed in ascending order is exact, and the order
-    inside a bucket does not matter."""
+    """Each vertex's center (-1 when inactive or without an active edge)
+    and distance (inf when inactive) given the shift of every active
+    vertex (a dict): Dijkstra with unit edges from start distances
+    max_shift - shift, relaxing w from v when (dist, center) drops, so an
+    exact tie goes to the lowest center id. Keys in bucket b never relax
+    into bucket b, so a Dial bucket queue processed in ascending order is
+    exact, and the order inside a bucket does not matter. A vertex
+    without an edge keeps its start distance and joins no center."""
     n_total = g.n_total
     starts, tails, _ = (a.tolist() for a in flat_adjacency_np(g))
     max_shift = 0.0
@@ -46,7 +47,8 @@ def dial_search(g, shifts):
         if v in shifts:
             d = max_shift - shifts[v]
             dist[v] = d
-            center[v] = v
+            if starts[v + 1] > starts[v]:
+                center[v] = v
             buckets[int(d)].append(v)
     settled = [False] * n_total
     b = 0

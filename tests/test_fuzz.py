@@ -13,13 +13,14 @@ import os
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from shortcycles import CycleDecomposition
+from shortcycles import CycleDecomposition, EngineConfig, decompose
 from shortcycles.cli import cli_main
-from shortcycles.io import (ParseError, decomposition_from_dict, gnm,
-                            parse_edge_list, serialize_edge_list)
+from shortcycles.io import (ParseError, decomposition_from_dict,
+                            decomposition_to_dict, gnm, parse_edge_list,
+                            serialize_edge_list)
 
 EXIT_CODES = {0, 1, 2, 64}
 HUGE = (2 ** 31, 2 ** 31 + 1, 2 ** 32, 99999999999, 10 ** 30)
@@ -224,6 +225,48 @@ def test_cli_main_on_raw_file_bytes(files, graph, doc):
         with contextlib.redirect_stderr(err):
             _exit_code(args, files)
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def dense(files):
+    """A graph with more than 20n edges and its decomposition document,
+    which lists cycles (gnm(16, 480) at seed 1 gives 93)."""
+    g = gnm(16, 480, seed=1)
+    path = os.path.join(files["dir"], "dense_graph")
+    with open(path, "w") as fh:
+        fh.write(serialize_edge_list(g))
+    doc = decomposition_to_dict(decompose(g, EngineConfig(c=1, seed=1)), 1, 1)
+    assert len(doc["cycles"]) > 3
+    return path, doc
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cycle_vertices_of_another_count_is_refused(files, dense, data):
+    """A document with more or fewer vertex lists than cycles, wherever
+    lists are dropped or added, raises ParseError, and `verify` exits 1
+    with an error: line and no traceback."""
+    graph, doc = dense
+    lists = doc["cycle_vertices"]
+    drop = data.draw(st.sets(st.integers(0, len(lists) - 1), max_size=3))
+    extra = data.draw(st.lists(st.lists(st.integers(0, 15), max_size=3),
+                               max_size=3))
+    assume(len(drop) != len(extra))
+    bad = {**doc, "cycle_vertices": [
+        vs for i, vs in enumerate(lists) if i not in drop] + extra}
+    with pytest.raises(ParseError, match="vertex lists"):
+        decomposition_from_dict(bad)
+    path = os.path.join(files["dir"], "uneven_dec")
+    with open(path, "w") as fh:
+        json.dump(bad, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["verify", "--graph", graph, "--decomposition",
+                         path, "--k-hat", "320", "--l-max", "100"])
+    assert code == 1
+    assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()
 
 
 @settings(max_examples=50, deadline=None)

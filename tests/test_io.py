@@ -1,4 +1,5 @@
 """File formats, JSON round-trips, generators, seed derivation."""
+import hashlib
 import json
 import math
 import random
@@ -14,7 +15,7 @@ from shortcycles.io import (ParseError, d_regular, decomposition_from_dict,
                             decomposition_to_dict, decomposition_to_json,
                             generate, gnm, parallel_gadgets, parse_edge_list,
                             serialize_edge_list, torus)
-from shortcycles.rng import exponential, mix64
+from shortcycles.rng import exponential, mix64, randbelows
 
 import io_reference
 
@@ -170,7 +171,129 @@ def test_decomposition_json_deterministic_modulo_wall():
     assert a == b
 
 
+def test_cycle_vertices_count_must_match_cycles():
+    """One vertex list fewer than cycles, or more, is a malformed document,
+    not a decomposition that silently lost its last cycle."""
+    g = gnm(16, 480, seed=1)
+    doc = decomposition_to_dict(decompose(g, EngineConfig(c=1, seed=1)),
+                                c=1, seed=1)
+    lists = doc["cycle_vertices"]
+    assert len(doc["cycles"]) == len(lists) == 93
+    for uneven in (lists[:-1], lists + [[0, 1]], [], lists[1:]):
+        for graph in (g, None):
+            with pytest.raises(ParseError,
+                               match=f"93 cycles but {len(uneven)} vertex"):
+                decomposition_from_dict({**doc, "cycle_vertices": uneven},
+                                        graph)
+    back = decomposition_from_dict(json.loads(json.dumps(doc)), g)
+    assert len(back.cycles) == 93
+
+
+def test_decomposition_from_dict_id_errors_unchanged():
+    """The id checks name the first list kind that holds a non-integer,
+    bool included, in the order cycles, vertices, leftover."""
+    base = {"cycles": [[0, 1]], "cycle_vertices": [[0, 1]], "leftover": [2],
+            "m": 3, "n": 2}
+    cases = [
+        ({"cycles": [[0, True]]}, "each cycle must"),
+        ({"cycles": [[0], "ab"]}, "each cycle must"),
+        ({"cycles": {"a": [0]}}, "each cycle must"),
+        ({"cycle_vertices": [[0, 1.0]]}, "each cycle's vertices must"),
+        ({"cycle_vertices": [[0, 1]], "cycles": [[0], [None]]},
+         "each cycle must"),
+        ({"leftover": [2, "3"]}, "leftover must"),
+        ({"leftover": (2,)}, "leftover must"),
+        ({"cycles": 5}, "malformed decomposition JSON: TypeError"),
+    ]
+    for edit, message in cases:
+        with pytest.raises(ParseError, match=message):
+            decomposition_from_dict({**base, **edit})
+    dec = decomposition_from_dict(base)
+    assert dec.cycles[0].edges == [0, 1] and dec.leftover == {2}
+
+
 # -- generators -------------------------------------------------------------
+
+# sha256 of serialize_edge_list(generate(model, params, seed)) at seeds 1, 2
+# and 3, recorded from the per-edge generators and writer that the array
+# passes replaced: the test suite's sizes, perfbench's tiny and full
+# workload sizes, and a larger torus. torus and parallel_gadgets ignore
+# the seed.
+GENERATED_SHA256 = [
+    ("gnm", {"n": 20, "m": 60}, [
+        "deec720ea873cc4f51ddd4b34b37abcafff334c2b16a327f79e73860eb2f7c1c",
+        "ca40b068c00386d324bf142881576e67c2c31ea713936f71ef186de6a7cf79bf",
+        "567425f2ae7bcbe833618c51a3487a4861c4413f6e31f346149845a60cf0829f",
+    ]),
+    ("d_regular", {"n": 16, "d": 4}, [
+        "a8edc23bca92a1d28209b312c012fa59fa00d9b5935771d0c0c0392de0452ba3",
+        "4ed6be9f61437976b5b5c665ae4ab347083a6bb703b38bfd0d9b7a3a36e1f9eb",
+        "c66535ed00ce6c13240fc7a1c771090a83aa2c6fa8634414d1b956d95b956a77",
+    ]),
+    ("torus", {"n": 16},
+     ["3d3536e6fd695fe885a60fa88a945b64819b8180efff6435c8a44130056f7e81"] * 3),
+    ("parallel_gadgets", {"n": 6, "d": 5},
+     ["d5c10ef9dd88a0abd1c01df77fa7dce3246b78def0cf4a943f7ecb0354c9d68a"] * 3),
+    ("gnm", {"n": 64, "m": 1920}, [
+        "e44c3a23ade155ab0e956ca8e02f6e3d1154d544108fd91862e18f5bffb1b438",
+        "b159cb9bf260ca2b0022201c01c58d6130e1cfe4b62187a1ac719103e10ae3e1",
+        "0206430b037559dc70abf987f0b20ebc7dc1ec6fb1d11b9b239f6c8f4087b86d",
+    ]),
+    ("d_regular", {"n": 64, "d": 42}, [
+        "ebdbb0bc174c00171aacce51214c6c4cdf15be5fc07a39043d336f667be24b9e",
+        "16985a51f6006ef2ff77fae66cf146bcf670187c4b2e2c6805d321bef232161a",
+        "66811e81369348f2da8b5664b6e0f02aae24b6f42728c38e82bf2e5b864c0a5b",
+    ]),
+    ("parallel_gadgets", {"n": 64, "d": 60},
+     ["d89e12a42a9fc01cf54e0bc79f3ebdda3c5a1e4d0029e3b320f6a75abf105cf7"] * 3),
+    ("gnm", {"n": 512, "m": 15360}, [
+        "288499036fa74543021cda2bdea58fa6bfbfb95feb25170344d2e136f3814aad",
+        "527088604e8c8ecc1f882d8e5ad0842c38e453b140c8e430e5dbfb4b60cdc409",
+        "c658ec312dc045c1219cf6bde5804705134be37c5da2634c71792ee5641d43c1",
+    ]),
+    ("d_regular", {"n": 4632, "d": 41}, [
+        "c6c1b83a46f4c637f289bf842a34abcd50d9a22afff5f28d02d1a66c10951e00",
+        "c0e7853c5c77ac4d3f8d2340e3fdca9a318d2dcdb64e7c245af79570325716ff",
+        "b1fc85cf146dc630be4e10274468e409aa7fe81f37825d6feb2579feae2a28c1",
+    ]),
+    ("parallel_gadgets", {"n": 2048, "d": 60},
+     ["c106a190a91c747ef80a1a6db375b49e24083c8f6203a4760b55b63478e8db25"] * 3),
+    ("torus", {"n": 1024},
+     ["f3ec1fd0f5697e9d33a82e47389ccc1a204dee85143ef90b066197a68332adee"] * 3),
+]
+
+
+@pytest.mark.parametrize("model, params, digests", GENERATED_SHA256)
+def test_generated_files_are_pinned(model, params, digests):
+    for seed, want in zip((1, 2, 3), digests):
+        text = serialize_edge_list(generate(model, params, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, seed
+
+
+def test_generators_at_degenerate_sizes():
+    assert serialize_edge_list(gnm(0, 0, seed=1)) == "p scd 0 0\n"
+    assert serialize_edge_list(gnm(1, 3, seed=1)) == "p scd 1 3\n" + \
+        "0 0\n" * 3
+    assert serialize_edge_list(d_regular(5, 0, seed=1)) == "p scd 5 0\n"
+    assert serialize_edge_list(torus(0)) == "p scd 0 0\n"
+    assert serialize_edge_list(torus(1)) == "p scd 1 2\n0 0\n0 0\n"
+    assert serialize_edge_list(parallel_gadgets(4, 0)) == "p scd 4 0\n"
+    for make in (lambda: gnm(-1, 0, seed=1), lambda: d_regular(-2, 4, 1),
+                 lambda: parallel_gadgets(-2, 3)):
+        with pytest.raises(ValueError):
+            make()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 4631, 2 ** 31 - 1])
+def test_bulk_randrange_is_the_scalar_sequence(n):
+    """randbelows gives the scalar randrange draws and leaves the
+    generator where they would, across several word blocks."""
+    for count in (0, 1, 5, 70_000):
+        bulk, scalar = random.Random(n + count), random.Random(n + count)
+        got = randbelows(bulk, n, count).tolist()
+        assert got == [scalar.randrange(n) for _ in range(count)]
+        assert bulk.getstate() == scalar.getstate()
+
 
 def test_gnm_empty():
     g = gnm(4, 0, seed=0)

@@ -11,6 +11,7 @@ from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
                          measure_diameter)
 from shortcycles.io import d_regular, gnm
 from shortcycles.graph import flat_adjacency_np
+from shortcycles.primitives import tree_split
 from shortcycles.ldd import (_shift_cap, _shifted_search, _shifts,
                              diameter_cap, single_cluster)
 from shortcycles.rng import exponential, exponentials, mix64
@@ -75,8 +76,12 @@ def g_minus(g, removed):
 
 
 def _check_partition(g, res):
+    """The clusters partition the active vertices that have an active
+    edge; every other vertex has label -1."""
     flat = sorted(v for c in res.clusters for v in c)
-    assert flat == g.active_vertices()
+    assert flat == [v for v in g.active_vertices() if g.deg[v]]
+    assert [v for v in range(g.n_total) if res.labels[v] < 0] == [
+        v for v in range(g.n_total) if not (g.vactive[v] and g.deg[v])]
     cluster_of = {}
     for i, c in enumerate(res.clusters):
         for v in c:
@@ -84,6 +89,31 @@ def _check_partition(g, res):
     for e in g.active_edges():
         if e not in res.removed:
             assert cluster_of[g.eu[e]] == cluster_of[g.ev[e]]
+
+
+def test_edgeless_vertex_joins_no_cluster():
+    """An active vertex without an active edge gets label -1 and depth -1,
+    no tree and no part, like an inactive vertex; one with only a loop
+    is a cluster of its own."""
+    g = MultiGraph(7)
+    for u, v in [(0, 1), (1, 2), (4, 4), (3, 5)]:
+        g.add_edge(u, v)
+    g.delete_edge(3)   # 3 and 5 keep only a deleted edge; 6 has none
+    g.delete_vertex(2)
+    res = low_diam_decomp(g, Fraction(1), seed=0)
+    _check_partition(g, res)
+    off = [2, 3, 5, 6]
+    assert res.labels[off].tolist() == [-1] * 4
+    assert res.depth[off].tolist() == [-1] * 4
+    assert res.parent[off].tolist() == [-1] * 4
+    assert not set(res.tree_order.tolist()) & set(off)
+    assert sorted(res.tree_order.tolist()) == [0, 1, 4]
+    assert (tree_split(res, res.degrees, 1)[off] == -1).all()
+    assert [4] in res.clusters
+    edgeless = MultiGraph(3)
+    res = low_diam_decomp(edgeless, B12, seed=0)
+    assert res.clusters == [] and res.max_diameter == 0
+    assert res.labels.tolist() == res.depth.tolist() == [-1] * 3
 
 
 def test_partition_and_intra_cluster_edges(rng):
@@ -274,12 +304,15 @@ def test_shifted_search_ties_match_dial_queue():
 
 
 def _assert_hop_bound(g, center, dist, shifts):
-    """Each active vertex's hop count h = dist(v) - dist(center) is 0 at
-    its center, at least its BFS depth from the center inside its
-    cluster, and at most shift(center) - shift(v)."""
-    hops = {v: np.rint(dist[v] - dist[center[v]]) for v in shifts}
+    """Exactly the active vertices without an edge have no center. Each
+    other's hop count h = dist(v) - dist(center) is 0 at its center, at
+    least its BFS depth from the center inside its cluster, and at most
+    shift(center) - shift(v)."""
+    live = [v for v in shifts if g.deg[v]]
+    assert [v for v in shifts if center[v] >= 0] == live
+    hops = {v: np.rint(dist[v] - dist[center[v]]) for v in live}
     clusters = {}
-    for v in shifts:
+    for v in live:
         clusters.setdefault(int(center[v]), []).append(v)
     for c, cluster in clusters.items():
         assert hops[c] == 0

@@ -1,6 +1,7 @@
 """Oracle behavior: validity checks, diameter, brute-force packing."""
 import ast
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,10 @@ from shortcycles import (CycleDecomposition, EngineConfig, GraphError,
 from shortcycles.io import gnm
 from shortcycles.primitives import Cycle
 
-from conftest import (connected_components, cycle_graph, path_graph,
-                      random_multigraph, star_graph)
+from conftest import (connected_components, cycle_graph,
+                      multigraph_with_holes, path_graph, random_multigraph,
+                      star_graph)
+from verify_reference import scalar_verify
 
 
 def _dec(cycles, leftover, g):
@@ -106,6 +109,139 @@ def test_corruption_sensitivity():
              set(dec.leftover), g)
     dropped = c.leftover.pop()
     assert not verify_decomposition(g, c, 20 * 64, 10 ** 9).valid
+
+
+# -- array passes against the scalar reference ------------------------------
+
+def _full_report(check, g, dec, k_hat, l_max):
+    """Everything a report says, or the GraphError text."""
+    try:
+        rep = check(g, dec, k_hat, l_max)
+    except GraphError as exc:
+        return "GraphError: " + str(exc)
+    return (rep.to_dict(), rep.length_histogram,
+            [(v.kind, v.detail, v.cycle_index, v.edge)
+             for v in rep.violations])
+
+
+def _corruptions(g, dec, rng):
+    """(name, decomposition, k_hat, l_max) edits of `dec`, each on its own
+    copy; k_hat and l_max hold for the unedited decomposition."""
+    k_hat, l_max = len(dec.leftover), 10 ** 9
+    big = 2 ** 70
+    inactive = [e for e in range(g.m_total) if not g.eactive[e]]
+
+    def fresh():
+        return _dec([Cycle(list(c.edges), list(c.vertices))
+                     for c in dec.cycles], set(dec.leftover), g)
+
+    def pick(d, least=1):
+        return rng.choice([c for c in d.cycles if len(c.edges) >= least])
+
+    out = [("unedited", fresh(), k_hat, l_max)]
+    d = fresh()
+    c = pick(d)
+    c.edges.pop()
+    c.vertices.pop()
+    out.append(("dropped edge and vertex", d, k_hat, l_max))
+    d = fresh()
+    pick(d, 2).edges.pop()
+    out.append(("dropped edge", d, k_hat, l_max))
+    d = fresh()
+    c, into = pick(d), pick(d)
+    into.edges.append(c.edges[0])
+    into.vertices.append(c.vertices[0])
+    out.append(("duplicated edge", d, k_hat, l_max))
+    d = fresh()
+    d.cycles.insert(rng.randrange(len(d.cycles)), pick(d))
+    out.append(("duplicated cycle", d, k_hat, l_max))
+    d = fresh()
+    a, b = pick(d), pick(d)
+    a.edges[0], b.edges[-1] = b.edges[-1], a.edges[0]
+    out.append(("swapped edges", d, k_hat, l_max))
+    d = fresh()
+    c = pick(d, 3)
+    c.edges[0], c.edges[1] = c.edges[1], c.edges[0]
+    out.append(("swapped within a cycle", d, k_hat, l_max))
+    d = fresh()
+    c = pick(d, 2)
+    c.vertices[1] = c.vertices[0]
+    out.append(("repeated vertex", d, k_hat, l_max))
+    d = fresh()
+    c = pick(d, 2)
+    c.vertices[0] = c.vertices[1] = big
+    out.append(("repeated vertex past int64", d, k_hat, l_max))
+    d = fresh()
+    c = pick(d, 2)
+    c.vertices[0], c.vertices[1] = -big, big   # distinct: no repeat
+    out.append(("vertices past int64", d, k_hat, l_max))
+    d = fresh()
+    d.cycles.insert(rng.randrange(len(d.cycles) + 1), Cycle([], []))
+    d.cycles.append(Cycle([], []))
+    out.append(("empty cycles", d, k_hat, l_max))
+    d = fresh()
+    pick(d).vertices.append(0)
+    c = pick(d, 2)
+    c.vertices.pop()
+    c.vertices.pop()
+    out.append(("unequal counts", d, k_hat, l_max))
+    d = fresh()
+    d.leftover.add(pick(d).edges[-1])
+    out.append(("leftover edge in a cycle", d, k_hat + 1, l_max))
+    d = fresh()
+    dropped = sorted(d.leftover)[:3]
+    d.leftover.difference_update(dropped)
+    out.append(("uncovered edges", d, k_hat, l_max))
+    for bad in [g.m_total, -1, big, -big] + inactive[:2]:
+        d = fresh()
+        pick(d).edges[-1] = bad
+        out.append((f"cycle id {bad}", d, k_hat, l_max))
+        d = fresh()
+        d.cycles.append(Cycle([bad], [0, 1]))   # malformed: not read
+        d.leftover.add(bad)
+        out.append((f"leftover id {bad}", d, k_hat + 1, l_max))
+        d = fresh()
+        pick(d).edges[0] = bad
+        d.leftover.add(-1)
+        out.append((f"cycle and leftover id {bad}", d, k_hat + 1, l_max))
+    d = fresh()
+    out.append(("cycles over l_max", d, k_hat, 2))
+    out.append(("leftover over k_hat", fresh(), k_hat - 1, l_max))
+    d = fresh()
+    for _ in range(6):   # several edits at once
+        c = pick(d, 2)
+        c.vertices[rng.randrange(len(c.vertices))] = rng.randrange(g.n_total)
+        pick(d).edges[0] = rng.choice(d.cycles[0].edges)
+        d.leftover.add(pick(d).edges[-1])
+    out.append(("mixed edits", d, k_hat + 6, 3))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_matches_scalar_reference(seed):
+    """The array-pass verifier gives the scalar scan's whole report, its
+    violations in the same order, or the same GraphError, on engine output
+    and on every corruption of it."""
+    rng = random.Random(seed)
+    graphs = [gnm(64, 2000, seed=seed),
+              multigraph_with_holes(seed, 40, 1600)]
+    for g in graphs:
+        dec = decompose(g, EngineConfig(c=1, seed=seed))
+        assert dec.cycles and dec.leftover
+        for name, d, k_hat, l_max in _corruptions(g, dec, rng):
+            want = _full_report(scalar_verify, g, d, k_hat, l_max)
+            got = _full_report(verify_decomposition, g, d, k_hat, l_max)
+            assert got == want, name
+            # Every edit is caught, by a violation or by GraphError.
+            assert (name == "unedited") == (want[0]["valid"] if isinstance(
+                want, tuple) else False), name
+
+
+def test_verify_empty_decomposition_matches_reference():
+    for g in [MultiGraph(0), MultiGraph(3), cycle_graph(3)]:
+        d = _dec([], [], g)
+        assert (_full_report(verify_decomposition, g, d, 0, 5)
+                == _full_report(scalar_verify, g, d, 0, 5))
 
 
 # -- measure_diameter -------------------------------------------------------
