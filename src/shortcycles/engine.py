@@ -22,15 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
 from .graph import GraphError, MultiGraph, contract, contracted_edges
 from .ldd import LddError, low_diam_decomp, single_cluster
-from .primitives import (Cycle, VertexDisjointCycleSet, graph_reduce,
-                         naive_short_cycle, pull_up, sparsify, split_circuit,
-                         tree_split)
+from .primitives import (Cycle, VertexDisjointCycleSet, cycle_list,
+                         graph_reduce, naive_short_cycle, pull_up, sparsify,
+                         split_circuit, tree_split)
 from .rng import mix64
 
 # A level with at most this many active vertices left ends with one naive
@@ -164,8 +163,6 @@ def _pair_loop_greedy(pu, pv, k: int) -> VertexDisjointCycleSet:
     lo = np.minimum(pu, pv, dtype=np.int64)
     hi = np.maximum(pu, pv, dtype=np.int64)
     m = len(lo)
-    out = VertexDisjointCycleSet()
-    used = out.used_vertices
     pairs = np.flatnonzero(lo != hi)
     key = lo[pairs] * k + hi[pairs]
     order = np.argsort(key)
@@ -179,25 +176,29 @@ def _pair_loop_greedy(pu, pv, k: int) -> VertexDisjointCycleSet:
     e1, e2 = e1[e2 < m], e2[e2 < m]
     at = np.argsort(e2)
     e1, e2 = e1[at], e2[at]
+    free = bytearray(b"\x01") * k
+    verts: list[int] = []
+    edges: list[int] = []
     for x, y, a, b in zip(e1.tolist(), e2.tolist(), lo[e2].tolist(),
                           hi[e2].tolist()):
-        if a not in used and b not in used:
-            out.add(Cycle(edges=[x, y], vertices=[a, b]))
+        if free[a] and free[b]:
+            free[a] = free[b] = 0
+            verts += (a, b)
+            edges += (x, y)
     loops = np.flatnonzero(lo == hi)
     low = np.full(k, m)
     np.minimum.at(low, lo[loops], loops)
     vs = np.flatnonzero(low < m)
-    for a, e in zip(vs.tolist(), low[vs].tolist()):
-        if a not in used:
-            out.add(Cycle(edges=[e], vertices=[a]))
-    return out
+    vs = vs[np.frombuffer(free, dtype=np.uint8)[vs] != 0]
+    sizes = [2] * (len(verts) // 2) + [1] * len(vs)
+    return VertexDisjointCycleSet(verts + vs.tolist(),
+                                  edges + low[vs].tolist(), sizes)
 
 
 def _delete_used(g: MultiGraph, cs: VertexDisjointCycleSet, since: int) -> int:
-    """Delete vertices of cycles added at index `since` onward; returns the
-    number of vertices covered by those cycles."""
-    vs = np.fromiter(chain.from_iterable(c.vertices for c in cs.cycles[since:]),
-                     dtype=np.int64)
+    """Delete the vertices of cs from its `since`-th vertex onward, those
+    of the cycles added since it held `since`; returns how many."""
+    vs = cs.arrays()[0][since:]
     g.delete_vertices(vs)
     return len(vs)
 
@@ -231,7 +232,7 @@ def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
             break
         if g.n_active == 0:
             break
-        before = len(acc.cycles)
+        before = acc.total_vertices
         if g.n_active <= _SMALL_N:
             acc.extend(naive_short_cycle(g))
             covered += _delete_used(g, acc, before)
@@ -254,7 +255,7 @@ def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
         raise EngineFailure(
             f"{name} covered {covered} vertices, "
             f"target {m0}/(10*{delta0})", partial=acc)
-    st.cycles_found += len(acc.cycles)
+    st.cycles_found += acc.n_cycles
     return acc
 
 
@@ -277,8 +278,8 @@ def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
     in_part = part >= 0
     cluster_of = np.empty(n_parts, dtype=np.int64)
     cluster_of[part[in_part]] = ldd.labels[in_part]
-    cluster_of = cluster_of.tolist()
-    cycles.cycles.sort(key=lambda c: cluster_of[c.vertices[0]])
+    cycles = cycles.take(np.argsort(cluster_of[cycles.first_vertices()],
+                                    kind="stable"))
     acc.extend(pull_up(g, part, ids, ldd.parent, ldd.parent_edge, ldd.depth,
                        cycles))
 
@@ -291,9 +292,8 @@ def _naive_round(g: MultiGraph, ldd, small: np.ndarray,
     cs = naive_short_cycle(
         g, ldd.tree_order[np.repeat(small, np.diff(ldd.tree_starts))],
         ldd.edges[small[ldd.edge_label]])
-    label = ldd.labels.tolist()
-    cs.cycles.sort(key=lambda c: label[c.vertices[0]])
-    acc.extend(cs)
+    acc.extend(cs.take(np.argsort(ldd.labels[cs.first_vertices()],
+                                  kind="stable")))
 
 
 def improved_short_cycle(g: MultiGraph, cfg: EngineConfig,
@@ -321,7 +321,9 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
     when there are no big clusters or the sparsification target would not
     shrink the contracted graph (small k), the round runs one_round on
     every cluster, which preserves every guarantee except the asymptotic
-    runtime.
+    runtime. That test needs only the kept part count and the number of
+    edges contracted_edges keeps, so H is built only for a round that
+    recurses.
     """
     ctx = _ctx or _Ctx(cfg)
     if not (0 <= d <= cfg.c - 1):
@@ -350,12 +352,16 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
         kept = np.zeros(int(part.max()) + 1, dtype=np.int64)
         kept[part[ids]] = 1
         part[ids] = np.cumsum(kept)[part[ids]] - 1
-        cm = contract(g, part, _part_tree_edges(ldd, part))
-        n_target = max(n_min, cm.h.n_total)
+        # H would have one vertex per kept part and one edge per id that
+        # contracted_edges keeps; it is built only when the round recurses.
+        exclude = _part_tree_edges(ldd, part)
+        h_ids = contracted_edges(g, part, exclude, np.arange(g.m_total))[0]
+        n_target = max(n_min, int(kept.sum()))
         m_target = 10 * n_target
-        if m_target > cm.h.m_active:   # too many parts to shrink
+        if m_target > len(h_ids):   # too many parts to shrink
             _one_rounds(g, cfg, ldd, acc)
             return
+        cm = contract(g, part, exclude, h_ids)
         cm.h.add_vertices(n_target - cm.h.n_total)
         h_sub = sparsify(cm.h, m_target)
         assert h_sub.m_active == 10 * h_sub.n_active
@@ -399,31 +405,26 @@ def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:
             if h.n_total > 2 * n:
                 raise GraphError("reduction produced more than 2n vertices")
             h.add_vertices(2 * n - h.n_total)
-            found = short_cycle_decomp(h, 0, cfg, k, _ctx=ctx).cycles
-            if not found:
+            found = short_cycle_decomp(h, 0, cfg, k, _ctx=ctx)
+            if not found.n_cycles:
                 raise EngineFailure("driver made no progress", partial=None)
             # Every walk at once, mapped back through the reduction.
-            size = np.fromiter(map(len, found), dtype=np.int64,
-                               count=len(found))
-            walk_vs = rmap.origin_vertex[np.fromiter(
-                chain.from_iterable(c.vertices for c in found),
-                dtype=np.int64, count=int(size.sum()))]
-            walk_es = chosen[rmap.origin_edge[np.fromiter(
-                chain.from_iterable(c.edges for c in found),
-                dtype=np.int64, count=len(walk_vs))]]
+            walk_vs, walk_es, size = found.arrays()
+            walk_vs = rmap.origin_vertex[walk_vs]
+            walk_es = chosen[rmap.origin_edge[walk_es]]
             # A walk through distinct vertices is already simple; the
             # split of any other covers the same edges.
-            key = np.sort(np.repeat(np.arange(len(found)), size) * work.n_total
+            key = np.sort(np.repeat(np.arange(len(size)), size) * work.n_total
                           + walk_vs)
-            split = np.zeros(len(found), dtype=bool)
+            split = np.zeros(len(size), dtype=bool)
             split[key[1:][key[1:] == key[:-1]] // work.n_total] = True
-            vs, es = walk_vs.tolist(), walk_es.tolist()
-            ends = np.cumsum(size).tolist()
-            for a, b, revisits in zip([0] + ends[:-1], ends, split.tolist()):
+            walks = cycle_list(walk_vs.tolist(), walk_es.tolist(),
+                               np.cumsum(size).tolist())
+            for c, revisits in zip(walks, split.tolist()):
                 if revisits:
-                    cycles.extend(split_circuit(vs[a:b], es[a:b]))
+                    cycles.extend(split_circuit(c.vertices, c.edges))
                 else:
-                    cycles.append(Cycle(edges=es[a:b], vertices=vs[a:b]))
+                    cycles.append(c)
             work.delete_edges(walk_es)
     except (EngineFailure, LddError) as exc:
         partial = CycleDecomposition(

@@ -177,6 +177,10 @@ class MultiGraph:
             raise GraphError("edge in batch already deleted")
         if (ids[1:] == ids[:-1]).any():
             raise GraphError("edge repeated in batch")
+        self._clear_edges(ids)
+
+    def _clear_edges(self, ids) -> None:
+        """Clear the distinct active edges `ids` and their degrees."""
         np.frombuffer(self.eactive, dtype=np.uint8)[ids] = 0
         eu = np.frombuffer(self.eu, dtype=np.int32)
         ev = np.frombuffer(self.ev, dtype=np.int32)
@@ -193,20 +197,22 @@ class MultiGraph:
     def delete_vertices(self, vs) -> None:
         """Delete distinct active vertices and every active edge touching
         them, edges between two of them included. An inactive or repeated
-        vertex raises GraphError before anything changes."""
+        vertex raises GraphError before anything changes. The edges are
+        marked in one mask over every edge id, so none is sorted."""
         vs = np.asarray(vs, dtype=np.int64)
         # Checked on copies, as in delete_edges.
         dead = np.frombuffer(self.vactive, dtype=np.uint8)[vs] == 0
         if dead.any():
             raise GraphError(f"vertex {vs[dead.argmax()]} already deleted")
-        s = np.sort(vs)
-        if (s[1:] == s[:-1]).any():
+        seen = np.zeros(self.n_total, dtype=bool)
+        seen[vs] = True
+        if np.count_nonzero(seen) < len(vs):
             raise GraphError("vertex repeated in batch")
         starts, _, eids = self._incidence()
-        ids = eids[row_entries(starts, vs)[0]]
-        ids = np.sort(ids[np.frombuffer(self.eactive, np.uint8)[ids] != 0])
-        # An edge between two of them is listed twice.
-        self.delete_edges(ids[np.diff(ids, prepend=-1) != 0])
+        hit = np.zeros(self.m_total, dtype=bool)
+        hit[eids[row_entries(starts, vs)[0]]] = True
+        hit &= np.frombuffer(self.eactive, dtype=bool)
+        self._clear_edges(np.flatnonzero(hit))
         np.frombuffer(self.vactive, dtype=np.uint8)[vs] = 0
         self.n_active -= len(vs)
 

@@ -6,7 +6,7 @@ tombstoned copy, never on the caller's graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,26 +29,95 @@ class Cycle:
         return len(self.edges)
 
 
-@dataclass
+def cycle_list(verts: list[int], edges: list[int], ends: list[int]
+               ) -> list[Cycle]:
+    """The cycles of flat vertex and edge lists, cycle i ending at
+    ends[i]."""
+    return [Cycle(edges=edges[a:b], vertices=verts[a:b])
+            for a, b in zip([0] + ends[:-1], ends)]
+
+
 class VertexDisjointCycleSet:
-    cycles: list[Cycle] = field(default_factory=list)
-    used_vertices: set[int] = field(default_factory=set)
+    """Vertex-disjoint cycles as flat int64 arrays, `arrays()` = (verts,
+    edges, sizes): every cycle's vertices and edges, cycle after cycle,
+    and each one's length (a cycle has as many vertices as edges).
+
+    The engine builds sets from arrays and joins them with `extend`,
+    which only queues the other set's arrays; they are concatenated on
+    first read. `cycles` (a list of Cycle) and `used_vertices` are views
+    built on first read and rebuilt after a change, so no Cycle exists
+    until `cycles` is read; callers must not write to them. `add` appends
+    one Cycle's lists, for callers that build a set a cycle at a time.
+    """
+
+    __slots__ = ("_parts", "n_cycles", "_cycles", "_used")
+
+    def __init__(self, verts=(), edges=(), sizes=()):
+        self._parts: list[tuple] = []
+        self.n_cycles = 0
+        self._cycles = self._used = None
+        if len(sizes):
+            self._parts.append(tuple(np.asarray(a, dtype=np.int64)
+                                     for a in (verts, edges, sizes)))
+            self.n_cycles = len(sizes)
 
     def add(self, cycle: Cycle) -> None:
-        self.cycles.append(cycle)
-        self.used_vertices.update(cycle.vertices)
+        if len(cycle.vertices) != len(cycle.edges):
+            raise GraphError("cycle must have as many vertices as edges")
+        self.extend(VertexDisjointCycleSet(cycle.vertices, cycle.edges,
+                                           [len(cycle.edges)]))
 
     def extend(self, other: "VertexDisjointCycleSet") -> None:
-        self.cycles.extend(other.cycles)
-        self.used_vertices.update(other.used_vertices)
+        if other.n_cycles:
+            self._parts.append(other.arrays())
+            self.n_cycles += other.n_cycles
+            self._cycles = self._used = None
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(verts, edges, sizes), one concatenation of every part."""
+        if len(self._parts) != 1:
+            if not self._parts:
+                return _EMPTY, _EMPTY, _EMPTY
+            self._parts = [tuple(map(np.concatenate, zip(*self._parts)))]
+        return self._parts[0]
+
+    def first_vertices(self) -> np.ndarray:
+        """Every cycle's first vertex."""
+        verts, _, sizes = self.arrays()
+        return verts[np.cumsum(sizes) - sizes]
+
+    def take(self, order) -> "VertexDisjointCycleSet":
+        """The set of cycles order[0], order[1], ... of this one."""
+        verts, edges, sizes = self.arrays()
+        pos, cnt = row_entries(np.concatenate(([0], np.cumsum(sizes))),
+                               np.asarray(order, dtype=np.int64))
+        return VertexDisjointCycleSet(verts[pos], edges[pos], cnt)
+
+    @property
+    def cycles(self) -> list[Cycle]:
+        if self._cycles is None:
+            verts, edges, sizes = self.arrays()
+            self._cycles = cycle_list(verts.tolist(), edges.tolist(),
+                                      np.cumsum(sizes).tolist())
+        return self._cycles
+
+    @property
+    def used_vertices(self) -> set[int]:
+        if self._used is None:
+            self._used = set(self.arrays()[0].tolist())
+        return self._used
 
     @property
     def total_vertices(self) -> int:
-        return sum(len(c.vertices) for c in self.cycles)
+        return len(self.arrays()[0])
 
     @property
     def total_edges(self) -> int:
-        return sum(len(c.edges) for c in self.cycles)
+        return len(self.arrays()[1])
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
 
 @dataclass
@@ -178,6 +247,9 @@ def naive_short_cycle(g: MultiGraph, vertices=None,
     A step costs in proportion to its frontiers and the rows it kills,
     plus some tens of numpy calls, so one large component, which takes
     one step per cycle, pays more per cycle than many small ones.
+
+    Returns the cycles as the flat arrays the steps built, gathered into
+    that order: no Cycle is built until the result's `cycles` is read.
     """
     out = VertexDisjointCycleSet()
     if vertices is None:
@@ -312,17 +384,11 @@ def naive_short_cycle(g: MultiGraph, vertices=None,
         cand = kill(np.concatenate((verts, root[lost])))
     if not keys:
         return out
+    out = VertexDisjointCycleSet(vs[np.concatenate(cyc_v)],
+                                 np.concatenate(cyc_e),
+                                 np.concatenate(cyc_len))
     # A stable sort by root keeps each root's cycles in step order.
-    order = np.argsort(np.concatenate(keys), kind="stable")
-    length = np.concatenate(cyc_len)
-    pos, cnt = row_entries(np.concatenate(([0], np.cumsum(length))), order)
-    verts = vs[np.concatenate(cyc_v)[pos]].tolist()
-    edges = np.concatenate(cyc_e)[pos].tolist()
-    ends = np.cumsum(cnt).tolist()
-    out.cycles = [Cycle(edges=edges[a:b], vertices=verts[a:b])
-                  for a, b in zip([0] + ends[:-1], ends)]
-    out.used_vertices = set(verts)
-    return out
+    return out.take(np.argsort(np.concatenate(keys), kind="stable"))
 
 
 _NONE = np.iinfo(np.int64).max
@@ -513,43 +579,48 @@ def pull_up(g: MultiGraph, part, f, parent, edge, depth,
     read from per-vertex `parent`, `edge` and `depth` arrays (-1 off the
     forest) of a forest in which every part is connected. Output cycles
     are vertex-disjoint and cover at least one source vertex per H-vertex
-    covered."""
-    out = VertexDisjointCycleSet()
-    if not cycles_h.cycles:
-        return out
+    covered.
+
+    H's cycles are read as arrays, and every H-edge is oriented in one
+    pass; the tree paths are walked one H-edge at a time into flat lists.
+    Returns the lifted cycles as arrays, in the order of H's: no Cycle is
+    built."""
+    hv, he, size = cycles_h.arrays()
+    if not len(size):
+        return VertexDisjointCycleSet()
+    part = np.asarray(part)
+    src = np.asarray(f)[he]
+    # H-edge j leaves part hv[j] for part hv[nxt[j]], the next vertex of
+    # its cycle; it leaves at exits[j] and arrives at entries[nxt[j]].
+    ends = np.cumsum(size)
+    nxt = np.arange(1, len(hv) + 1)
+    nxt[ends - 1] = ends - size
+    pu, pv = hv, hv[nxt]
+    gu = np.frombuffer(g.eu, dtype=np.int32)[src]
+    gv = np.frombuffer(g.ev, dtype=np.int32)[src]
+    fwd = (part[gu] == pu) & (part[gv] == pv)
+    ok = fwd | ((part[gv] == pu) & (part[gu] == pv))
+    if not ok.all():
+        j = int(ok.argmin())
+        raise GraphError(f"edge {src[j]} endpoints not in parts "
+                         f"{pu[j]}, {pv[j]}")
+    exits = np.where(fwd, gu, gv)
+    entries = np.empty_like(exits)
+    entries[nxt] = np.where(fwd, gv, gu)
     # Read one visited slot at a time, as Python ints.
     parent, edge, depth = (memoryview(np.ascontiguousarray(a, dtype=np.int64))
                            for a in (parent, edge, depth))
-    f = np.asarray(f)
-    for hc in cycles_h.cycles:
-        k = len(hc.edges)
-        src = f[hc.edges].tolist()
-        # exits[i]: source vertex where the cycle leaves part hc.vertices[i]
-        # along the image of hc.edges[i]; entries[i]: where it arrived.
-        exits = [0] * k
-        entries = [0] * k
-        for i, e in enumerate(src):
-            pu = hc.vertices[i]
-            pv = hc.vertices[(i + 1) % k]
-            gu, gv = g.endpoints(e)
-            if part[gu] == pu and part[gv] == pv:
-                a, b = gu, gv
-            elif part[gv] == pu and part[gu] == pv:
-                a, b = gv, gu
-            else:
-                raise GraphError(f"edge {e} endpoints not in parts "
-                                 f"{pu}, {pv}")
-            exits[i] = a
-            entries[(i + 1) % k] = b
-        verts: list[int] = []
-        edges: list[int] = []
-        for i in range(k):
-            pv_, pe_ = tree_path(parent, edge, depth, entries[i], exits[i])
-            verts.extend(pv_)
-            edges.extend(pe_)
-            edges.append(src[i])
-        out.add(Cycle(edges=edges, vertices=verts))
-    return out
+    verts: list[int] = []
+    edges: list[int] = []
+    lens: list[int] = []
+    for a, b, e in zip(entries.tolist(), exits.tolist(), src.tolist()):
+        pv_, pe_ = tree_path(parent, edge, depth, a, b)
+        verts += pv_
+        edges += pe_
+        edges.append(e)
+        lens.append(len(pv_))
+    return VertexDisjointCycleSet(verts, edges,
+                                  np.add.reduceat(lens, ends - size))
 
 
 # ---------------------------------------------------------------------------

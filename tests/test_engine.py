@@ -1,4 +1,5 @@
 """Engine layers: one round, the round loop, recursion, and the driver."""
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from shortcycles.graph import contract, contracted_edges, label_components
 from shortcycles.ldd import single_cluster
 from shortcycles.primitives import tree_split
 from shortcycles.primitives import VertexDisjointCycleSet
-from shortcycles.io import d_regular, gnm, parallel_gadgets, torus
+from shortcycles.io import (d_regular, decomposition_to_json, gnm,
+                            parallel_gadgets, torus)
 
 import naive_reference
 import tree_reference
@@ -460,6 +462,86 @@ def test_decompose_seed_changes_output():
     a = decompose(g, EngineConfig(c=1, seed=0))
     b = decompose(g, EngineConfig(c=1, seed=1))
     assert [c.edges for c in a.cycles] != [c.edges for c in b.cycles]
+
+
+# sha256 of decomposition_to_json(decompose(g, EngineConfig(c, seed)), c,
+# seed) for (model, c, seed); the graphs are _PINNED_GRAPHS[model](seed).
+_PINNED_GRAPHS = {
+    "gnm": lambda s: gnm(96, 30 * 96, seed=s),
+    "d_regular": lambda s: d_regular(96, 42, seed=s),
+    "parallel_gadgets": lambda s: parallel_gadgets(160, 60, seed=s),
+    "torus": lambda s: torus(100, seed=s),
+}
+_PINNED = {
+    ("gnm", 1, 1): "a001704932260aadda97636e58f8d29a"
+                   "d13b99c2f350e4e5b8bb2bf345e3ce8f",
+    ("gnm", 1, 2): "3661651eff46e4a4b10ab5ac0ef921b7"
+                   "cbddf2cbfbd6d97a0a854d99070fd867",
+    ("gnm", 1, 3): "08a0037f331a88776a3028300f1a4ea1"
+                   "e4318c4fbd4d1ce6337ad2c4866f3d6e",
+    ("gnm", 2, 1): "1ce83ba4c929bdc42c09395ba97f28d9"
+                   "780d86c460201e7411200ac69df91afb",
+    ("gnm", 2, 2): "8d8cf53f5e1a254cf7690062e6ad50d2"
+                   "27a42be9f0d4da9f61e91bbb5bf3dd88",
+    ("gnm", 2, 3): "76be0c9b22aa192f57397b9aac24a493"
+                   "3aff91ef42fe7fe479127af81f4b2a64",
+    ("d_regular", 1, 1): "f1515558fb7d5b5de894b30a21f79899"
+                         "bdc63eb48cf4e99cf4f4198ace2c82e2",
+    ("d_regular", 1, 2): "412088240fcb3a7734abf8cd9bc67e45"
+                         "be37b8cc38981663fc84d9a67e7b24ab",
+    ("d_regular", 1, 3): "3889552f9f75c09dd37dbbdaefd7bd03"
+                         "c0bf96e23e78c4e00998a4311cc76924",
+    ("d_regular", 2, 1): "d5ff23f44995e598aea9c815d641b804"
+                         "db189db6e91ed491110f19e1c8cbc71b",
+    ("d_regular", 2, 2): "923d09df9cdef37785701a3105f7db36"
+                         "a4fd9cb675a9a23e2d57e65798ec2c05",
+    ("d_regular", 2, 3): "e5289748a4a883a5652385a5c23bffe5"
+                         "ba52d37b2a9e43f51e14faae71804a54",
+    ("parallel_gadgets", 1, 1): "c5a7009953fbea43894a251089d3b307"
+                                "814df2e1cf14dcd6985a1a6f94680fd0",
+    ("parallel_gadgets", 1, 2): "bde5f3ac97d05ceda4d09d733478c502"
+                                "c070d196a272e13253610b2025bcc580",
+    ("parallel_gadgets", 1, 3): "7bd04280f1e18cc8bb1cc88ebcf5f071"
+                                "926b2fe4f269ef59f9934a218c05487d",
+    ("parallel_gadgets", 2, 1): "70beffdfc427bcbee4f84c15c84a75fc"
+                                "dddd2369878ee6485f6335a81bc85cb4",
+    ("parallel_gadgets", 2, 2): "0ab3cbfba0584dedde4f00bf0864ebae"
+                                "47d1b6e41c1d36233fcd62843da18448",
+    ("parallel_gadgets", 2, 3): "96e3f6cdd7bb7a24acf400fb2c196597"
+                                "e2a54490b6b21cdbd5f52d9c402c31a9",
+    ("torus", 1, 1): "87ce2b93841d587ea65522479bb56b0f"
+                     "d0642bb5935c6746caa9f5a1eb291c79",
+    ("torus", 1, 2): "a6a6d4fbbe1c777b2bc2c9b5f07a00f5"
+                     "15a008964f446f9d4ba13850bf85efc5",
+    ("torus", 1, 3): "5dc41857aa1aef48782f72259398a88f"
+                     "9842a20efda1ef967ed5daf9e6975d6c",
+    ("torus", 2, 1): "9498a223c0c093951e8391ca09c2945d"
+                     "a3f4d594b68a637cb85484c3258babc9",
+    ("torus", 2, 2): "90cc4fdfc9dbae0fc9ca4ac1919ecc7f"
+                     "ea3841df55b3e0838d6505b13c6a1bd7",
+    ("torus", 2, 3): "94374921506b50f035cc6c5513c210c3"
+                     "1f1a2b3bead076d99189a558c3db9da1",
+}
+# dreg-c2's graph, where a level-0 round recurses (sparsify, level 1).
+_PINNED_RECURSING = ("4f66e305f02b4c73eac5747bfe296f9b"
+                     "1f73e39f45c89d060d76549377a4293a")
+
+
+def _output_digest(g, c, seed):
+    text = decomposition_to_json(decompose(g, EngineConfig(c=c, seed=seed)),
+                                 c, seed)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_decompose_output_pinned():
+    """The decomposition bytes stay those recorded before the engine's
+    cycle sets became flat arrays: a change that only makes the engine
+    faster must not move a single byte."""
+    got = {key: _output_digest(_PINNED_GRAPHS[key[0]](key[2]), *key[1:])
+           for key in _PINNED}
+    assert got == _PINNED
+    assert _output_digest(d_regular(4632, 41, seed=1), 2, 1) \
+        == _PINNED_RECURSING
 
 
 def test_decompose_level_stats_recorded():

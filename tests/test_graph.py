@@ -129,6 +129,82 @@ def test_delete_vertices_rejects_inactive_or_repeated(rng):
         g.delete_vertex(3)
 
 
+def _reference_delete_vertices(state, vs):
+    """delete_vertices on plain lists (eu, ev, eactive, vactive, deg,
+    n_active, m_active): one scan of the edge arrays, nothing sorted.
+    Returns the new state, or the error message and no change."""
+    eu, ev, ea, va, deg, n_active, m_active = state
+    for v in vs:
+        if not va[v]:
+            return f"vertex {v} already deleted"
+    if len(set(vs)) < len(vs):
+        return "vertex repeated in batch"
+    ea, va, deg = list(ea), list(va), list(deg)
+    gone = set(vs)
+    for e, (u, v) in enumerate(zip(eu, ev)):
+        if ea[e] and (u in gone or v in gone):
+            ea[e] = 0
+            deg[u] -= 1
+            deg[v] -= 1
+            m_active -= 1
+    for v in vs:
+        va[v] = 0
+    return eu, ev, ea, va, deg, n_active - len(vs), m_active
+
+
+def _plain_state(g):
+    return (list(g.eu), list(g.ev), list(g.eactive), list(g.vactive),
+            list(g.deg), g.n_active, g.m_active)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_delete_vertices_matches_edge_scan(data):
+    """delete_vertices against a scan of the edge arrays, on random
+    multigraphs with loops and parallel edges whose cached CSR was first
+    narrowed by snapshots between edge and vertex deletions. The batch
+    may hold edges between two of its vertices, inactive vertices and
+    repeats; those raise the reference's message and change nothing.
+    Later snapshots read the reference's rows."""
+    n = data.draw(st.integers(1, 10))
+    ends = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=40))
+    g = MultiGraph.from_edges(n, [u for u, _ in ends], [v for _, v in ends])
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            flat_adjacency_np(g)
+        live = [e for e in range(g.m_total) if g.eactive[e]]
+        g.delete_edges(data.draw(st.lists(st.sampled_from(live), unique=True))
+                       if live else [])
+        alive = g.active_vertices()
+        if alive and data.draw(st.booleans()):
+            g.delete_vertices(data.draw(st.lists(st.sampled_from(alive),
+                                                 unique=True, max_size=2)))
+    alive = g.active_vertices()
+    if alive and data.draw(st.booleans()):
+        vs = data.draw(st.lists(st.sampled_from(alive), unique=True))
+    else:
+        vs = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
+    before = _plain_state(g)
+    want = _reference_delete_vertices(before, vs)
+    if isinstance(want, str):
+        with pytest.raises(GraphError) as err:
+            g.delete_vertices(vs)
+        assert str(err.value) == want
+        assert _plain_state(g) == before
+        want = before
+    else:
+        g.delete_vertices(vs)
+        assert _plain_state(g) == want
+    eu, ev, ea = want[:3]
+    rows = _scalar_rows(eu, ev, ea, n)
+    starts, tails, eids = (a.tolist() for a in flat_adjacency_np(g))
+    assert [list(zip(eids[starts[v]:starts[v + 1]],
+                     tails[starts[v]:starts[v + 1]]))
+            for v in range(n)] == rows
+
+
 def test_delete_edges_rejects_inactive(rng):
     g = random_multigraph(rng, 20, 600)
     g.delete_edge(5)

@@ -24,6 +24,71 @@ from conftest import (connected_components, cycle_graph,
                       star_graph, tree_degrees)
 
 
+# -- VertexDisjointCycleSet -------------------------------------------------
+
+def _cycle_set_views(cs):
+    return ([(c.edges, c.vertices) for c in cs.cycles], cs.used_vertices,
+            cs.total_vertices, cs.total_edges, cs.n_cycles)
+
+
+def test_cycle_set_built_from_arrays_adds_or_both():
+    """A set built from flat arrays, one built by add, and ones mixing add
+    with extend, in any split, give the same cycles, used vertices and
+    totals; reading a view between changes does not freeze it."""
+    rng = random.Random(11)
+    for trial in range(30):
+        cycles, free = [], list(range(60))
+        rng.shuffle(free)
+        while free and rng.random() < 0.9:
+            k = min(len(free), rng.randrange(1, 6))
+            vs, free = free[:k], free[k:]
+            cycles.append(Cycle(edges=rng.sample(range(500), k), vertices=vs))
+        flat = VertexDisjointCycleSet(
+            [v for c in cycles for v in c.vertices],
+            [e for c in cycles for e in c.edges],
+            [len(c) for c in cycles])
+        added = VertexDisjointCycleSet()
+        for c in cycles:
+            added.add(c)
+        mixed = VertexDisjointCycleSet()
+        for c in cycles:
+            if rng.random() < 0.5:
+                mixed.add(c)
+            else:
+                one = VertexDisjointCycleSet()
+                one.add(c)
+                mixed.extend(one)
+            if rng.random() < 0.3:
+                _cycle_set_views(mixed)
+            mixed.extend(VertexDisjointCycleSet())
+        want = ([(c.edges, c.vertices) for c in cycles],
+                {v for c in cycles for v in c.vertices},
+                sum(map(len, cycles)), sum(map(len, cycles)), len(cycles))
+        for cs in (flat, added, mixed):
+            assert _cycle_set_views(cs) == want
+        assert flat.arrays()[2].tolist() == [len(c) for c in cycles]
+        assert (flat.first_vertices().tolist()
+                == [c.vertices[0] for c in cycles])
+        order = list(range(len(cycles)))
+        rng.shuffle(order)
+        assert ([(c.edges, c.vertices) for c in flat.take(order).cycles]
+                == [(cycles[i].edges, cycles[i].vertices) for i in order])
+
+
+def test_cycle_set_empty():
+    for cs in (VertexDisjointCycleSet(), VertexDisjointCycleSet([], [], [])):
+        cs.extend(VertexDisjointCycleSet())
+        assert cs.cycles == [] and cs.used_vertices == set()
+        assert cs.total_vertices == cs.total_edges == cs.n_cycles == 0
+        assert [len(a) for a in cs.arrays()] == [0, 0, 0]
+        assert cs.take([]).cycles == []
+
+
+def test_cycle_set_rejects_unequal_lengths():
+    with pytest.raises(GraphError):
+        VertexDisjointCycleSet().add(Cycle(edges=[0, 1], vertices=[0]))
+
+
 # -- graph_reduce -----------------------------------------------------------
 
 def test_reduce_no_split_needed():
