@@ -20,16 +20,18 @@ are given; `decompose` works on a private copy of its input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .graph import GraphError, MultiGraph, contract, contracted_edges
+from .graph import (GraphError, MultiGraph, contract, contracted_edges,
+                    row_entries)
 from .ldd import LddError, low_diam_decomp, single_cluster
-from .primitives import (Cycle, VertexDisjointCycleSet, cycle_list,
-                         graph_reduce, naive_short_cycle, pull_up, sparsify,
-                         split_circuit, tree_split)
+from .primitives import (_EMPTY, Cycle, VertexDisjointCycleSet, cut,
+                         graph_reduce, int64_codes, lengths, naive_short_cycle,
+                         pull_up, sparsify, split_circuit, tree_split)
 from .rng import mix64
 
 # A level with at most this many active vertices left ends with one naive
@@ -60,20 +62,72 @@ class LevelStats:
     cycles_found: int = 0
 
 
-@dataclass
 class CycleDecomposition:
-    cycles: list[Cycle]
-    leftover: set[int]
-    source_m: int
-    source_n: int
-    level_stats: list[LevelStats] = field(default_factory=list)
+    """Edge-disjoint cycles of a graph, plus its leftover edge ids.
+
+    The cycles are flat int64 arrays, `arrays()` = (edges, verts,
+    edge_counts, vert_counts): every cycle's edge ids and its vertices,
+    cycle after cycle, and each one's edge and vertex count (equal in a
+    well-formed cycle). `cycles`, a list of Cycle, is a view built on
+    first read, or given to the constructor instead of `arrays`; once it
+    exists it is the decomposition: callers may edit the list and its
+    cycles, and `arrays()` reads it afresh each time. Read from the list,
+    an id outside the int64 range takes a negative code (`int64_codes`),
+    and `id_value` turns a code back into the id.
+    """
+
+    def __init__(self, cycles: list[Cycle] | None = None,
+                 leftover: set[int] | None = None, source_m: int = 0,
+                 source_n: int = 0,
+                 level_stats: list[LevelStats] | None = None,
+                 arrays: tuple | None = None):
+        self._cycles = cycles
+        self._arrays = (_EMPTY,) * 4 if arrays is None else arrays
+        self._odd: list[int] = []
+        self.leftover = set() if leftover is None else leftover
+        self.source_m = source_m
+        self.source_n = source_n
+        self.level_stats = [] if level_stats is None else level_stats
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray]:
+        if self._cycles is None:
+            return self._arrays
+        edge_lists = [c.edges for c in self._cycles]
+        vert_lists = [c.vertices for c in self._cycles]
+        flat_e = list(chain.from_iterable(edge_lists))
+        ids, self._odd = int64_codes(
+            flat_e + list(chain.from_iterable(vert_lists)))
+        return (ids[:len(flat_e)], ids[len(flat_e):],
+                lengths(edge_lists), lengths(vert_lists))
+
+    def id_value(self, x: int) -> int:
+        """The id that value x of the last `arrays()` stands for."""
+        return self._odd[-1 - x] if x < 0 and self._odd else x
+
+    def id_lists(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Every cycle's edge ids, and every cycle's vertices, as lists."""
+        if self._cycles is not None:
+            return ([list(c.edges) for c in self._cycles],
+                    [list(c.vertices) for c in self._cycles])
+        edges, verts, edge_counts, vert_counts = self._arrays
+        return (cut(edges.tolist(), edge_counts),
+                cut(verts.tolist(), vert_counts))
+
+    @property
+    def cycles(self) -> list[Cycle]:
+        if self._cycles is None:
+            self._cycles = [Cycle(edges=es, vertices=vs)
+                            for es, vs in zip(*self.id_lists())]
+            self._arrays = None
+        return self._cycles
 
     @property
     def cycle_edge_count(self) -> int:
-        return sum(len(c.edges) for c in self.cycles)
+        return int(self.arrays()[2].sum())
 
     def max_cycle_length(self) -> int:
-        return max((len(c) for c in self.cycles), default=0)
+        return int(self.arrays()[2].max(initial=0))
 
 
 class EngineFailure(GraphError):
@@ -373,6 +427,27 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
                        extract)
 
 
+def _split_walks(verts, edges, size, split):
+    """Flat walk arrays (verts, edges, sizes) with every walk where
+    `split` holds replaced, in its place, by the simple cycles
+    split_circuit splits it into."""
+    starts = np.cumsum(size) - size
+    keep = np.repeat(~split, size)
+    owner = [np.flatnonzero(~split)]
+    vs, es, ns = [verts[keep]], [edges[keep]], [size[~split]]
+    for w in np.flatnonzero(split).tolist():
+        a, b = starts[w], starts[w] + size[w]
+        pieces = split_circuit(verts[a:b].tolist(), edges[a:b].tolist())
+        owner.append(np.full(len(pieces), w))
+        vs.append(np.array([v for c in pieces for v in c.vertices]))
+        es.append(np.array([e for c in pieces for e in c.edges]))
+        ns.append(lengths([c.edges for c in pieces]))
+    sizes = np.concatenate(ns)
+    pos, cnt = row_entries(np.concatenate(([0], np.cumsum(sizes))),
+                           np.argsort(np.concatenate(owner), kind="stable"))
+    return np.concatenate(vs)[pos], np.concatenate(es)[pos], cnt
+
+
 def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:
     """Full (20n, L)-short cycle decomposition of any undirected multigraph.
 
@@ -380,17 +455,26 @@ def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:
     reduce to a bounded-degree graph on exactly 2n vertices, run the
     recursive engine, map its cycles back through the vertex splitting
     (splitting a circuit that revisits a vertex into simple cycles), and
-    delete those edges.
+    delete those edges. The cycles go into the result's arrays as they
+    come; no Cycle is built.
     Leftover is whatever remains, at most 20n edges.
     """
     work = g.copy()
     n = work.n_active
     ctx = _Ctx(cfg)
-    cycles: list[Cycle] = []
+    parts = []   # each iteration's (edges, verts, sizes)
+
+    def result():
+        edges, verts, sizes = (
+            np.concatenate(a).astype(np.int64, copy=False)
+            for a in zip(*parts)) if parts else (_EMPTY,) * 3
+        return CycleDecomposition(
+            arrays=(edges, verts, sizes, sizes),
+            leftover=set(work.active_edges()), source_m=g.m_active,
+            source_n=n, level_stats=ctx.stats_list())
+
     if n == 0:
-        return CycleDecomposition(cycles=[], leftover=set(),
-                                  source_m=g.m_active, source_n=0,
-                                  level_stats=[])
+        return result()
     k = max(2, _introot(2 * n, cfg.c + 1))
     try:
         eu = np.frombuffer(work.eu, dtype=np.int32)
@@ -412,27 +496,17 @@ def decompose(g: MultiGraph, cfg: EngineConfig) -> CycleDecomposition:
             walk_vs, walk_es, size = found.arrays()
             walk_vs = rmap.origin_vertex[walk_vs]
             walk_es = chosen[rmap.origin_edge[walk_es]]
+            work.delete_edges(walk_es)
             # A walk through distinct vertices is already simple; the
             # split of any other covers the same edges.
             key = np.sort(np.repeat(np.arange(len(size)), size) * work.n_total
                           + walk_vs)
             split = np.zeros(len(size), dtype=bool)
             split[key[1:][key[1:] == key[:-1]] // work.n_total] = True
-            walks = cycle_list(walk_vs.tolist(), walk_es.tolist(),
-                               np.cumsum(size).tolist())
-            for c, revisits in zip(walks, split.tolist()):
-                if revisits:
-                    cycles.extend(split_circuit(c.vertices, c.edges))
-                else:
-                    cycles.append(c)
-            work.delete_edges(walk_es)
+            if split.any():
+                walk_vs, walk_es, size = _split_walks(walk_vs, walk_es, size,
+                                                      split)
+            parts.append((walk_es, walk_vs, size))
     except (EngineFailure, LddError) as exc:
-        partial = CycleDecomposition(
-            cycles=cycles, leftover=set(work.active_edges()),
-            source_m=g.m_active, source_n=n,
-            level_stats=ctx.stats_list())
-        raise EngineFailure(str(exc), partial=partial) from exc
-    return CycleDecomposition(cycles=cycles,
-                              leftover=set(work.active_edges()),
-                              source_m=g.m_active, source_n=n,
-                              level_stats=ctx.stats_list())
+        raise EngineFailure(str(exc), partial=result()) from exc
+    return result()

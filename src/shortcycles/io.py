@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import Counter
 from itertools import chain
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .engine import CycleDecomposition, LevelStats
 from .graph import GraphError, MultiGraph
-from .primitives import Cycle
+from .primitives import Cycle, lengths
 from .rng import randbelows
 
 
@@ -49,6 +50,73 @@ def _id_value(token: str) -> int:
         return -1
 
 
+# A canonical file: the header line, then only "<digits> <digits>\n" lines,
+# as serialize_edge_list writes it. Its edge lines are read as bytes,
+# _BYTES at a time (ending at a line end); ids of more than 10 digits send
+# the file to the string path.
+_CANONICAL_HEADER = re.compile(rb"p scd ([0-9]{1,10}) ([0-9]{1,10})\n")
+_BYTES = 1 << 18
+
+
+def _token_values(d: np.ndarray, end: np.ndarray, size: np.ndarray,
+                  width: int) -> np.ndarray:
+    """The decimal values of the tokens of digit values `d` that end
+    before `end` and hold `size` digits each, none more than `width`: a
+    positional sum over the right-aligned digits."""
+    val = np.zeros(len(end), dtype=np.int64)
+    for j in range(width, 0, -1):
+        val *= 10
+        val += np.where(size >= j, d[end - j], 0)
+    return val
+
+
+def _parse_canonical(data: bytes):
+    """(n, eu, ev) of a canonical edge-list file, or None for any other
+    file, and for a canonical one with an id of more than 10 digits, an id
+    out of range or another number of edge lines than its header's m.
+
+    Each block of edge lines is one pass of array steps: the non-digit
+    bytes must alternate ' ' and '\n', which bounds every token; the ids
+    are positional digit sums and are checked against n on the block."""
+    head = _CANONICAL_HEADER.match(data)
+    if head is None or (len(data) > head.end() and data[-1] != 10):
+        return None
+    n, m = int(head[1]), int(head[2])
+    # An edge line takes at least 4 bytes ("0 0\n"), so this refuses a
+    # file too short for m before allocating m slots.
+    if n >= 2 ** 31 or m >= 2 ** 31 or 4 * m > len(data) - head.end():
+        return None
+    eu = np.empty(m, dtype=np.int32)
+    ev = np.empty(m, dtype=np.int32)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    done = 0
+    lo = head.end()
+    while lo < len(data):
+        hi = data.find(b"\n", min(lo + _BYTES, len(data)) - 1) + 1
+        b = buf[lo:hi]
+        d = b - np.uint8(48)   # digits 0 .. 9; other bytes wrap past 9
+        sep = np.flatnonzero(d > 9)
+        space, end = sep[0::2], sep[1::2]
+        if (len(sep) % 2 or done + len(end) > m or (b[space] != 32).any()
+                or (b[end] != 10).any()):
+            return None
+        start = np.concatenate(([0], end[:-1] + 1))
+        nu = space - start
+        nv = end - space - 1
+        width = int(max(nu.max(), nv.max()))
+        if min(nu.min(), nv.min()) < 1 or width > 10:
+            return None
+        u = _token_values(d, space, nu, width)
+        v = _token_values(d, end, nv, width)
+        if max(u.max(), v.max()) >= n:
+            return None
+        eu[done:done + len(end)] = u
+        ev[done:done + len(end)] = v
+        done += len(end)
+        lo = hi
+    return (n, eu, ev) if done == m else None
+
+
 def parse_edge_list(data) -> MultiGraph:
     """The graph an edge-list text (str, or UTF-8 bytes) describes.
 
@@ -60,11 +128,19 @@ def parse_edge_list(data) -> MultiGraph:
     bad line, checking each for shape, then digits, then range, and the
     (m+1)-th edge line for the count.
 
-    The edge lines are read in bulk: one token count per line, then per
-    block of _BLOCK edge lines one split, one digit check over the joined
-    tokens and one int conversion. Only a block holding a bad token reads
-    its tokens one by one, to find the first.
+    A canonical file (ASCII) is read by `_parse_canonical`, in array
+    passes over its bytes. Every other file, and every canonical one that
+    pass refuses, takes the string path, the only one that words errors:
+    one token count per line, then per block of _BLOCK edge lines one
+    split, one digit check over the joined tokens and one int conversion.
+    Only a block holding a bad token reads its tokens one by one, to find
+    the first.
     """
+    raw = data if isinstance(data, bytes) else (
+        data.encode() if data.isascii() else None)
+    canonical = raw is not None and _parse_canonical(raw)
+    if canonical:
+        return MultiGraph.from_edges(*canonical)
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -155,7 +231,7 @@ def serialize_edge_list(g: MultiGraph) -> str:
 
 def decomposition_to_dict(dec: CycleDecomposition, c: int, seed: int,
                           wall_ms: float | None = None) -> dict:
-    cycles = [list(cyc.edges) for cyc in dec.cycles]
+    cycles, cycle_vertices = dec.id_lists()
     histogram = Counter(map(len, cycles))
     return {
         "n": dec.source_n,
@@ -163,7 +239,7 @@ def decomposition_to_dict(dec: CycleDecomposition, c: int, seed: int,
         "c": c,
         "seed": seed,
         "cycles": cycles,
-        "cycle_vertices": [list(cyc.vertices) for cyc in dec.cycles],
+        "cycle_vertices": cycle_vertices,
         "leftover": sorted(dec.leftover),
         "stats": {
             "k_hat_observed": len(dec.leftover),
@@ -193,15 +269,16 @@ def _ids(value, what: str) -> list[int]:
     raise ParseError(f"{what} must be a list of integer ids")
 
 
-def _id_lists(value, what: str) -> list[list[int]]:
-    """The items of `value` as a list, if each is a list of integer ids;
-    ParseError otherwise. Both checks are passes over the types: of the
-    items, then of their chained ids."""
+def _id_lists(value, what: str) -> tuple[list[list[int]], list[int]]:
+    """The items of `value` as a list, if each is a list of integer ids,
+    and their ids chained; ParseError otherwise. Both checks are passes
+    over the types: of the items, then of the chained ids."""
     lists = list(value)
-    if (not all(issubclass(t, list) for t in set(map(type, lists)))
-            or not set(map(type, chain.from_iterable(lists))) <= {int}):
-        raise ParseError(f"{what} must be a list of integer ids")
-    return lists
+    if all(issubclass(t, list) for t in set(map(type, lists))):
+        flat = list(chain.from_iterable(lists))
+        if set(map(type, flat)) <= {int}:
+            return lists, flat
+    raise ParseError(f"{what} must be a list of integer ids")
 
 
 def _walk_vertices(g: MultiGraph, edges: list[int]) -> list[int]:
@@ -223,19 +300,22 @@ def decomposition_from_dict(d: dict, g: MultiGraph | None = None
                             ) -> CycleDecomposition:
     """The decomposition a JSON document describes. Edge ids are the
     authoritative encoding: without `cycle_vertices`, each cycle's vertices
-    are derived by walking its edges on `g`. Non-integer ids, and a
-    `cycle_vertices` whose length is not that of `cycles`, raise
-    ParseError."""
+    are derived by walking its edges on `g`. Non-integer ids, a
+    `cycle_vertices` whose length is not that of `cycles`, and an id
+    listed twice in `leftover` raise ParseError. The cycles go straight
+    into the decomposition's arrays; only a document holding an id past
+    int64 gets them as a list of Cycle, which keeps every id exactly."""
     try:
-        edge_lists = _id_lists(d["cycles"], "each cycle")
+        edge_lists, flat_e = _id_lists(d["cycles"], "each cycle")
         if "cycle_vertices" in d:
-            vertex_lists = _id_lists(d["cycle_vertices"],
-                                     "each cycle's vertices")
+            vertex_lists, flat_v = _id_lists(d["cycle_vertices"],
+                                             "each cycle's vertices")
             if len(vertex_lists) != len(edge_lists):
                 raise ParseError(f"{len(edge_lists)} cycles but "
                                  f"{len(vertex_lists)} vertex lists")
         elif g is not None:
             vertex_lists = [_walk_vertices(g, es) for es in edge_lists]
+            flat_v = list(chain.from_iterable(vertex_lists))
         else:
             raise ParseError("decomposition JSON lacks cycle_vertices")
         stats = [LevelStats(level=ls["level"],
@@ -243,13 +323,27 @@ def decomposition_from_dict(d: dict, g: MultiGraph | None = None
                             rounds=ls["rounds"], ldd_retries=ls["ldd_retries"],
                             cycles_found=ls["cycles_found"])
                  for ls in d.get("stats", {}).get("levels", [])]
-        return CycleDecomposition(
-            cycles=[Cycle(edges=es, vertices=vs)
-                    for es, vs in zip(edge_lists, vertex_lists)],
-            leftover=set(_ids(d["leftover"], "leftover")),
-            source_m=d["m"], source_n=d["n"], level_stats=stats)
+        left = _ids(d["leftover"], "leftover")
+        leftover = set(left)
+        if len(leftover) != len(left):
+            seen = set()
+            twice = next(e for e in left if e in seen or seen.add(e))
+            raise ParseError(f"leftover lists edge {twice} twice")
+        source_m, source_n = d["m"], d["n"]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed decomposition JSON: {exc!r}") from None
+    cycles = None
+    try:
+        arrays = (np.array(flat_e, dtype=np.int64),
+                  np.array(flat_v, dtype=np.int64),
+                  lengths(edge_lists), lengths(vertex_lists))
+    except OverflowError:
+        arrays = None
+        cycles = [Cycle(edges=es, vertices=vs)
+                  for es, vs in zip(edge_lists, vertex_lists)]
+    return CycleDecomposition(cycles=cycles, leftover=leftover,
+                              source_m=source_m, source_n=source_n,
+                              level_stats=stats, arrays=arrays)
 
 
 # ---------------------------------------------------------------------------

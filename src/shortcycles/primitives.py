@@ -29,12 +29,15 @@ class Cycle:
         return len(self.edges)
 
 
-def cycle_list(verts: list[int], edges: list[int], ends: list[int]
-               ) -> list[Cycle]:
-    """The cycles of flat vertex and edge lists, cycle i ending at
-    ends[i]."""
-    return [Cycle(edges=edges[a:b], vertices=verts[a:b])
-            for a, b in zip([0] + ends[:-1], ends)]
+def lengths(lists: list) -> np.ndarray:
+    """The length of each of `lists`, as int64."""
+    return np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+
+
+def cut(flat: list, counts) -> list[list]:
+    """`flat` cut into consecutive slices of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 class VertexDisjointCycleSet:
@@ -97,8 +100,8 @@ class VertexDisjointCycleSet:
     def cycles(self) -> list[Cycle]:
         if self._cycles is None:
             verts, edges, sizes = self.arrays()
-            self._cycles = cycle_list(verts.tolist(), edges.tolist(),
-                                      np.cumsum(sizes).tolist())
+            self._cycles = [Cycle(edges=es, vertices=vs) for es, vs in zip(
+                cut(edges.tolist(), sizes), cut(verts.tolist(), sizes))]
         return self._cycles
 
     @property
@@ -118,6 +121,20 @@ class VertexDisjointCycleSet:
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
+
+
+def int64_codes(values: list) -> tuple[np.ndarray, list[int]]:
+    """`values`, a list of ints, as int64, and the ids behind its negative
+    codes. Past the int64 range, every value outside [0, 2^62) takes the
+    code -1 - i, for the i-th of those values ascending (the second item,
+    empty when no code was needed): equal values keep equal codes, and no
+    code is an edge or vertex id."""
+    try:
+        return np.array(values, dtype=np.int64), []
+    except OverflowError:
+        odd = sorted({x for x in values if not 0 <= x < 1 << 62})
+        code = {x: -1 - i for i, x in enumerate(odd)}
+        return np.array([code.get(x, x) for x in values], dtype=np.int64), odd
 
 
 @dataclass

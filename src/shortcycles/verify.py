@@ -9,13 +9,12 @@ adjacency and search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
 from .graph import GraphError, MultiGraph
-from .primitives import Cycle, VertexDisjointCycleSet
+from .primitives import Cycle, VertexDisjointCycleSet, int64_codes
 
 
 @dataclass
@@ -62,8 +61,8 @@ def verify_decomposition(g: MultiGraph, decomposition, k_hat: int,
     (e) every cycle length <= l_max.
 
     A cycle with no edges, or with a vertex count other than its edge
-    count, is reported malformed and not read further. The other cycles'
-    edges and vertices are read as one flat array each: incidence is a
+    count, is reported malformed and not read further. The cycles are
+    read as the decomposition's flat arrays (`arrays()`): incidence is a
     gather from g's edge arrays, repeated vertices come from one sort by
     (cycle, vertex), repeated edges from one stable sort of the ids, and
     coverage from one bincount. Violations are listed as a scan would
@@ -74,26 +73,19 @@ def verify_decomposition(g: MultiGraph, decomposition, k_hat: int,
     # A copy: a view would pin g's edge flags while a raised GraphError
     # keeps this frame alive.
     alive = np.frombuffer(g.eactive, dtype=np.bool_).copy()
-    cycles = decomposition.cycles
-    edge_lists = list(map(attrgetter("edges"), cycles))
-    vert_lists = list(map(attrgetter("vertices"), cycles))
-    lens = np.fromiter(map(len, edge_lists), dtype=np.int64,
-                       count=len(cycles))
-    vlens = np.fromiter(map(len, vert_lists), dtype=np.int64,
-                        count=len(cycles))
+    edges, verts, lens, vlens = decomposition.arrays()
+    value = decomposition.id_value
     ok = (lens > 0) & (lens == vlens)
-    well = ok.tolist()
-    flat_e = list(chain.from_iterable(compress(edge_lists, well)))
-    flat_v = list(chain.from_iterable(compress(vert_lists, well)))
-    e, v = _int64(flat_e), _int64(flat_v)
+    e, v = edges[np.repeat(ok, lens)], verts[np.repeat(ok, vlens)]
     length = lens[ok]
     cid = np.repeat(np.flatnonzero(ok), length)
     bad = np.flatnonzero(_dangling(e, alive))
     if len(bad):
         p = int(bad[0])
-        raise GraphError(f"dangling edge id {flat_e[p]} in cycle {cid[p]}")
+        raise GraphError(f"dangling edge id {value(int(e[p]))} "
+                         f"in cycle {cid[p]}")
     left = list(decomposition.leftover)
-    lo = _int64(left)
+    lo = int64_codes(left)[0]
     bad = np.flatnonzero(_dangling(lo, alive))
     if len(bad):
         raise GraphError(f"dangling edge id {left[bad[0]]} in leftover")
@@ -121,16 +113,17 @@ def verify_decomposition(g: MultiGraph, decomposition, k_hat: int,
     w = v[nxt]
     for p in np.flatnonzero(~(((v == a) & (w == b))
                               | ((v == b) & (w == a)))).tolist():
-        ed = flat_e[p]
+        ed = int(e[p])
         found.append(((int(cid[p]), 3, 2 * p), Violation(
             "incidence", f"edge {ed}={a[p]}-{b[p]} does not join "
-            f"{flat_v[p]},{flat_v[nxt[p]]}", int(cid[p]), ed)))
+            f"{value(int(v[p]))},{value(int(v[nxt[p]]))}", int(cid[p]),
+            ed)))
     order = np.argsort(e, kind="stable")
     later = order[1:][e[order[1:]] == e[order[:-1]]]
     for p in later.tolist():
+        ed = int(e[p])
         found.append(((int(cid[p]), 3, 2 * p + 1), Violation(
-            "duplicate", f"edge {flat_e[p]} appears twice", int(cid[p]),
-            flat_e[p])))
+            "duplicate", f"edge {ed} appears twice", int(cid[p]), ed)))
     found.sort(key=itemgetter(0))
     violations = [viol for _, viol in found]
 
@@ -159,18 +152,6 @@ def verify_decomposition(g: MultiGraph, decomposition, k_hat: int,
         coverage_fraction=(len(e) / m_active) if m_active else 0.0,
         violations=violations,
     )
-
-
-def _int64(values: list) -> np.ndarray:
-    """`values`, a list of ints, as int64. Past the int64 range, every
-    value outside [0, 2^62) takes the code -1 - (its rank among those):
-    equal values keep equal codes, and no code is an edge or vertex id."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        odd = sorted({x for x in values if not 0 <= x < 1 << 62})
-        code = {x: -1 - i for i, x in enumerate(odd)}
-        return np.array([code.get(x, x) for x in values], dtype=np.int64)
 
 
 def _dangling(ids: np.ndarray, alive: np.ndarray) -> np.ndarray:

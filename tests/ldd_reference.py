@@ -2,10 +2,10 @@
 
 `dial_centers` is the exponential-shift clustering as one multi-source
 Dijkstra over a Dial bucket queue (`dial_search`), drawing one scalar
-exponential per active vertex; `dict_clusters` groups per-vertex centers into clusters with
-a dict. `low_diam_decomp` must reproduce both exactly.
+exponential per active vertex, over an adjacency of its own;
+`dict_clusters` groups per-vertex centers into clusters with a dict.
+`low_diam_decomp` must reproduce both exactly.
 """
-from shortcycles.graph import flat_adjacency_np
 from shortcycles.rng import exponential
 
 
@@ -35,7 +35,12 @@ def dial_search(g, shifts):
     exact, and the order inside a bucket does not matter. A vertex
     without an edge keeps its start distance and joins no center."""
     n_total = g.n_total
-    starts, tails, _ = (a.tolist() for a in flat_adjacency_np(g))
+    nbrs = [[] for _ in range(n_total)]   # over active edges, loops once
+    for u, w, alive in zip(g.eu, g.ev, g.eactive):
+        if alive:
+            nbrs[u].append(w)
+            if u != w:
+                nbrs[w].append(u)
     max_shift = 0.0
     for s in shifts.values():
         if s > max_shift:
@@ -47,7 +52,7 @@ def dial_search(g, shifts):
         if v in shifts:
             d = max_shift - shifts[v]
             dist[v] = d
-            if starts[v + 1] > starts[v]:
+            if nbrs[v]:
                 center[v] = v
             buckets[int(d)].append(v)
     settled = [False] * n_total
@@ -64,8 +69,7 @@ def dial_search(g, shifts):
             nb = int(nd)
             if nb >= len(buckets):
                 buckets.append([])
-            for i in range(starts[v], starts[v + 1]):
-                w = tails[i]
+            for w in nbrs[v]:
                 if (nd, center[v]) < (dist[w], center[w]):
                     dist[w] = nd
                     center[w] = center[v]

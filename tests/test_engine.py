@@ -1,5 +1,6 @@
 """Engine layers: one round, the round loop, recursion, and the driver."""
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -16,8 +17,9 @@ from shortcycles.engine import (_introot, _isqrt_ceil, _one_rounds,
 from shortcycles.graph import contract, contracted_edges, label_components
 from shortcycles.ldd import single_cluster
 from shortcycles.primitives import tree_split
-from shortcycles.primitives import VertexDisjointCycleSet
-from shortcycles.io import (d_regular, decomposition_to_json, gnm,
+from shortcycles.primitives import Cycle, VertexDisjointCycleSet
+from shortcycles.io import (d_regular, decomposition_from_dict,
+                            decomposition_to_dict, decomposition_to_json, gnm,
                             parallel_gadgets, torus)
 
 import naive_reference
@@ -319,6 +321,26 @@ def test_scd_c2_yield_and_validity(monkeypatch):
                 assert max(ctx.levels) == c - 1
 
 
+def test_decompose_verifies_a_recursed_round(monkeypatch):
+    """dreg-c2's graph at c=2 recurses: decompose calls contract for a
+    level-0 round that sparsifies and runs level 1, and the result
+    passes the independent verifier."""
+    contracts = []
+
+    def counted_contract(*args, **kwargs):
+        contracts.append(1)
+        return real_contract(*args, **kwargs)
+
+    real_contract = engine.contract
+    monkeypatch.setattr(engine, "contract", counted_contract)
+    g = d_regular(4632, 41, seed=1)
+    dec = decompose(g, EngineConfig(c=2, seed=1))
+    assert contracts
+    assert [ls.level for ls in dec.level_stats] == [0, 1]
+    rep = verify_decomposition(g, dec, 20 * g.n_active, 10 ** 9)
+    assert rep.valid, rep.violations[:3]
+
+
 def test_scd_small_clusters_take_the_naive_peel(monkeypatch):
     """At c=2 on parallel gadgets the small clusters (at most k vertices)
     hold the edges, so a round peels all of them with one naive_short_cycle
@@ -542,6 +564,53 @@ def test_decompose_output_pinned():
     assert got == _PINNED
     assert _output_digest(d_regular(4632, 41, seed=1), 2, 1) \
         == _PINNED_RECURSING
+
+
+def test_pipeline_builds_no_cycle_objects(monkeypatch):
+    """decompose -> JSON -> decomposition_from_dict -> verify carries the
+    cycles as arrays from end to end: no Cycle is constructed."""
+    made = []
+    real_init = Cycle.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cycle, "__init__", counted_init)
+    g = parallel_gadgets(160, 60)
+    dec = decompose(g, EngineConfig(c=2, seed=1))
+    text = decomposition_to_json(dec, 2, 1)
+    back = decomposition_from_dict(json.loads(text))
+    rep = verify_decomposition(g, back, 20 * g.n_active, 10 ** 9)
+    assert rep.valid and rep.length_histogram
+    assert made == []
+    assert len(back.cycles) == sum(rep.length_histogram.values())
+    assert made
+
+
+@pytest.mark.parametrize("model", sorted(_PINNED_GRAPHS))
+def test_json_round_trip_is_byte_identical(model):
+    for c in (1, 2):
+        text = decomposition_to_json(
+            decompose(_PINNED_GRAPHS[model](1), EngineConfig(c=c, seed=1)),
+            c, 1)
+        back = decomposition_from_dict(json.loads(text))
+        assert decomposition_to_json(back, c, 1) == text
+
+
+def test_verify_reads_the_cycle_list_once_built():
+    """Once `cycles` has been read, the list is the decomposition: a
+    cycle inserted into it, repeating another's edges, is reported."""
+    g = parallel_gadgets(160, 60)
+    dec = decompose(g, EngineConfig(c=2, seed=1))
+    assert verify_decomposition(g, dec, 20 * g.n_active, 10 ** 9).valid
+    first = dec.cycles[0]
+    dec.cycles.insert(3, Cycle(list(first.edges), list(first.vertices)))
+    rep = verify_decomposition(g, dec, 20 * g.n_active, 10 ** 9)
+    assert not rep.valid
+    assert [str(v) for v in rep.violations] == [
+        f"duplicate (cycle 3): edge {e} appears twice" for e in first.edges]
+    assert decomposition_to_dict(dec, 2, 1)["cycles"][3] == first.edges
 
 
 def test_decompose_level_stats_recorded():

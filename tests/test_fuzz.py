@@ -88,8 +88,8 @@ def test_decomposition_from_dict_raises_only_parse_error(doc, with_graph):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Inputs the argv fuzz points at: valid and malformed graphs, a
-    header beyond int32, decompositions good and bad, and paths that
-    cannot be read or written."""
+    header beyond int32, decompositions good and bad (one lists a
+    leftover edge twice), and paths that cannot be read or written."""
     root = tmp_path_factory.mktemp("fuzz")
     paths = {}
 
@@ -105,6 +105,9 @@ def files(tmp_path_factory):
     assert cli_main(["decompose", "--input", paths["graph"], "--output",
                      str(root / "dec.json")]) == 0
     paths["dec"] = str(root / "dec.json")
+    doc = json.loads((root / "dec.json").read_text())
+    put("repeated_leftover", json.dumps(
+        {**doc, "leftover": doc["leftover"] + doc["leftover"][-1:]}))
     put("junk_json", "{not json")
     put("odd_json", json.dumps({"cycles": [[0, "x"]], "leftover": [],
                                 "m": 1, "n": 1}))
@@ -116,8 +119,8 @@ def files(tmp_path_factory):
 
 
 PATH = st.sampled_from(["graph", "tree", "bad_graph", "huge_header",
-                        "empty", "dec", "junk_json", "odd_json",
-                        "list_json", "missing", "dir", "out"])
+                        "empty", "dec", "repeated_leftover", "junk_json",
+                        "odd_json", "list_json", "missing", "dir", "out"])
 # Integers stay at most 16, so generated graphs and bench cells are small.
 NUMBER = st.one_of(st.sampled_from(["-1", "0", "1", "2"]),
                    st.integers(-3, 16).map(str))
@@ -258,6 +261,35 @@ def test_cycle_vertices_of_another_count_is_refused(files, dense, data):
     with pytest.raises(ParseError, match="vertex lists"):
         decomposition_from_dict(bad)
     path = os.path.join(files["dir"], "uneven_dec")
+    with open(path, "w") as fh:
+        json.dump(bad, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["verify", "--graph", graph, "--decomposition",
+                         path, "--k-hat", "320", "--l-max", "100"])
+    assert code == 1
+    assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_repeated_leftover_is_refused(files, dense, data):
+    """A document whose leftover repeats ids, wherever the copies go,
+    raises ParseError naming the first repeated id, and `verify` exits 1
+    with an error: line and no traceback."""
+    graph, doc = dense
+    left = list(doc["leftover"])
+    for x in data.draw(st.lists(st.sampled_from(left), min_size=1,
+                                max_size=3)):
+        left.insert(data.draw(st.integers(0, len(left))), x)
+    seen = set()
+    first = next(x for x in left if x in seen or seen.add(x))
+    bad = {**doc, "leftover": left}
+    with pytest.raises(ParseError, match=f"leftover lists edge {first} "):
+        decomposition_from_dict(bad)
+    path = os.path.join(files["dir"], "repeated_leftover_dec")
     with open(path, "w") as fh:
         json.dump(bad, fh)
     err = io.StringIO()

@@ -116,6 +116,32 @@ def _edge_texts(draw):
     return text.encode() if draw(st.booleans()) else text
 
 
+@st.composite
+def _canonical_texts(draw):
+    """Texts in serialize_edge_list's form, "<digits> <digits>\\n" lines
+    after the header, mostly valid: ids with leading zeros, ids out of
+    range, 10- and 11-digit ids, m-1 or m+1 edge lines, and a last line
+    without its line break."""
+    n = draw(st.sampled_from([0, 1, 3, 10, 97, 1000]))
+    ident = st.one_of(
+        st.integers(0, max(n - 1, 0)).map(str),
+        st.tuples(st.sampled_from(["0", "00", "0" * 9]),
+                  st.integers(0, max(n - 1, 0)).map(str)).map("".join),
+        st.integers(n, n + 2).map(str),
+        st.sampled_from(["9" * 10, "0" * 10 + "1", str(10 ** 10)]))
+    valid = st.integers(0, max(n - 1, 0)).map(str)
+    lines = draw(st.lists(st.tuples(valid, valid), max_size=40))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     (draw(ident), draw(ident)))
+    m = draw(st.sampled_from([len(lines)] * 6 + [len(lines) + 1,
+                                                 max(len(lines) - 1, 0)]))
+    text = f"p scd {n} {m}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+    if lines and draw(st.integers(0, 4)) == 0:
+        text = text[:-1]
+    return text.encode() if draw(st.booleans()) else text
+
+
 def _parsed(parse, text):
     try:
         g = parse(text)
@@ -124,15 +150,37 @@ def _parsed(parse, text):
     return g.n_total, list(g.eu), list(g.ev), list(g.deg), g.m_active
 
 
-@settings(max_examples=400, deadline=None)
-@given(_edge_texts(), st.sampled_from([1, 2, 3, shortcycles.io._BLOCK]))
-def test_bulk_parse_matches_per_line_reference(text, block):
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_edge_texts(), _canonical_texts()),
+       st.sampled_from([1, 2, 3, shortcycles.io._BLOCK]),
+       st.sampled_from([1, 5, 24, shortcycles.io._BYTES]))
+def test_bulk_parse_matches_per_line_reference(text, block, size):
     """The same graph (n, eu, ev, degrees), or the same ParseError message
-    and line, as the per-line parser it replaced, whether the edge lines
-    are converted in one block or in several."""
-    with mock.patch.object(shortcycles.io, "_BLOCK", block):
+    and line, as the per-line parser it replaced, on texts near the
+    language and on canonical ones (which the byte path reads), whether
+    the edge lines are converted in one block or in several."""
+    with mock.patch.multiple(shortcycles.io, _BLOCK=block, _BYTES=size):
         got = _parsed(parse_edge_list, text)
     assert got == _parsed(io_reference.parse_edge_list, text)
+
+
+def test_canonical_files_take_the_byte_path():
+    """Written files, and canonical texts with leading zeros up to 10
+    digits, are read by the byte path, in one block or in many, with the
+    ends the string path gives."""
+    texts = [serialize_edge_list(g) for g in (
+        gnm(20, 60, seed=0), torus(16), parallel_gadgets(6, 5),
+        gnm(0, 0, seed=1), d_regular(300, 14, seed=3))]
+    texts.append("p scd 1000 3\n0000000007 999\n0 00\n0000000999 0998\n")
+    for text in texts:
+        want = io_reference.parse_edge_list(text)
+        for size in (1, 7, shortcycles.io._BYTES):
+            with mock.patch.object(shortcycles.io, "_BYTES", size):
+                got = shortcycles.io._parse_canonical(text.encode())
+            assert got is not None
+            n, eu, ev = got
+            assert (n, eu.tolist(), ev.tolist()) == (
+                want.n_total, list(want.eu), list(want.ev))
 
 
 def test_round_trip_preserves_edge_ids():
@@ -187,6 +235,26 @@ def test_cycle_vertices_count_must_match_cycles():
                                         graph)
     back = decomposition_from_dict(json.loads(json.dumps(doc)), g)
     assert len(back.cycles) == 93
+
+
+def test_repeated_leftover_id_is_refused():
+    """A leftover that lists an edge twice is a malformed document, not
+    a valid decomposition with k_hat_observed one short."""
+    g = gnm(16, 480, seed=1)
+    doc = decomposition_to_dict(decompose(g, EngineConfig(c=1, seed=1)),
+                                c=1, seed=1)
+    first = doc["leftover"][0]
+    for graph in (g, None):
+        with pytest.raises(ParseError,
+                           match=f"leftover lists edge {first} twice"):
+            decomposition_from_dict(
+                {**doc, "leftover": doc["leftover"] + [first]}, graph)
+    twice = doc["leftover"][5]
+    with pytest.raises(ParseError, match=f"edge {twice} twice"):
+        decomposition_from_dict({**doc, "leftover": [
+            *doc["leftover"][:9], twice, first, *doc["leftover"][9:]]})
+    back = decomposition_from_dict(json.loads(json.dumps(doc)), g)
+    assert len(back.leftover) == len(doc["leftover"]) == 318
 
 
 def test_decomposition_from_dict_id_errors_unchanged():

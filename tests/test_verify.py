@@ -308,6 +308,31 @@ def test_verify_imports_no_engine_traversal():
     assert not imported & banned
 
 
+# Names the test references may take from the package: graph
+# construction, data types, and (from shortcycles.rng) random draws.
+_REFERENCE_IMPORTS = {"MultiGraph", "GraphError", "ParseError", "Cycle",
+                      "VertexDisjointCycleSet", "DecompositionReport",
+                      "Violation"}
+
+
+def test_references_share_no_engine_code():
+    """Every tests/*_reference.py imports from shortcycles only graph
+    construction, data types and rng draws, so a fault in an engine
+    primitive cannot hide in the reference it is checked against."""
+    paths = sorted(Path(__file__).resolve().parent.glob("*_reference.py"))
+    assert len(paths) >= 5
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "shortcycles"
+                               for a in node.names), path.name
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "shortcycles"
+                    and node.module != "shortcycles.rng"):
+                names = {a.name for a in node.names}
+                assert names <= _REFERENCE_IMPORTS, (path.name, names)
+
+
 # -- brute_force_short_cycles -----------------------------------------------
 
 def test_brute_k4():

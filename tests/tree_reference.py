@@ -10,15 +10,14 @@ stays one part, and parts are ordered by the BFS position of their
 shallowest vertex, as `shortcycles.tree_split` numbers them. `subtree`,
 `tree_path` and `pull_up` are the dict part trees and the lifting along
 them, and `reference_greedy` is the dict loop for the pair/loop greedy;
-`one_round` is one contraction round on one cluster built from them.
+`dict_contract` is the contraction as a dict pass, and `one_round` is one
+contraction round on one cluster built from them.
 """
 import math
 from dataclasses import dataclass
 
-from shortcycles import GraphError, contract
+from shortcycles import GraphError, MultiGraph
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
-
-from conftest import part_array
 
 
 @dataclass
@@ -216,11 +215,38 @@ def reference_greedy(h):
     return out
 
 
+@dataclass
+class DictContraction:
+    """g with each part contracted to a vertex: H's edge j is f[j] of g,
+    and part_of maps each vertex of a part to the part's index."""
+    source: object
+    part_of: dict
+    h: MultiGraph
+    f: list
+
+
+def dict_contract(g, parts: list[list[int]], exclude,
+                  edges) -> DictContraction:
+    """The contraction of g's parts over the candidate `edges`: every
+    active candidate not in `exclude` with both ends in parts, in
+    ascending id order, becomes an edge of H."""
+    part_of = {v: j for j, p in enumerate(parts) for v in p}
+    skip = set(exclude)
+    h = MultiGraph(len(parts))
+    f = []
+    for e in sorted(set(edges)):
+        u, v = g.endpoints(e)
+        if g.eactive[e] and e not in skip and u in part_of and v in part_of:
+            h.add_edge(part_of[u], part_of[v])
+            f.append(e)
+    return DictContraction(source=g, part_of=part_of, h=h, f=f)
+
+
 def one_round(g, ldd, i: int) -> VertexDisjointCycleSet:
     """One contraction round on cluster i of an LddResult: split at
     4*ceil(sqrt(m_i)), part trees, contraction over the cluster's edges,
     the pair/loop greedy and the lift."""
-    edges = ldd.edges[ldd.edge_label == i]
+    edges = ldd.edges[ldd.edge_label == i].tolist()
     if len(edges) == 0:
         return VertexDisjointCycleSet()
     tree = dict_tree(ldd, i)
@@ -229,5 +255,5 @@ def one_round(g, ldd, i: int) -> VertexDisjointCycleSet:
     parts = tree_split(Labeled(tree=tree, labels=labels), threshold)
     trees = [subtree(tree, p) for p in parts]
     exclude = [e for st in trees for (_, e) in st.parent.values()]
-    cm = contract(g, part_array(g.n_total, parts), exclude, edges)
+    cm = dict_contract(g, parts, exclude, edges)
     return pull_up(cm, trees, reference_greedy(cm.h))
