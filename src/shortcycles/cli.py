@@ -178,7 +178,8 @@ def _cmd_verify(args) -> int:
             g = parse_edge_list(fh.read())
         with open(args.decomposition, encoding="utf-8") as fh:
             dec = decomposition_from_dict(json.load(fh), g)
-    except (OSError, ParseError, ValueError) as exc:
+    # json.load raises RecursionError on a document nested too deeply.
+    except (OSError, ParseError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import re
 from collections import Counter
 from itertools import chain
@@ -13,7 +12,7 @@ import numpy as np
 from .engine import CycleDecomposition, LevelStats
 from .graph import GraphError, MultiGraph
 from .primitives import Cycle, lengths
-from .rng import randbelows
+from .rng import words
 
 
 class ParseError(ValueError):
@@ -351,21 +350,23 @@ def decomposition_from_dict(d: dict, g: MultiGraph | None = None
 
 def gnm(n: int, m: int, seed: int) -> MultiGraph:
     """n vertices, m uniformly random endpoint pairs; loops allowed. The
-    ends are the 2m values of `rng.randrange(n)`, drawn in bulk."""
+    ends are `words(seed, 2m)` mod n, edge i taking words 2i and 2i + 1."""
     if n < 1 and m > 0:
         raise GraphError("gnm with edges needs n >= 1")
-    ends = randbelows(random.Random(seed), n, 2 * max(m, 0))
+    ends = (words(seed, 2 * max(m, 0)) % np.uint64(max(n, 1))).astype(
+        np.int64)
     return MultiGraph.from_edges(n, ends[0::2], ends[1::2])
 
 
 def d_regular(n: int, d: int, seed: int) -> MultiGraph:
     """Configuration model: uniform pairing of d stubs per vertex.
-    Parallel edges and self-loops possible; requires d*n even."""
+    Parallel edges and self-loops possible; requires d*n even. The stubs
+    (d copies of each vertex, ascending) are permuted by a stable sort of
+    one word of `words(seed, d*n)` each, and paired in order."""
     if (d * n) % 2 != 0:
         raise GraphError("d_regular requires d*n even")
-    stubs = np.repeat(np.arange(n), max(d, 0)).tolist()
-    random.Random(seed).shuffle(stubs)
-    ends = np.array(stubs, dtype=np.int64)
+    stubs = np.repeat(np.arange(n), max(d, 0))
+    ends = stubs[np.argsort(words(seed, len(stubs)), kind="stable")]
     return MultiGraph.from_edges(n, ends[0::2], ends[1::2])
 
 

@@ -13,7 +13,6 @@ caches and each accepted clustering narrows to the exact components.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -22,7 +21,7 @@ import numpy as np
 
 from .graph import (GraphError, MultiGraph, bfs_forest, flat_adjacency_np,
                     label_components, row_entries)
-from .rng import mix64, neg_logs, uniforms
+from .rng import mix64, words
 
 MAX_RETRIES = 20
 
@@ -96,12 +95,16 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
     low-diameter clusters; the others, which no cut can affect, get label
     -1, no tree and no part.
 
-    Each active vertex v draws an exponential shift with rate beta (capped
-    at (2/beta) ln(n+1)), and each with an edge joins the center c
+    Each active vertex v with an edge draws an exponential shift with
+    rate beta (capped at (2/beta) ln(n+1)) and joins the center c
     minimizing dist(c, v) - shift(c), the lowest center id on exact ties.
-    Vertices start at max_shift - shift; the search settles them a unit
-    layer at a time, relaxing every edge of a layer at once, with one
-    bucket clock per group of the graph's cached partition
+    An attempt's shifts come from `words(mix64(seed, attempt), k)`, one
+    word w per such vertex in id order: u = ((w >> 11) + 1) / 2^53, exact
+    and in (0, 1], and shift = -log(u) / beta, taken with math.log, whose
+    result does not depend on the host's SIMD path as np.log's last bit
+    does. Vertices start at max_shift - shift; the search settles them a
+    unit layer at a time, relaxing every edge of a layer at once, with
+    one bucket clock per group of the graph's cached partition
     (`_shifted_search`). A vertex's hop count to its center is
     dist(v) - dist(center), at most shift(center) - shift(v), and
     `max_diameter` is twice the largest one.
@@ -124,13 +127,17 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
     groups = g._partition()
     starts = adj[0]
     active = np.nonzero(np.frombuffer(g.vactive, dtype=np.uint8))[0]
-    # Vertices without an active edge join no cluster.
-    has_edge = starts[active + 1] > starts[active]
-    live = active[has_edge]
+    # Vertices without an active edge join no cluster and draw no shift.
+    live = active[starts[active + 1] > starts[active]]
     for attempt in range(MAX_RETRIES):
-        rng = random.Random(mix64(seed, attempt))
-        shifts, truncated = _shifts(rng, float(beta), shift_cap, has_edge)
-        center, dist = _shifted_search(adj, active, live, shifts, groups)
+        w = words(mix64(seed, attempt), len(live))
+        u = (((w >> np.uint64(11)) + np.uint64(1)).astype(np.float64)
+             * 2.0 ** -53)
+        shifts = -np.fromiter(map(math.log, u.tolist()), dtype=np.float64,
+                              count=len(u)) / float(beta)
+        truncated = int(np.count_nonzero(shifts > shift_cap))
+        np.minimum(shifts, shift_cap, out=shifts)
+        center, dist = _shifted_search(adj, live, shifts, groups)
         # An active edge crosses iff its ends have different centers, so
         # both checks come before the clustering is built.
         crossing = int(np.count_nonzero(center[edges[1]] != center[edges[2]]))
@@ -162,25 +169,6 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     return result
 
 
-def _shifts(rng: random.Random, rate: float, cap: float, has_edge):
-    """(shifts, truncated): one attempt's shifts, one per active vertex
-    and capped at `cap`, and how many the cap cut. They are
-    `rng.exponentials(rng, rate, n)`, bit for bit, where they are read:
-    at the vertices with an edge (`has_edge`), at those whose uniform
-    could give the largest shift, and at those whose shift could pass the
-    cap; both found from the uniforms with a relative margin of 1e-9.
-    Every other vertex, edgeless, gets 0, which sets no maximum and gives
-    it a finite start."""
-    u = uniforms(rng, len(has_edge))
-    read = (has_edge | (u <= u.min(initial=1.0) * (1 + 1e-9))
-            | (u < math.exp(-cap * rate) * (1 + 1e-9))).nonzero()[0]
-    shifts = np.zeros(len(u))
-    shifts[read] = neg_logs(u[read], rate)
-    truncated = int(np.count_nonzero(shifts > cap))
-    np.minimum(shifts, cap, out=shifts)
-    return shifts, truncated
-
-
 def _active_edges(g: MultiGraph):
     """(ids, eu, ev): the active edge ids, ascending, and their ends."""
     ids = np.flatnonzero(np.frombuffer(g.eactive, dtype=np.uint8))
@@ -188,15 +176,14 @@ def _active_edges(g: MultiGraph):
             np.frombuffer(g.ev, dtype=np.int32)[ids])
 
 
-def _shifted_search(adj, active, live, shifts, groups):
-    """(center, dist): each vertex's center (-1 when inactive or without
-    an edge) and final distance under the shifts of the `active`
-    vertices, from the Dijkstra with unit edges and start distances
+def _shifted_search(adj, live, shifts, groups):
+    """(center, dist): each vertex's center and final distance (-1 and
+    inf off `live`, the active vertices with an edge) under the `shifts`
+    of `live`, from the Dijkstra with unit edges and start distances
     max_shift - shift in which a vertex joins the lowest center id among
     the offers at its distance.
-    `live` are the active vertices with an edge; `groups` gives each
-    vertex a group id in [0, n_total) such that no edge of `adj` joins
-    two groups.
+    `groups` gives each vertex a group id in [0, n_total) such that no
+    edge of `adj` joins two groups.
 
     A vertex settles in bucket int(dist). Relaxing from bucket b only
     reaches b + 1 or later, so a bucket's vertices settle together, and
@@ -214,9 +201,9 @@ def _shifted_search(adj, active, live, shifts, groups):
     """
     starts, tails, _ = adj
     n_total = len(starts) - 1
-    max_shift = max(0.0, float(shifts.max()))
+    max_shift = float(shifts.max(initial=0.0))
     dist = np.full(n_total, np.inf)
-    dist[active] = max_shift - shifts
+    dist[live] = max_shift - shifts
     center = np.full(n_total, -1, dtype=np.int64)
     center[live] = live
     low = np.full(n_total, np.inf)   # per group: its lowest pending bucket

@@ -2,22 +2,29 @@
 
 `dial_centers` is the exponential-shift clustering as one multi-source
 Dijkstra over a Dial bucket queue (`dial_search`), drawing one scalar
-exponential per active vertex, over an adjacency of its own;
-`dict_clusters` groups per-vertex centers into clusters with a dict.
-`low_diam_decomp` must reproduce both exactly.
+exponential per active vertex with an active edge, over an adjacency of
+its own; `dict_clusters` groups per-vertex centers into clusters with a
+dict. `low_diam_decomp` must reproduce both exactly.
 """
-from shortcycles.rng import exponential
+import math
+
+from shortcycles.rng import words
 
 
-def dial_centers(g, rate: float, rng, shift_cap: float):
-    """One draw of shifts; returns each vertex's center (-1 when inactive
+def dial_centers(g, rate: float, seed: int, shift_cap: float):
+    """One draw of shifts, one word of `words(seed, k)` per active vertex
+    with an active edge, in id order: u = ((w >> 11) + 1) / 2^53 and
+    shift -log(u) / rate. Returns each vertex's center (-1 when inactive
     or without an active edge) and the number of truncated shifts."""
+    has_edge = [False] * g.n_total
+    for u, w, alive in zip(g.eu, g.ev, g.eactive):
+        if alive:
+            has_edge[u] = has_edge[w] = True
+    live = [v for v in range(g.n_total) if g.vactive[v] and has_edge[v]]
     truncated = 0
     shifts = {}
-    for v in range(g.n_total):
-        if not g.vactive[v]:
-            continue
-        s = exponential(rng, rate)
+    for v, w in zip(live, words(seed, len(live)).tolist()):
+        s = -math.log(((w >> 11) + 1) / 2 ** 53) / rate
         if s > shift_cap:
             s = shift_cap
             truncated += 1
@@ -26,14 +33,14 @@ def dial_centers(g, rate: float, rng, shift_cap: float):
 
 
 def dial_search(g, shifts):
-    """Each vertex's center (-1 when inactive or without an active edge)
-    and distance (inf when inactive) given the shift of every active
-    vertex (a dict): Dijkstra with unit edges from start distances
-    max_shift - shift, relaxing w from v when (dist, center) drops, so an
-    exact tie goes to the lowest center id. Keys in bucket b never relax
-    into bucket b, so a Dial bucket queue processed in ascending order is
-    exact, and the order inside a bucket does not matter. A vertex
-    without an edge keeps its start distance and joins no center."""
+    """Each vertex's center and distance (-1 and inf when inactive or
+    without an active edge) given the shifts of the active vertices (a
+    dict), of which those without an edge are ignored: Dijkstra with unit
+    edges from start distances max_shift - shift, relaxing w from v when
+    (dist, center) drops, so an exact tie goes to the lowest center id.
+    Keys in bucket b never relax into bucket b, so a Dial bucket queue
+    processed in ascending order is exact, and the order inside a bucket
+    does not matter."""
     n_total = g.n_total
     nbrs = [[] for _ in range(n_total)]   # over active edges, loops once
     for u, w, alive in zip(g.eu, g.ev, g.eactive):
@@ -41,6 +48,7 @@ def dial_search(g, shifts):
             nbrs[u].append(w)
             if u != w:
                 nbrs[w].append(u)
+    shifts = {v: s for v, s in shifts.items() if nbrs[v]}
     max_shift = 0.0
     for s in shifts.values():
         if s > max_shift:
@@ -52,8 +60,7 @@ def dial_search(g, shifts):
         if v in shifts:
             d = max_shift - shifts[v]
             dist[v] = d
-            if nbrs[v]:
-                center[v] = v
+            center[v] = v
             buckets[int(d)].append(v)
     settled = [False] * n_total
     b = 0

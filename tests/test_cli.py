@@ -170,6 +170,25 @@ def test_missing_input_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-3", str(2 ** 70)])
+def test_seeds_outside_64_bits_name_a_stream(graph_file, tmp_path, seed):
+    """gen and decompose take any int seed, mod 2^64, and give the same
+    output on two runs (decompose's apart from its wall time)."""
+    outs = []
+    for run in range(2):
+        g, d = tmp_path / f"g{run}.txt", tmp_path / f"d{run}.json"
+        assert cli_main(["gen", "--model", "d_regular", "--n", "64",
+                         "--d", "42", "--seed", seed,
+                         "--output", str(g)]) == 0
+        assert cli_main(["decompose", "--input", str(graph_file),
+                         "--seed", seed, "--output", str(d)]) == 0
+        doc = json.loads(d.read_text())
+        del doc["stats"]["wall_ms"]
+        outs.append((g.read_bytes(), doc))
+    assert outs[0] == outs[1]
+    assert outs[0][1]["cycles"]
+
+
 def test_gen_bad_model(tmp_path, capsys):
     assert cli_main(["gen", "--model", "blob", "--n", "4",
                      "--output", str(tmp_path / "o")]) == 1

@@ -230,10 +230,26 @@ def test_cli_main_on_raw_file_bytes(files, graph, doc):
         assert "Traceback" not in err.getvalue()
 
 
+def test_deeply_nested_json_is_refused(files):
+    """A decomposition nested past the JSON parser's recursion limit is
+    refused with an error: line, exit 1 and no traceback."""
+    path = os.path.join(files["dir"], "deep_dec")
+    with open(path, "w") as fh:
+        fh.write("[" * 200000 + "]" * 200000)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["verify", "--graph", files["graph"],
+                         "--decomposition", path, "--k-hat", "320",
+                         "--l-max", "100"])
+    assert code == 1
+    assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def dense(files):
     """A graph with more than 20n edges and its decomposition document,
-    which lists cycles (gnm(16, 480) at seed 1 gives 93)."""
+    which lists cycles (gnm(16, 480) at seed 1 gives 92)."""
     g = gnm(16, 480, seed=1)
     path = os.path.join(files["dir"], "dense_graph")
     with open(path, "w") as fh:

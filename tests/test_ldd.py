@@ -12,9 +12,8 @@ from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
 from shortcycles.io import d_regular, gnm
 from shortcycles.graph import flat_adjacency_np
 from shortcycles.primitives import tree_split
-from shortcycles.ldd import (_shift_cap, _shifted_search, _shifts,
-                             diameter_cap, single_cluster)
-from shortcycles.rng import exponential, exponentials, mix64
+from shortcycles.ldd import _shifted_search, diameter_cap, single_cluster
+from shortcycles.rng import mix64
 
 from conftest import cycle_graph, path_graph, random_multigraph, star_graph
 from ldd_reference import dial_centers, dial_search, dict_clusters
@@ -110,10 +109,16 @@ def test_edgeless_vertex_joins_no_cluster():
     assert sorted(res.tree_order.tolist()) == [0, 1, 4]
     assert (tree_split(res, res.degrees, 1)[off] == -1).all()
     assert [4] in res.clusters
-    edgeless = MultiGraph(3)
-    res = low_diam_decomp(edgeless, B12, seed=0)
-    assert res.clusters == [] and res.max_diameter == 0
-    assert res.labels.tolist() == res.depth.tolist() == [-1] * 3
+    # No active vertex has an active edge, so none draws a shift.
+    bare = path_graph(4)
+    bare.delete_edges([0, 1, 2])
+    bare.delete_vertex(1)
+    for edgeless in (MultiGraph(3), bare):
+        res = low_diam_decomp(edgeless, B12, seed=0)
+        assert res.clusters == [] and res.max_diameter == 0
+        assert res.truncated_shifts == 0 and res.removed == set()
+        off = [-1] * edgeless.n_total
+        assert res.labels.tolist() == res.depth.tolist() == off
 
 
 def test_partition_and_intra_cluster_edges(rng):
@@ -131,7 +136,7 @@ def test_guarantees_on_seeded_runs():
     cluster's forest depth from its first vertex is over the cap, yet the
     first draw is accepted: the bound comes from the hop counts."""
     runs = [(gnm(200, 2000, seed=seed), seed) for seed in range(8)]
-    runs.append((path_graph(1500), 5))
+    runs.append((path_graph(1500), 11))
     for g, seed in runs:
         res = low_diam_decomp(g, B12, seed=seed)
         cut = g_minus(g, res.removed)
@@ -262,8 +267,8 @@ def _matches_reference(g, beta, seed):
     grouping on the same draw; returns its truncated shift count."""
     res = low_diam_decomp(g, beta, seed=seed)
     shift_cap = 2.0 / float(beta) * math.log(g.n_active + 1)
-    rng = random.Random(mix64(seed, res.retries))
-    center, truncated = dial_centers(g, float(beta), rng, shift_cap)
+    center, truncated = dial_centers(g, float(beta),
+                                     mix64(seed, res.retries), shift_cap)
     clusters, labels = dict_clusters(center)
     assert res.truncated_shifts == truncated
     assert res.clusters == clusters
@@ -324,12 +329,13 @@ def _assert_hop_bound(g, center, dist, shifts):
 
 
 def _search(g, shifts, groups):
-    """_shifted_search on g's active edges and a dict of shifts."""
+    """_shifted_search on g's active edges and a dict of shifts, of which
+    it reads those of the vertices with an edge."""
     adj = flat_adjacency_np(g)
     active = np.asarray(g.active_vertices(), dtype=np.int64)
     live = active[adj[0][active + 1] > adj[0][active]]
-    return _shifted_search(adj, active, live,
-                           np.array([shifts[v] for v in active.tolist()]),
+    return _shifted_search(adj, live,
+                           np.array([shifts[v] for v in live.tolist()]),
                            np.asarray(groups, dtype=np.int64))
 
 
@@ -368,12 +374,13 @@ def test_shifted_search_matches_dial_queue_on_coarse_shifts(rng):
     assert unions > 200
 
 
-# Vertices s1=0, sx=1, s2=2, w=3, x=4, y=5 and an isolated z=6 carrying
-# the largest shift. sx and s2 start at equal distances, so w (reached
-# from s2) and x (from sx) make offers to y at equal distances, and y
-# joins sx = 1, the lower of the two centers, whatever order w and x
-# settle in. w also gets an offer from s1.
-_TIE_EDGES = [(0, 3), (1, 4), (2, 3), (3, 5), (4, 5)]
+# Vertices s1=0, sx=1, s2=2, w=3, x=4, y=5 and z=6, joined to the others
+# by no edge, carrying the largest shift; its loop gives it one, as only
+# vertices with an edge have a shift. sx and s2 start at equal
+# distances, so w (reached from s2) and x (from sx) make offers to y at
+# equal distances, and y joins sx = 1, the lower of the two centers,
+# whatever order w and x settle in. w also gets an offer from s1.
+_TIE_EDGES = [(0, 3), (1, 4), (2, 3), (3, 5), (4, 5), (6, 6)]
 _TIE_SHIFTS = [
     # s1's offer to w is worse than s2's but in the same bucket.
     {0: 2.25, 1: 2.75, 2: 2.75, 3: 0.0, 4: 0.0, 5: 0.0, 6: 3.0},
@@ -394,71 +401,3 @@ def test_shifted_search_ties_go_to_lowest_center(shifts):
     assert got.tolist() == want and dist.tolist() == want_dist
     assert got[3] == 2 and got[4] == 1 and got[5] == 1
     _assert_hop_bound(g, got, dist, shifts)
-
-
-class _Words:
-    """An rng that draws the given 64-bit words: one per getrandbits(64),
-    or all of them as one getrandbits(64 * k)."""
-
-    def __init__(self, ws):
-        self.ws = list(ws)
-
-    def getrandbits(self, k):
-        if k == 64:
-            return self.ws.pop(0)
-        return sum(w << (64 * i) for i, w in enumerate(self.ws))
-
-
-def test_bulk_draw_matches_scalar_exponential():
-    for seed, k in itertools.product(range(50), (1, 2, 3, 1000)):
-        a, b = random.Random(seed), random.Random(seed)
-        want = np.array([exponential(a, 0.25) for _ in range(k)])
-        got = exponentials(b, 0.25, k)
-        assert got.tobytes() == want.tobytes()
-        assert a.getrandbits(64) == b.getrandbits(64)   # same stream after
-
-
-def test_bulk_draw_extreme_words():
-    """The all-ones word maps to u = 1 (shift -0.0); words next to a
-    rounding boundary of float64 round as the scalar division does."""
-    words = [2 ** 64 - 1, 0, 2 ** 64 - 2, 2 ** 64 - 1025, 2 ** 64 - 2049,
-             2 ** 53 + 1, 2 ** 63 + 1]
-    scalar = _Words(words)
-    want = np.array([exponential(scalar, 1.0) for _ in words])
-    assert exponentials(_Words(words), 1.0, len(words)).tobytes() == \
-        want.tobytes()
-
-
-def test_shift_logs_read_where_needed_match_the_bulk_draw():
-    """`_shifts` takes logs only where they are read, yet the shifts of
-    the vertices with an edge, the largest shift (as the search reads it)
-    and the truncation count equal `exponentials`' bit for bit: with the
-    all-ones word, ties for the smallest u, u on both sides of the cap
-    and the largest shift held by an edgeless vertex."""
-    n, rate = 12, 1 / 12
-    cap = _shift_cap(Fraction(1, 12), n)
-    x_cap = int(2 ** 64 * math.exp(-cap * rate))   # u at the cap
-    near_cap = [x_cap + d for d in (-2 ** 12, -1, 0, 1, 2 ** 12)]
-    rng = random.Random(5)
-    cases = [
-        [2 ** 64 - 1] * n,
-        [2 ** 64 - 1, 7, 7, 2 ** 63] + [2 ** 62] * (n - 4),
-        near_cap + [2 ** 40, 2 ** 40] + [2 ** 63] * (n - 7),
-        [3] + [2 ** 60 + i for i in range(n - 1)],
-    ] + [[rng.getrandbits(64) for _ in range(n)] for _ in range(30)]
-    checked = 0
-    for words in cases:
-        for mask in range(0, 2 ** n, 97):
-            has_edge = np.array([(mask >> i) & 1 for i in range(n)],
-                                dtype=bool)
-            want = exponentials(_Words(words), rate, n)
-            truncated = int(np.count_nonzero(want > cap))
-            np.minimum(want, cap, out=want)
-            got, got_truncated = _shifts(_Words(words), rate, cap, has_edge)
-            assert got_truncated == truncated
-            assert got[has_edge].tobytes() == want[has_edge].tobytes()
-            assert (np.float64(max(0.0, float(got.max()))).tobytes()
-                    == np.float64(max(0.0, float(want.max()))).tobytes())
-            assert np.isfinite(got).all()
-            checked += 1
-    assert checked > 1000
