@@ -3,7 +3,11 @@
 Every level runs the same round loop (`_round_loop`): a low-diameter
 decomposition of what is left, extraction of vertex-disjoint short cycles
 from its clusters, then deletion of the covered vertices, until the level
-covers m/(10*max_degree) vertices. Only the per-round extractor differs:
+covers m/(10*max_degree) vertices. After the deepest level's extraction,
+the next rounds are passes of it over the clustering repaired after each
+deletion (`ldd.repair`, held to the LDD's cut bound and diameter cap);
+the round budget counts every pass, `LevelStats.rounds` every LDD draw.
+Only the per-round extractor differs:
 
   one_round_short_cycle  -- one contraction round on a connected piece
   improved_short_cycle   -- deepest level: one contraction round on every
@@ -28,7 +32,7 @@ import numpy as np
 
 from .graph import (GraphError, MultiGraph, contract, contracted_edges,
                     row_entries)
-from .ldd import LddError, low_diam_decomp, single_cluster
+from .ldd import LddError, low_diam_decomp, repair, single_cluster
 from .primitives import (_EMPTY, Cycle, VertexDisjointCycleSet, cut,
                          graph_reduce, int64_codes, lengths, naive_short_cycle,
                          pull_up, sparsify, split_circuit, tree_split)
@@ -261,12 +265,18 @@ def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
                 name: str, budget: int, extract) -> VertexDisjointCycleSet:
     """The round loop of every level; `name` labels its errors.
 
-    Requires m = 10n on entry; consumes the graph. Each round takes a fresh
+    Requires m = 10n on entry; consumes the graph. A round draws a fresh
     low-diameter decomposition, lets `extract(g, cfg, ldd, acc)` add
-    vertex-disjoint cycles of g to `acc`, and deletes their vertices. It
-    stops once m/(10*max_degree) vertices are covered (with greedy_rounds,
-    once a round also yields under a quarter of that), and fails after
-    `budget` rounds. At most _SMALL_N vertices left end in a naive sweep.
+    vertex-disjoint cycles of g to `acc`, and deletes their vertices.
+    If extract ran `_one_rounds` (it returns True), each next round is a
+    pass of `_one_rounds` over the clustering `repair` leaves, which
+    meets a fresh draw's cut bound and diameter cap, until a pass yields
+    nothing or the repair fails. Every draw and pass is a round, but
+    `LevelStats.rounds` counts the draws only, one per LDD call. The
+    loop stops once m/(10*max_degree) vertices are covered (with
+    greedy_rounds, once a round also yields under a quarter of that),
+    and fails after `budget` rounds. At most _SMALL_N vertices left end
+    in a naive sweep.
     """
     n0, m0 = g.n_active, g.m_active
     if m0 != 10 * n0:
@@ -280,6 +290,7 @@ def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
     target_num, target_den = m0, 10 * delta0   # covered >= m0/(10*delta0)
     covered = 0
     rounds = 0
+    ldd = None   # the clustering the next pass repairs, if any
     while True:
         done = covered * target_den >= target_num
         if done and not cfg.greedy_rounds:
@@ -295,11 +306,18 @@ def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
         if rounds > budget:
             raise EngineFailure(
                 f"{name} exhausted its round budget ({budget})", partial=acc)
-        ldd = low_diam_decomp(g, cfg.beta, ctx.next_seed())
-        st.ldd_retries += ldd.retries
-        st.rounds += 1
-        extract(g, cfg, ldd, acc)
+        if ldd is not None:
+            ldd = repair(g, ldd, cfg.beta)
+        if ldd is None:
+            ldd = low_diam_decomp(g, cfg.beta, ctx.next_seed())
+            st.rounds += 1
+            st.ldd_retries += ldd.retries
+            again = extract(g, cfg, ldd, acc)
+        else:
+            again = _one_rounds(g, cfg, ldd, acc)
         round_yield = _delete_used(g, acc, before)
+        if not (again and round_yield):
+            ldd = None
         covered += round_yield
         done = covered * target_den >= target_num
         if done and (not cfg.greedy_rounds
@@ -314,12 +332,13 @@ def _round_loop(g: MultiGraph, cfg: EngineConfig, ctx: _Ctx, level: int,
 
 
 def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
-                acc: VertexDisjointCycleSet) -> None:
+                acc: VertexDisjointCycleSet) -> bool:
     """Extractor of the deepest level: one contraction round on every
     cluster at once. Cluster i's tree splits at 4*ceil(sqrt(m_i)) for its
     m_i internal edges, and only internal edges are contracted, so each
     component of H lies in one cluster. The cycles are listed in cluster
-    order, as one round per cluster would give them."""
+    order, as one round per cluster would give them. Returns True: passes
+    may follow."""
     m_i = np.bincount(ldd.edge_label, minlength=len(ldd.tree_starts) - 1)
     # ceil(sqrt(m_i)), exact below 2^52: IEEE sqrt is correctly rounded.
     # A cluster without internal edges yields nothing at any threshold.
@@ -336,6 +355,7 @@ def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
                                     kind="stable"))
     acc.extend(pull_up(g, part, ids, ldd.parent, ldd.parent_edge, ldd.depth,
                        cycles))
+    return True
 
 
 def _naive_round(g: MultiGraph, ldd, small: np.ndarray,
@@ -396,8 +416,7 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
         # H's edges are a subset of g's, so when g has fewer than
         # 10*n_min edges recursion cannot shrink the instance at this k.
         if not big.any() or 10 * n_min > g.m_active:
-            _one_rounds(g, cfg, ldd, acc)
-            return
+            return _one_rounds(g, cfg, ldd, acc)
         # Split every tree at k and keep the big clusters' parts,
         # renumbered in order (vertices off the forest have no part).
         part = tree_split(ldd, ldd.degrees, k)
@@ -413,8 +432,7 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
         n_target = max(n_min, int(kept.sum()))
         m_target = 10 * n_target
         if m_target > len(h_ids):   # too many parts to shrink
-            _one_rounds(g, cfg, ldd, acc)
-            return
+            return _one_rounds(g, cfg, ldd, acc)
         cm = contract(g, part, exclude, h_ids)
         cm.h.add_vertices(n_target - cm.h.n_total)
         h_sub = sparsify(cm.h, m_target)

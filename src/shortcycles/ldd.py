@@ -148,7 +148,6 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
             result = _clustering(center, adj, edges, truncated)
             result.retries = attempt
             result.max_diameter = max_diameter
-            _forest(result)
             g._groups = _components(g, result)
             return result
     raise LddError(
@@ -164,8 +163,32 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     GraphError if it is not connected."""
     center = np.full(g.n_total, -1, dtype=np.int64)
     center[component] = component[0]
-    result = _clustering(center, flat_adjacency_np(g), _active_edges(g))
-    _forest(result)
+    return _clustering(center, flat_adjacency_np(g), _active_edges(g))
+
+
+def repair(g: MultiGraph, prev: LddResult,
+           beta: Fraction) -> LddResult | None:
+    """The clustering `prev` of g leaves after vertex deletions, over a
+    fresh snapshot, with its forest: each cluster, cut to the active
+    vertices that keep an active edge, splits into the connected pieces
+    of its internal edges, each with its BFS tree from its lowest vertex.
+    The crossing edges are those of `prev` that survive. None if it
+    breaks low_diam_decomp's contract: more than beta * m_active crossing
+    edges, or twice a tree's depth, a bound on its piece's diameter, over
+    diameter_cap(beta, n_active)."""
+    edges = _active_edges(g)
+    lab = prev.labels
+    inner = lab[edges[1]] == lab[edges[2]]
+    crossing = len(inner) - int(np.count_nonzero(inner))
+    if crossing * beta.denominator > beta.numerator * g.m_active:
+        return None
+    adj = flat_adjacency_np(g)
+    center = label_components(g.n_total, edges[1][inner], edges[2][inner])
+    center[np.diff(adj[0]) == 0] = -1   # no active edge
+    result = _clustering(center, adj, edges)
+    result.max_diameter = 2 * int(result.depth.max(initial=0))
+    if result.max_diameter > diameter_cap(beta, g.n_active):
+        return None
     return result
 
 
@@ -262,9 +285,9 @@ def _clustering(center: np.ndarray, adj, edges,
     """The clustering given by per-vertex centers `center` (-1: none) over
     the snapshot `adj` and the active edges `edges` (ids, eu, ev), ids
     ascending: its label classes, ordered by first vertex with ascending
-    members, the edges crossing them, and each class's internal edges
-    with the internal degrees. An edge between two unlabeled vertices is
-    neither."""
+    members, the edges crossing them, each class's internal edges with
+    the internal degrees, and its forest (`_forest`). An edge between two
+    unlabeled vertices is neither."""
     n_total = len(center)
     vs = np.nonzero(center >= 0)[0]
     cv = center[vs]
@@ -280,7 +303,7 @@ def _clustering(center: np.ndarray, adj, edges,
     same = lu == labels[ev]
     inner = same & (lu >= 0)
     eu, ev = eu[inner], ev[inner]
-    return LddResult(
+    result = LddResult(
         max_diameter=0, retries=0, truncated_shifts=truncated, adj=adj,
         labels=labels, members=vs[np.argsort(labels[vs] * n_total + vs)],
         member_starts=np.concatenate(([0], np.cumsum(np.bincount(
@@ -288,6 +311,8 @@ def _clustering(center: np.ndarray, adj, edges,
         crossing=ids[~same], edges=ids[inner], edge_label=lu[inner],
         degrees=(np.bincount(eu, minlength=n_total)
                  + np.bincount(ev, minlength=n_total)))
+    _forest(result)
+    return result
 
 
 def _forest(result: LddResult) -> None:
