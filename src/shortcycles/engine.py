@@ -339,7 +339,7 @@ def _one_rounds(g: MultiGraph, cfg: EngineConfig, ldd,
     component of H lies in one cluster. The cycles are listed in cluster
     order, as one round per cluster would give them. Returns True: passes
     may follow."""
-    m_i = np.bincount(ldd.edge_label, minlength=len(ldd.tree_starts) - 1)
+    m_i = np.bincount(ldd.edge_label, minlength=len(ldd.member_starts) - 1)
     # ceil(sqrt(m_i)), exact below 2^52: IEEE sqrt is correctly rounded.
     # A cluster without internal edges yields nothing at any threshold.
     root = np.ceil(np.sqrt(m_i)).astype(np.int64)
@@ -364,7 +364,7 @@ def _naive_round(g: MultiGraph, ldd, small: np.ndarray,
     on their internal edges only, so each yields the cycles it would
     alone; they are listed in cluster order."""
     cs = naive_short_cycle(
-        g, ldd.tree_order[np.repeat(small, np.diff(ldd.tree_starts))],
+        g, ldd.tree_order[np.repeat(small, np.diff(ldd.member_starts))],
         ldd.edges[small[ldd.edge_label]])
     acc.extend(cs.take(np.argsort(ldd.labels[cs.first_vertices()],
                                   kind="stable")))
@@ -408,7 +408,7 @@ def short_cycle_decomp(g: MultiGraph, d: int, cfg: EngineConfig, k: int,
     n_min = -(-20 * n0 // k)   # vertex count of the recursion's input
 
     def extract(g, cfg, ldd, acc):
-        big = np.diff(ldd.tree_starts) > k   # each tree spans its cluster
+        big = np.diff(ldd.member_starts) > k
         small_edges = int(np.count_nonzero(~big[ldd.edge_label]))
         if 4 * small_edges >= m0:
             _naive_round(g, ldd, ~big, acc)

@@ -49,13 +49,15 @@ class LddResult:
     members: np.ndarray | None = None
     member_starts: np.ndarray | None = None
     crossing: np.ndarray | None = None
-    # The cluster forest: a BFS tree of every cluster from its first vertex,
-    # confined to its label class, rows scanned in order. Cluster i's tree
-    # is tree_order[tree_starts[i]:tree_starts[i + 1]] in discovery order;
-    # per vertex, `parent` and `parent_edge` (-1 at the roots) and `depth`
-    # (-1 off the forest, as are the other two).
+    # The cluster forest: a BFS tree of every cluster from its lowest
+    # vertex, confined to its label class, rows scanned in order. The BFS
+    # runs from each class's lowest vertex before the classes are cut into
+    # clusters, and label_components runs only over the vertices it
+    # misses (`_clustering`). Every tree spans its cluster: cluster i's
+    # is tree_order[member_starts[i]:member_starts[i + 1]] in discovery
+    # order; per vertex, `parent` and `parent_edge` (-1 at the roots) and
+    # `depth` (-1 off the forest, as are the other two).
     tree_order: np.ndarray | None = None
-    tree_starts: np.ndarray | None = None
     parent: np.ndarray | None = None
     parent_edge: np.ndarray | None = None
     depth: np.ndarray | None = None
@@ -145,7 +147,8 @@ def low_diam_decomp(g: MultiGraph, beta: Fraction, seed: int) -> LddResult:
         max_diameter = 2 * int(hops.max(initial=0))
         if (crossing * beta.denominator <= beta.numerator * m
                 and max_diameter <= cap):
-            result = _clustering(center, adj, edges, truncated)
+            result = _whole(_clustering(
+                center, adj, *_class_edges(center, edges), truncated), center)
             result.retries = attempt
             result.max_diameter = max_diameter
             g._groups = _components(g, result)
@@ -163,7 +166,9 @@ def single_cluster(g: MultiGraph, component: list[int]) -> LddResult:
     GraphError if it is not connected."""
     center = np.full(g.n_total, -1, dtype=np.int64)
     center[component] = component[0]
-    return _clustering(center, flat_adjacency_np(g), _active_edges(g))
+    return _whole(_clustering(center, flat_adjacency_np(g),
+                              *_class_edges(center, _active_edges(g))),
+                  center)
 
 
 def repair(g: MultiGraph, prev: LddResult,
@@ -171,21 +176,23 @@ def repair(g: MultiGraph, prev: LddResult,
     """The clustering `prev` of g leaves after vertex deletions, over a
     fresh snapshot, with its forest: each cluster, cut to the active
     vertices that keep an active edge, splits into the connected pieces
-    of its internal edges, each with its BFS tree from its lowest vertex.
-    The crossing edges are those of `prev` that survive. None if it
-    breaks low_diam_decomp's contract: more than beta * m_active crossing
-    edges, or twice a tree's depth, a bound on its piece's diameter, over
+    of its internal edges, each with its BFS tree from its lowest vertex
+    (`_clustering` on the labels of `prev`, so `label_components` runs
+    only if some cluster splits). The crossing and internal edges are
+    those of `prev` that survive. None if it breaks low_diam_decomp's
+    contract: more than beta * m_active crossing edges, or twice a
+    tree's depth, a bound on its piece's diameter, over
     diameter_cap(beta, n_active)."""
-    edges = _active_edges(g)
-    lab = prev.labels
-    inner = lab[edges[1]] == lab[edges[2]]
-    crossing = len(inner) - int(np.count_nonzero(inner))
-    if crossing * beta.denominator > beta.numerator * g.m_active:
+    alive = np.frombuffer(g.eactive, dtype=bool)
+    crossing = prev.crossing[alive[prev.crossing]]
+    if len(crossing) * beta.denominator > beta.numerator * g.m_active:
         return None
     adj = flat_adjacency_np(g)
-    center = label_components(g.n_total, edges[1][inner], edges[2][inner])
-    center[np.diff(adj[0]) == 0] = -1   # no active edge
-    result = _clustering(center, adj, edges)
+    ids = prev.edges[alive[prev.edges]]
+    result = _clustering(
+        np.where(np.diff(adj[0]) > 0, prev.labels, -1), adj, crossing,
+        (ids, np.frombuffer(g.eu, dtype=np.int32)[ids],
+         np.frombuffer(g.ev, dtype=np.int32)[ids]))
     result.max_diameter = 2 * int(result.depth.max(initial=0))
     if result.max_diameter > diameter_cap(beta, g.n_active):
         return None
@@ -280,66 +287,84 @@ def _components(g: MultiGraph, result: LddResult) -> np.ndarray:
     return groups
 
 
-def _clustering(center: np.ndarray, adj, edges,
+def _class_edges(classes: np.ndarray, edges):
+    """(crossing, inner) of the active edges `edges` (ids, eu, ev), ids
+    ascending, under per-vertex classes `classes` (-1: none): the ids of
+    the edges between two classes, and (ids, eu, ev) of those inside one.
+    An edge between two vertices of no class is neither."""
+    ids, eu, ev = edges
+    cu = classes[eu]
+    same = cu == classes[ev]
+    inner = same & (cu >= 0)
+    return ids[~same], (ids[inner], eu[inner], ev[inner])
+
+
+def _whole(result: LddResult, classes: np.ndarray) -> LddResult:
+    """`result`, the clustering of `classes`; GraphError if some class
+    came back as more than one piece."""
+    classes = classes[classes >= 0]
+    if len(result.member_starts) - 1 > np.count_nonzero(np.bincount(classes)):
+        raise GraphError("cluster disconnected")
+    return result
+
+
+def _clustering(classes: np.ndarray, adj, crossing, inner,
                 truncated: int = 0) -> LddResult:
-    """The clustering given by per-vertex centers `center` (-1: none) over
-    the snapshot `adj` and the active edges `edges` (ids, eu, ev), ids
-    ascending: its label classes, ordered by first vertex with ascending
-    members, the edges crossing them, each class's internal edges with
-    the internal degrees, and its forest (`_forest`). An edge between two
-    unlabeled vertices is neither."""
-    n_total = len(center)
-    vs = np.nonzero(center >= 0)[0]
-    cv = center[vs]
+    """The clustering of the per-vertex classes `classes` (-1: none, every
+    label below n_total) over the snapshot `adj`, given the ids of the
+    active edges between classes, `crossing`, and those inside one as
+    `inner` (ids, eu, ev), ids ascending. Each class splits into the
+    connected pieces of its internal edges; the pieces are the clusters,
+    ordered by lowest vertex, with ascending members and a BFS tree each
+    from that vertex. No edge joins two pieces of one class, so the
+    clustering's crossing and internal edges are those of the classes.
+
+    One `bfs_forest`, confined to the classes, runs from every class's
+    lowest vertex; every vertex it reaches lies in its root's piece, and
+    each class holding one root, every tree is the one a scalar BFS from
+    its root would build. The vertices it misses, none unless a class
+    splits, are grouped by `label_components` over the internal edges
+    among them, and one more `bfs_forest`, sharing `visited`, runs from
+    each such piece's lowest vertex.
+    """
+    n_total = len(classes)
+    vs = np.flatnonzero(classes >= 0)
+    cv = classes[vs]
     first = np.full(n_total, n_total, dtype=np.int64)
     np.minimum.at(first, cv, vs)
-    head = first[cv]            # each vertex's cluster by its first vertex
+    head = first[cv]            # each vertex's piece by its lowest vertex
+    visited = np.zeros(n_total, dtype=bool)
+    forests = [bfs_forest(adj, vs[head == vs], classes, visited,
+                          size=len(vs))]
+    ids, eu, ev = inner
+    if len(forests[0][0]) < len(vs):
+        stray = ~visited[vs]
+        lost = ~visited[eu]
+        head[stray] = label_components(n_total, eu[lost], ev[lost])[
+            vs[stray]]
+        forests.append(bfs_forest(adj, vs[stray & (head == vs)], classes,
+                                  visited))
     rank = np.zeros(n_total, dtype=np.int64)
     rank[vs] = np.cumsum(head == vs) - 1
     labels = np.full(n_total, -1, dtype=np.int64)
     labels[vs] = rank[head]
-    ids, eu, ev = edges
-    lu = labels[eu]
-    same = lu == labels[ev]
-    inner = same & (lu >= 0)
-    eu, ev = eu[inner], ev[inner]
+    order = np.concatenate([f[0] for f in forests])
     result = LddResult(
         max_diameter=0, retries=0, truncated_shifts=truncated, adj=adj,
-        labels=labels, members=vs[np.argsort(labels[vs] * n_total + vs)],
+        labels=labels, members=vs[np.argsort(labels[vs], kind="stable")],
         member_starts=np.concatenate(([0], np.cumsum(np.bincount(
             labels[vs])))),
-        crossing=ids[~same], edges=ids[inner], edge_label=lu[inner],
+        crossing=crossing,
+        tree_order=order[np.argsort(labels[order], kind="stable")],
+        edges=ids, edge_label=labels[eu],
         degrees=(np.bincount(eu, minlength=n_total)
-                 + np.bincount(ev, minlength=n_total)))
-    _forest(result)
+                 + np.bincount(ev, minlength=n_total)),
+        parent=np.full(n_total, -1, dtype=np.int64),
+        parent_edge=np.full(n_total, -1, dtype=np.int64),
+        depth=np.full(n_total, -1, dtype=np.int64))
+    for reached, par, pe, layers in forests:
+        result.parent[reached] = par
+        result.parent_edge[reached] = pe
+        result.depth[reached] = np.repeat(np.arange(len(layers) - 1),
+                                        np.diff(layers))
     return result
-
-
-def _forest(result: LddResult) -> None:
-    """Fill in the cluster forest of `result`.
-
-    One `bfs_forest` from every cluster's first vertex, confined to its
-    own label: each label class holds one root, so every cluster's tree is
-    the one a scalar BFS from its root would build. GraphError if a tree
-    misses some of its cluster.
-    """
-    lab, members = result.labels, result.members
-    n_total = len(lab)
-    k = len(result.member_starts) - 1
-    order, par, pe, layers = bfs_forest(
-        result.adj, members[result.member_starts[:-1]], lab,
-        size=len(members))
-    size = len(order)
-    result.tree_order = order[np.argsort(lab[order] * size
-                                         + np.arange(size))]
-    result.tree_starts = np.concatenate(
-        ([0], np.cumsum(np.bincount(lab[order], minlength=k))))
-    if (np.diff(result.tree_starts) != np.diff(result.member_starts)).any():
-        raise GraphError("cluster disconnected")
-    result.parent = np.full(n_total, -1, dtype=np.int64)
-    result.parent_edge = np.full(n_total, -1, dtype=np.int64)
-    result.depth = np.full(n_total, -1, dtype=np.int64)
-    result.parent[order] = par
-    result.parent_edge[order] = pe
-    result.depth[order] = np.repeat(np.arange(len(layers) - 1),
-                                    np.diff(layers))

@@ -504,7 +504,7 @@ def tree_split(ldd, weights, threshold) -> np.ndarray:
     if thr.dtype.kind not in "iu":
         raise GraphError("threshold must be an integer")
     if thr.ndim > 1 or (thr.ndim == 1
-                        and len(thr) != len(ldd.tree_starts) - 1):
+                        and len(thr) != len(ldd.member_starts) - 1):
         raise GraphError("threshold must be one int or one per cluster")
     thr = thr.astype(np.int64)
     if (thr < 1).any():

@@ -12,8 +12,10 @@ from shortcycles import (GraphError, MultiGraph, low_diam_decomp,
 from shortcycles.io import d_regular, gnm
 from shortcycles.graph import flat_adjacency_np
 from shortcycles.primitives import tree_split
-from shortcycles.ldd import (_active_edges, _clustering, _shifted_search,
-                             diameter_cap, repair, single_cluster)
+from shortcycles import ldd
+from shortcycles.ldd import (_active_edges, _class_edges, _clustering,
+                             _shifted_search, diameter_cap, repair,
+                             single_cluster)
 from shortcycles.rng import mix64
 
 from conftest import cycle_graph, path_graph, random_multigraph, star_graph
@@ -225,7 +227,7 @@ def _row_scan(g, cluster):
 def _assert_forest_matches(g, res, i, cluster):
     """Cluster i of `res` against the scalar BFS and row scan."""
     assert (res.labels[cluster] == i).all()
-    ts = res.tree_starts
+    ts = res.member_starts
     edges, degrees = _row_scan(g, cluster)
     assert res.edges[res.edge_label == i].tolist() == sorted(edges)
     assert res.degrees[cluster].tolist() == [degrees[v] for v in cluster]
@@ -490,10 +492,86 @@ def test_repair_splits_clusters_into_connected_pieces(rng):
     assert splits > 20 and stranded > 20
 
 
+def test_chained_repairs_match_the_reference(rng):
+    """Three deletions in a row on random multigraphs, each repair taken
+    on the result of the one before: every step is the reference
+    repair, splits included."""
+    steps = splits = 0
+    for trial in range(40):
+        g = random_multigraph(rng, 60, rng.randrange(80, 160))
+        prev = low_diam_decomp(g, Fraction(1), seed=trial)
+        for _ in range(3):
+            big = max(prev.clusters, key=len)
+            g.delete_vertices(rng.sample(big, max(1, len(big) // 3)))
+            res = _check_repair(g, prev, Fraction(1))
+            if res is None or not g.m_active:
+                break
+            steps += 1
+            splits += len(res.clusters) > len(prev.clusters)
+            prev = res
+    assert steps > 80 and splits > 30
+
+
+def _counted(monkeypatch, name):
+    """Count the calls ldd makes to `name`."""
+    calls = []
+    real = getattr(ldd, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(ldd, name, counted)
+    return calls
+
+
+def test_repair_splits_a_class_into_three_pieces(monkeypatch):
+    """Class {0, ..., 9} hangs off vertex 1. Deleting it leaves vertex 0,
+    the class's lowest, with only a crossing edge: a piece of its own,
+    and all the first BFS finds of the class. The other two pieces,
+    {2, 4, 6, 8} and {3, 5, 7, 9}, come from label_components and a
+    second BFS rooted at their lowest vertices, with trees of depth 2."""
+    g = MultiGraph(13)
+    for u, v in [(0, 1), (1, 2), (1, 3),
+                 (2, 4), (4, 6), (6, 8), (4, 8), (6, 6),
+                 (3, 5), (5, 7), (7, 9), (5, 9), (5, 9),
+                 (0, 10), (8, 11), (9, 12),
+                 (10, 11), (11, 12), (12, 10)]:
+        g.add_edge(u, v)
+    prev = _centered(g, [0] * 10 + [10] * 3)
+    g.delete_vertices([1])
+    lc = _counted(monkeypatch, "label_components")
+    bfs = _counted(monkeypatch, "bfs_forest")
+    res = _check_repair(g, prev, Fraction(1))
+    assert (len(lc), len(bfs)) == (1, 2)
+    assert res.clusters == [[0], [2, 4, 6, 8], [3, 5, 7, 9], [10, 11, 12]]
+    assert res.depth[[8, 7, 9]].tolist() == [2, 2, 2]
+
+
+def test_repair_without_a_split_runs_one_bfs(monkeypatch, rng):
+    """A repair that splits no cluster makes one bfs_forest call and no
+    label_components call; one that splits some makes one of each more."""
+    seen = set()
+    for trial in range(40):
+        g = random_multigraph(rng, 60, rng.randrange(80, 200))
+        prev = low_diam_decomp(g, Fraction(1), seed=trial)
+        g.delete_vertices(rng.sample(g.active_vertices(), 3))
+        classes = {int(prev.labels[v]) for v in g.active_vertices()
+                   if g.deg[v]}
+        split = len(_pieces(g, prev)) > len(classes)
+        lc = _counted(monkeypatch, "label_components")
+        bfs = _counted(monkeypatch, "bfs_forest")
+        assert repair(g, prev, Fraction(1)) is not None
+        assert (len(lc), len(bfs)) == ((1, 2) if split else (0, 1))
+        monkeypatch.undo()
+        seen.add(split)
+    assert seen == {False, True}
+
+
 def _centered(g, center):
     """The clustering of g given by a per-vertex center list."""
-    return _clustering(np.asarray(center, dtype=np.int64),
-                       flat_adjacency_np(g), _active_edges(g))
+    center = np.asarray(center, dtype=np.int64)
+    return _clustering(center, flat_adjacency_np(g),
+                       *_class_edges(center, _active_edges(g)))
 
 
 def test_repair_refuses_a_cut_over_the_bound():

@@ -12,7 +12,7 @@ from shortcycles import (GraphError, MultiGraph, contract,
 from shortcycles.engine import _naive_round
 from shortcycles.graph import euler_tours, flat_adjacency_np
 from shortcycles.io import d_regular, gnm, parallel_gadgets
-from shortcycles.ldd import (_active_edges, _clustering, _forest,
+from shortcycles.ldd import (_active_edges, _class_edges, _clustering,
                              single_cluster)
 from shortcycles.primitives import Cycle, VertexDisjointCycleSet
 
@@ -723,9 +723,8 @@ def _component_forest(g):
     center = np.full(g.n_total, -1, dtype=np.int64)
     for comp in connected_components(g):
         center[comp] = min(comp)
-    ldd = _clustering(center, flat_adjacency_np(g), _active_edges(g))
-    _forest(ldd)
-    return ldd
+    return _clustering(center, flat_adjacency_np(g),
+                       *_class_edges(center, _active_edges(g)))
 
 
 def _tree(n, edges):
@@ -756,7 +755,7 @@ def test_tree_split_lone_roots_in_a_forest():
     own leaf, one part at any threshold, and the trees around them are
     numbered in cluster order."""
     ldd = _lone_root_forest()
-    assert np.diff(ldd.tree_starts).tolist() == [1, 3, 1, 4]
+    assert np.diff(ldd.member_starts).tolist() == [1, 3, 1, 4]
     weights = np.array([0, 2, 1, 2, 5, 1, 1, 2, 1])
     for t in range(1, 7):
         _assert_split_matches_reference(ldd, weights, t)

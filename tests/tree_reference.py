@@ -37,7 +37,7 @@ class Labeled:
 
 def dict_tree(ldd, i: int) -> DictTree:
     """Cluster i's tree of an LddResult as dicts."""
-    a, b = int(ldd.tree_starts[i]), int(ldd.tree_starts[i + 1])
+    a, b = int(ldd.member_starts[i]), int(ldd.member_starts[i + 1])
     order = ldd.tree_order[a:b].tolist()
     parent = {v: (int(ldd.parent[v]), int(ldd.parent_edge[v]))
               for v in order[1:]}
