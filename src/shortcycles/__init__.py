@@ -7,7 +7,7 @@ guarantees.
 from .engine import (CycleDecomposition, EngineConfig, EngineFailure,
                      decompose, improved_short_cycle, one_round_short_cycle,
                      short_cycle_decomp)
-from .graph import ContractionMap, GraphError, MultiGraph, contract, tree_path
+from .graph import ContractionMap, GraphError, MultiGraph, contract
 from .ldd import LddError, LddResult, low_diam_decomp
 from .primitives import (Cycle, ReductionMap, VertexDisjointCycleSet,
                          graph_reduce, naive_short_cycle, pull_up, sparsify,
@@ -22,7 +22,7 @@ __all__ = [
     "decompose", "graph_reduce", "improved_short_cycle", "low_diam_decomp",
     "measure_diameter", "naive_short_cycle", "one_round_short_cycle",
     "pull_up", "short_cycle_decomp", "sparsify", "split_circuit",
-    "tree_path", "tree_split", "verify_decomposition",
+    "tree_split", "verify_decomposition",
 ]
 
 __version__ = "0.1.0"

@@ -391,43 +391,57 @@ def euler_tours(adj) -> list[list[int]]:
     return tours
 
 
-def tree_path(parent, edge, depth, u: int, v: int
-              ) -> tuple[list[int], list[int]]:
-    """Unique path u -> v along tree edges, meeting at the LCA.
+def tree_paths(parent, edge, depth, v, w, e):
+    """The walks v[i] .. lca .. w[i] along the tree paths of a forest,
+    each followed by the edge e[i] (a cycle when e[i] joins w[i] and
+    v[i]), from per-vertex `parent`, `edge` and `depth` arrays (depth -1
+    off the forest; a root's parent is -1 or the root itself). Returns
+    the walks' vertices and edges, walk after walk, and each one's length.
+    GraphError if an end is off the forest or a pair's ends lie in
+    different trees.
 
-    `parent`, `edge` and `depth` give each vertex's tree parent, parent
-    edge and depth (-1 off the forest), as any indexable: lists, arrays
-    or dicts. Returns (vertices, edges) with vertices[0] == u,
-    vertices[-1] == v and len(vertices) == len(edges) + 1. Empty edge list
-    when u == v.
+    All ends climb in one array: each pair's deeper end until the depths
+    are equal, then both ends in lockstep until every pair has met.
     """
-    du, dv = depth[u], depth[v]
-    if du < 0 or dv < 0:
-        raise GraphError(f"vertex {u if du < 0 else v} not covered by tree")
-    up_v: list[int] = []      # vertices u ... lca (exclusive of lca)
-    up_e: list[int] = []
-    dn_v: list[int] = []      # vertices v ... lca (exclusive of lca)
-    dn_e: list[int] = []
-    a, b = u, v
-    while du > dv:
-        up_v.append(a)
-        up_e.append(edge[a])
-        a, du = parent[a], du - 1
-    while dv > du:
-        dn_v.append(b)
-        dn_e.append(edge[b])
-        b, dv = parent[b], dv - 1
-    while a != b:
-        if du == 0:
-            raise GraphError(f"vertices {u} and {v} in different trees")
-        up_v.append(a)
-        up_e.append(edge[a])
-        dn_v.append(b)
-        dn_e.append(edge[b])
-        a, b, du = parent[a], parent[b], du - 1
-    verts = up_v + [a] + dn_v[::-1]
-    edges = up_e + dn_e[::-1]
-    return verts, edges
+    k = len(v)
+    y = np.concatenate((v, w))
+    dy = depth[y]
+    if dy.min(initial=0) < 0:
+        raise GraphError("vertex not covered by the forest")
+    top = np.maximum(dy[:k], dy[k:])
+    wait = (top - dy.reshape(2, k)).ravel()
+    rows = [y]
+    for t in range(int(wait.max(initial=0))):
+        y = np.where(wait > t, y, parent[y])
+        rows.append(y)
+    # By row top both ends are roots. Ends in different trees never meet
+    # under roots that are their own parents; under the others they meet
+    # at -1, which their walk then holds.
+    for _ in range(int(top.max(initial=0)) + 1):
+        if y[:k].tobytes() == y[k:].tobytes():
+            break
+        y = parent[y]
+        rows.append(y)
+    else:
+        raise GraphError("path ends in different trees")
+    r = len(rows)
+    col = np.array(rows + [y])
+    # Row r of an end's climb is on its path once the end climbs from it,
+    # having waited for the deeper end, until the ends meet, at the lca.
+    apart = col[:r, :k] != col[:r, k:]
+    on = col[1:] != col[:-1]
+    # Walk i reads v's climb upwards, one cell per step, then w's climb
+    # downwards, each cell pairing the vertex one row up with the edge
+    # below it, so the lca comes first; then w[i] and e[i].
+    keep = np.ones((2 * r + 1, k), dtype=bool)
+    np.logical_and(on[:, :k], apart, out=keep[:r])
+    np.logical_and(on[::-1, k:], apart[::-1], out=keep[r:-1])
+    ed = edge[col[:r]]
+    verts = np.concatenate((col[:r, :k], col[::-1, k:])).T[keep.T]
+    edges = np.concatenate((ed[:, :k], ed[::-1, k:], e[None])).T[keep.T]
+    if verts.min(initial=0) < 0:
+        raise GraphError("path ends in different trees")
+    return verts, edges, keep.sum(axis=0)
 
 
 @dataclass

@@ -12,7 +12,7 @@ import numpy as np
 
 from .graph import (GraphError, MultiGraph, bfs_forest, euler_tours,
                     flat_adjacency_np, label_components, row_entries,
-                    tree_path)
+                    tree_paths)
 
 
 @dataclass
@@ -258,7 +258,7 @@ def naive_short_cycle(g: MultiGraph, vertices=None,
     So every component takes its next step in the same array pass. The
     peel runs to its fixpoint in rounds; one layer-synchronous BFS runs
     from each component's lowest live vertex to its first non-tree edge;
-    one lockstep climb builds every tree path (`_tree_cycles`). The
+    one lockstep climb builds every tree path (`tree_paths`). The
     cycles are listed by (root, step), the order of a sweep that always
     steps from the lowest live vertex of all, since a root only rises.
     A step costs in proportion to its frontiers and the rows it kills,
@@ -390,7 +390,7 @@ def naive_short_cycle(g: MultiGraph, vertices=None,
             break
         root[act] = r = members[ptr[act]]
         v, w, e, comp, lost, reached = first_cycles(r, act)
-        verts, edges, length = _tree_cycles(parent, pedge, depth, v, w, e)
+        verts, edges, length = tree_paths(parent, pedge, depth, v, w, e)
         depth[reached] = -1
         keys.append(root[comp])
         cyc_v.append(verts)
@@ -433,40 +433,6 @@ def _advance(members, cend, ptr, alive, act) -> np.ndarray:
         dead = dead[~alive[members[ptr[dead]]]]
         width *= 2
     return act[alive[members[ptr[act]]]]
-
-
-def _tree_cycles(parent, edge, depth, v, w, e):
-    """The cycles that the non-tree edges e[i], joining v[i] and w[i],
-    close in a BFS forest given by per-vertex `parent` (a root is its own
-    parent), `edge` and `depth`: the tree path v[i] .. lca .. w[i], as
-    `tree_path` gives it, then e[i]. The ends of a non-tree edge lie at
-    most one layer apart, so once the deeper end steps up, both ends of
-    every path climb in lockstep until all have met. Returns the cycles'
-    vertices and edges as two flat arrays, cycle after cycle, and each
-    one's length."""
-    dv, dw = depth[v], depth[w]
-    sv, sw = dv > dw, dw > dv
-    a, b = np.where(sv, parent[v], v), np.where(sw, parent[w], w)
-    up, down = [v, a], [w, b]
-    while (a != b).any():
-        a, b = parent[a], parent[b]
-        up.append(a)
-        down.append(b)
-    # Column i: v's climb, then w's climb read downwards; row `meet` of
-    # v's climb is the lca.
-    down.reverse()
-    col = np.concatenate((up, down))
-    rows = len(col)
-    r = np.arange(rows)[:, None]
-    meet = (col[1:rows // 2] == col[rows - 2:rows // 2 - 1:-1]).argmax(axis=0)
-    meet += 1
-    take = (((r >= 1 - sv) & (r <= meet))
-            | ((r >= rows - meet) & (r <= rows - 2 + sw)))
-    verts = col.T[take.T]
-    take[meet, np.arange(len(v))] = False      # no edge above the lca
-    take = np.concatenate((take, np.ones((1, len(v)), dtype=bool)))
-    edges = np.concatenate((edge[col], e[None, :])).T[take.T]
-    return verts, edges, 2 * meet - 1 + sv + sw
 
 
 # ---------------------------------------------------------------------------
@@ -598,46 +564,30 @@ def pull_up(g: MultiGraph, part, f, parent, edge, depth,
     are vertex-disjoint and cover at least one source vertex per H-vertex
     covered.
 
-    H's cycles are read as arrays, and every H-edge is oriented in one
-    pass; the tree paths are walked one H-edge at a time into flat lists.
-    Returns the lifted cycles as arrays, in the order of H's: no Cycle is
-    built."""
+    H's cycles are read as arrays, every H-edge is oriented in one pass,
+    and one `tree_paths` call walks every part's path, entry to exit,
+    followed by the H-edge's source edge. Returns the lifted cycles as
+    arrays, in the order of H's: no Cycle is built."""
     hv, he, size = cycles_h.arrays()
-    if not len(size):
-        return VertexDisjointCycleSet()
     part = np.asarray(part)
     src = np.asarray(f)[he]
-    # H-edge j leaves part hv[j] for part hv[nxt[j]], the next vertex of
-    # its cycle; it leaves at exits[j] and arrives at entries[nxt[j]].
+    # Walk j runs inside part hv[j], from where H-edge prev[j], the one
+    # before j on its cycle, arrives (y[0]) to where j leaves (y[1]).
     ends = np.cumsum(size)
-    nxt = np.arange(1, len(hv) + 1)
-    nxt[ends - 1] = ends - size
-    pu, pv = hv, hv[nxt]
+    starts = ends - size
+    prev = np.arange(-1, len(hv) - 1)
+    prev[starts] = ends - 1
     gu = np.frombuffer(g.eu, dtype=np.int32)[src]
     gv = np.frombuffer(g.ev, dtype=np.int32)[src]
-    fwd = (part[gu] == pu) & (part[gv] == pv)
-    ok = fwd | ((part[gv] == pu) & (part[gu] == pv))
+    fwd = part[gu] == hv
+    y = np.array((np.where(fwd, gv, gu)[prev], np.where(fwd, gu, gv)))
+    ok = part[y] == hv
     if not ok.all():
-        j = int(ok.argmin())
-        raise GraphError(f"edge {src[j]} endpoints not in parts "
-                         f"{pu[j]}, {pv[j]}")
-    exits = np.where(fwd, gu, gv)
-    entries = np.empty_like(exits)
-    entries[nxt] = np.where(fwd, gv, gu)
-    # Read one visited slot at a time, as Python ints.
-    parent, edge, depth = (memoryview(np.ascontiguousarray(a, dtype=np.int64))
-                           for a in (parent, edge, depth))
-    verts: list[int] = []
-    edges: list[int] = []
-    lens: list[int] = []
-    for a, b, e in zip(entries.tolist(), exits.tolist(), src.tolist()):
-        pv_, pe_ = tree_path(parent, edge, depth, a, b)
-        verts += pv_
-        edges += pe_
-        edges.append(e)
-        lens.append(len(pv_))
-    return VertexDisjointCycleSet(verts, edges,
-                                  np.add.reduceat(lens, ends - size))
+        j = int(ok.all(axis=0).argmin())
+        raise GraphError(f"edges {src[prev[j]]} and {src[j]} do not both "
+                         f"reach part {hv[j]}")
+    verts, edges, lens = tree_paths(parent, edge, depth, y[0], y[1], src)
+    return VertexDisjointCycleSet(verts, edges, np.add.reduceat(lens, starts))
 
 
 # ---------------------------------------------------------------------------
@@ -673,29 +623,24 @@ def sparsify(g: MultiGraph, k: int) -> MultiGraph:
 def _halving_round(out: MultiGraph) -> None:
     """One edge-halving round of sparsify, in place: fix odd degrees by
     dropping BFS-parent edges bottom-up, then delete every other edge of a
-    closed Euler tour per component. Deletions are batched; traversal runs
+    closed Euler tour per component. One BFS runs from every component's
+    lowest vertex that has an edge; deletions are batched; traversal runs
     over a flat adjacency snapshot in incidence order."""
     n_total = out.n_total
-    va, deg = out.vactive, out.deg
-    adj = flat_adjacency_np(out)
-    one_label = np.zeros(n_total, dtype=np.int8)
-    visited = np.zeros(n_total, dtype=bool)
-    pos = np.empty(n_total, dtype=np.int64)
-    drop: list[int] = []
-    for s in range(n_total):
-        if not va[s] or deg[s] == 0 or visited[s]:
-            continue
-        o, pv, pe, layers = bfs_forest(adj, [s], one_label, visited)
-        # Bottom-up removal of the parent edge at every odd vertex drops
-        # exactly the parent edges of odd degree-sum subtrees; the sums
-        # are accumulated a layer at a time, deepest first.
-        pos[o] = np.arange(len(o))
-        up = pos[pv]
-        sums = np.frombuffer(deg, dtype=np.int32)[o].astype(np.int64)
-        for a, b in zip(layers[-2:0:-1], layers[:1:-1]):
-            np.add.at(sums, up[a:b], sums[a:b])
-        drop.extend(pe[1:][(sums[1:] & 1) == 1].tolist())
-    out.delete_edges(drop)
+    act = np.frombuffer(out.eactive, dtype=bool)
+    lab = label_components(n_total, np.frombuffer(out.eu, dtype=np.int32)[act],
+                           np.frombuffer(out.ev, dtype=np.int32)[act])
+    sums = np.frombuffer(out.deg, dtype=np.int32).astype(np.int64)
+    roots = np.flatnonzero((lab == np.arange(n_total)) & (sums > 0))
+    # No two roots share a component, so one label serves every tree.
+    o, pv, pe, layers = bfs_forest(flat_adjacency_np(out), roots,
+                                   np.zeros(n_total, dtype=np.int8))
+    # Bottom-up removal of the parent edge at every odd vertex drops
+    # exactly the parent edges of odd degree-sum subtrees; the sums are
+    # accumulated a layer at a time, deepest first.
+    for a, b in zip(layers[-2:0:-1], layers[:1:-1]):
+        np.add.at(sums, pv[a:b], sums[o[a:b]])
+    out.delete_edges(pe[layers[1]:][(sums[o[layers[1]:]] & 1) == 1])
     drop = []
     for tour in euler_tours(flat_adjacency_np(out)):
         drop.extend(tour[::2])   # its 1st, 3rd, ... edge

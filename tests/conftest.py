@@ -73,7 +73,7 @@ def recomputed_degrees(g: MultiGraph) -> list[int]:
 def connected_components(g: MultiGraph) -> list[list[int]]:
     """Maximal connected sets of active vertices, each in BFS order from
     its lowest vertex, one `bfs_forest` call per component over a shared
-    visited array (the pattern sparsify's halving round uses)."""
+    visited array."""
     adj = flat_adjacency_np(g)
     one_label = np.zeros(g.n_total, dtype=np.int8)
     visited = np.zeros(g.n_total, dtype=bool)

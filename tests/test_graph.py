@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shortcycles import GraphError, MultiGraph, contract, tree_path
-from shortcycles.graph import bfs_forest, flat_adjacency_np, label_components
+from shortcycles import GraphError, MultiGraph, contract
+from shortcycles.graph import (bfs_forest, flat_adjacency_np, label_components,
+                              tree_paths)
 from shortcycles.ldd import low_diam_decomp, single_cluster
 from shortcycles.verify import measure_diameter
 
 import naive_reference
+import tree_reference
 from conftest import (connected_components, cycle_graph, part_array,
-                      path_graph, random_multigraph, recomputed_degrees,
-                      star_graph)
+                      part_trees, path_graph, random_multigraph,
+                      recomputed_degrees, star_graph)
 
 
 # -- degree and active-count bookkeeping ------------------------------------
@@ -508,7 +510,22 @@ def _whole(g):
 
 
 def _path(t, u, v):
-    return tree_path(t.parent, t.parent_edge, t.depth, u, v)
+    """The tree path u .. v alone: tree_paths on the one pair, less the
+    closing edge it appends."""
+    verts, edges, lens = tree_paths(t.parent, t.parent_edge, t.depth,
+                                    np.array([u]), np.array([v]),
+                                    np.array([-1]))
+    assert lens.tolist() == [len(verts)] and edges[-1] == -1
+    return verts.tolist(), edges[:-1].tolist()
+
+
+def _own_parent_roots(parent, depth):
+    """The same forest with every root its own parent, as the naive
+    sweep's BFS scratch has it."""
+    parent = np.array(parent)
+    roots = np.flatnonzero(np.asarray(depth) == 0)
+    parent[roots] = roots
+    return parent
 
 
 def test_bfs_star_from_center():
@@ -582,12 +599,24 @@ def test_tree_path_uncovered_vertex():
 
 
 def test_tree_path_across_trees_raises():
+    """Under either root convention: ends whose roots' parent is -1 meet
+    there, past both depths, and roots that are their own parents never
+    meet. The ends of 2 and 4 are one layer apart, so their climb meets
+    at -1 inside the loop's bound."""
     g = path_graph(4)
     g.delete_edge(1)
     t = low_diam_decomp(g, Fraction(1), seed=0)
     assert t.labels[0] != t.labels[3]
     with pytest.raises(GraphError):
         _path(t, 0, 3)
+    g = path_graph(5)
+    g.delete_edge(2)
+    parent, edge, depth = part_trees(g, [[0, 1, 2], [3, 4]])
+    for p in (parent, _own_parent_roots(parent, depth)):
+        for v, w in ((2, 4), (4, 2), (0, 3)):
+            with pytest.raises(GraphError):
+                tree_paths(p, edge, depth, np.array([v]), np.array([w]),
+                           np.array([-1]))
 
 
 def test_tree_path_is_valid_walk(rng):
@@ -603,10 +632,55 @@ def test_tree_path_is_valid_walk(rng):
         for i, e in enumerate(edges):
             assert {g.eu[e], g.ev[e]} == {verts[i], verts[i + 1]}
         assert len(edges) <= 2 * t.depth.max()
-        # Dicts and lists index the same way.
-        as_dicts = [dict(enumerate(a.tolist()))
-                    for a in (t.parent, t.parent_edge, t.depth)]
-        assert tree_path(*as_dicts, u, v) == (verts, edges)
+
+
+def _reference_walks(parent, edge, depth, v, w, e):
+    """The batch by tree_reference's dict walk, one pair at a time."""
+    tree = tree_reference.DictTree(
+        root=-1, order=[],
+        parent={x: (int(parent[x]), int(edge[x]))
+                for x in np.flatnonzero(depth > 0).tolist()},
+        depth={x: int(depth[x]) for x in np.flatnonzero(depth >= 0).tolist()})
+    verts, edges, lens = [], [], []
+    for a, b, c in zip(v.tolist(), w.tolist(), e.tolist()):
+        pv, pe = tree_reference.tree_path(tree, a, b)
+        verts += pv
+        edges += pe + [c]
+        lens.append(len(pv))
+    return verts, edges, lens
+
+
+def test_tree_paths_batch_matches_reference(rng):
+    """Many pairs in one call, on forests of random sparse graphs (one BFS
+    tree per component) under both root conventions: depth gaps of 0, 1
+    and 2 or more on either side, and walks at one vertex closed by a
+    loop there."""
+    gaps, loops = set(), 0
+    for _ in range(15):
+        g = random_multigraph(rng, 40, 48)
+        comps = connected_components(g)
+        parent, edge, depth = part_trees(g, comps)
+        comp_of = {x: c for c in comps for x in c}
+        loop_at = {g.eu[x]: x for x in range(g.m_total) if g.eu[x] == g.ev[x]}
+        v, w, e = [], [], []
+        for _ in range(60):
+            a = rng.randrange(g.n_total)
+            b = rng.choice(comp_of[a])
+            if a in loop_at and rng.random() < 0.2:
+                b = a
+            v.append(a)
+            w.append(b)
+            e.append(loop_at[a] if a == b and a in loop_at
+                     else rng.randrange(g.m_total))
+            gaps.add(int(depth[a] - depth[b]))
+            loops += a == b and a in loop_at
+        v, w, e = np.array(v), np.array(w), np.array(e)
+        want = _reference_walks(parent, edge, depth, v, w, e)
+        for p in (parent, _own_parent_roots(parent, depth)):
+            verts, edges, lens = tree_paths(p, edge, depth, v, w, e)
+            assert (verts.tolist(), edges.tolist(), lens.tolist()) == want
+    assert {-1, 0, 1} <= gaps and min(gaps) <= -2 and max(gaps) >= 2
+    assert loops
 
 
 # -- contraction ------------------------------------------------------------
@@ -810,8 +884,8 @@ def _scalar_forest(g, roots, labels, seen=()):
 
 
 def test_bfs_forest_matches_scalar(rng):
-    """One root under one label, as sparsify uses it; several roots of
-    distinct labels, as the LDD uses it; and a shared visited array."""
+    """One root under one label; several roots of distinct labels, as
+    the LDD uses it; and a shared visited array."""
     for trial in range(30):
         n = 30
         g = random_multigraph(rng, n, rng.randrange(20, 90))
@@ -842,10 +916,10 @@ def test_bfs_forest_matches_scalar(rng):
 
 
 def test_bfs_forest_shared_visited_across_labels(rng):
-    """Calls sharing one visited array, as sparsify's halving round makes
-    them, one label class at a time: rows reaching vertices already
-    visited, of their own label or of another, skip them, and each tree
-    is the scalar BFS over the vertices left."""
+    """Calls sharing one visited array, as a clustering's second BFS
+    shares it with its first, one label class at a time: rows reaching
+    vertices already visited, of their own label or of another, skip
+    them, and each tree is the scalar BFS over the vertices left."""
     skipped = 0
     for trial in range(30):
         n = 40

@@ -845,35 +845,69 @@ def test_pull_up_loop_in_part():
     assert sorted(out.cycles[0].edges) == [t_edge, par]
 
 
+def _part_dict_trees(forest, parts):
+    """Every part's tree of a part_trees forest, as tree_reference's
+    dict trees."""
+    parent, edge, depth = forest
+    return [tree_reference.DictTree(
+        root=p[0], order=p,
+        parent={x: (int(parent[x]), int(edge[x])) for x in p if depth[x] > 0},
+        depth={x: int(depth[x]) for x in p}) for p in parts]
+
+
+def _entry_exit_depth_gaps(g, cm, depth, cycles_h):
+    """|depth(entry) - depth(exit)| in every part a cycle of H passes."""
+    gaps = []
+    for hc in cycles_h.cycles:
+        ends = []      # per H-edge: its end in its own part, then the other
+        for i, he in enumerate(hc.edges):
+            a, b = g.endpoints(int(cm.f[he]))
+            ends.append((a, b) if cm.part_of[a] == hc.vertices[i] else (b, a))
+        gaps += [abs(int(depth[ends[i - 1][1]] - depth[ends[i][0]]))
+                 for i in range(len(ends))]
+    return gaps
+
+
 def test_pull_up_random_rounds(rng):
-    """One contraction round built by hand on random graphs."""
+    """One contraction round built by hand on random graphs, lifted as
+    tree_reference's dict walk lifts it. The sparse graphs' deeper part
+    trees give parts entered and left two or more layers apart."""
+    deepest = 0
     for trial in range(30):
-        g = gnm(24, 120, seed=trial)
-        comp = max(connected_components(g), key=len)
-        if len(comp) < 6:
-            continue
-        ldd = single_cluster(g, comp)
-        weights = np.array(g.deg)
-        part = tree_split(ldd, weights, 8)
-        parts = parts_of(part)
-        forest = part_trees(g, parts)
-        exclude = forest[1][forest[1] >= 0]
-        cm = contract(g, part, exclude)
-        cyc = _greedy_pairs(cm.h)
-        out = pull_up(g, cm.part_of, cm.f, *forest, cyc)
-        assert out.total_edges >= cyc.total_edges
-        assert len(out.cycles) == len(cyc.cycles)
-        seen = set()
-        for c in out.cycles:
-            assert len(set(c.vertices)) == len(c.vertices)
-            assert not (set(c.vertices) & seen)
-            seen.update(c.vertices)
-            for i, e in enumerate(c.edges):
-                u = c.vertices[i]
-                v = c.vertices[(i + 1) % len(c.vertices)]
-                a, b = g.endpoints(e)
-                assert {a, b} == {u, v} or u == v == a == b
-        assert len(seen) >= cyc.total_vertices
+        for n, m, threshold in ((24, 120, 8), (40, 60, 30)):
+            g = gnm(n, m, seed=trial)
+            comp = max(connected_components(g), key=len)
+            if len(comp) < 6:
+                continue
+            ldd = single_cluster(g, comp)
+            weights = np.array(g.deg)
+            part = tree_split(ldd, weights, threshold)
+            parts = parts_of(part)
+            forest = part_trees(g, parts)
+            exclude = forest[1][forest[1] >= 0]
+            cm = contract(g, part, exclude)
+            cyc = _greedy_pairs(cm.h)
+            out = pull_up(g, cm.part_of, cm.f, *forest, cyc)
+            want = tree_reference.pull_up(cm, _part_dict_trees(forest, parts),
+                                          cyc)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(out.arrays(), want.arrays()))
+            deepest = max([deepest] + _entry_exit_depth_gaps(g, cm, forest[2],
+                                                             cyc))
+            assert out.total_edges >= cyc.total_edges
+            assert len(out.cycles) == len(cyc.cycles)
+            seen = set()
+            for c in out.cycles:
+                assert len(set(c.vertices)) == len(c.vertices)
+                assert not (set(c.vertices) & seen)
+                seen.update(c.vertices)
+                for i, e in enumerate(c.edges):
+                    u = c.vertices[i]
+                    v = c.vertices[(i + 1) % len(c.vertices)]
+                    a, b = g.endpoints(e)
+                    assert {a, b} == {u, v} or u == v == a == b
+            assert len(seen) >= cyc.total_vertices
+    assert deepest >= 2
 
 
 def _greedy_pairs(h):
