@@ -244,14 +244,14 @@ def dict_contract(g, parts: list[list[int]], exclude,
 
 def one_round(g, ldd, i: int) -> VertexDisjointCycleSet:
     """One contraction round on cluster i of an LddResult: split at
-    4*ceil(sqrt(m_i)), part trees, contraction over the cluster's edges,
-    the pair/loop greedy and the lift."""
+    ceil(sqrt(m_i)), the engine's threshold, part trees, contraction over
+    the cluster's edges, the pair/loop greedy and the lift."""
     edges = ldd.edges[ldd.edge_label == i].tolist()
     if len(edges) == 0:
         return VertexDisjointCycleSet()
     tree = dict_tree(ldd, i)
     labels = {v: int(ldd.degrees[v]) for v in tree.order}
-    threshold = 4 * math.isqrt(len(edges) - 1) + 4
+    threshold = math.isqrt(len(edges) - 1) + 1
     parts = tree_split(Labeled(tree=tree, labels=labels), threshold)
     trees = [subtree(tree, p) for p in parts]
     exclude = [e for st in trees for (_, e) in st.parent.values()]
